@@ -12,7 +12,7 @@ from .forms import (CurvatureTensor, Form, c3_principal_minors, chern_forms,
                     random_griffiths_curvature, restrict_fiber, schur_form,
                     standard_omega, twist_chern, volume_coefficient,
                     weak_positivity_min, wedge)
-from .hermitian import det, herm_eigvals, is_positive_definite, matmul
+from .hermitian import det, herm_eigvals, is_positive_definite
 from .phi import (PhiReport, c_matrix, phi_direct, phi_dual, phi_integral_r2,
                   phi_integral_r3, phi_r4_decomposition, rank2_norm_identity,
                   schur_delta)
@@ -27,7 +27,7 @@ __all__ = [
     "BlockMap", "CurvatureTensor", "Form", "NotStrictlyPositiveError",
     "PhiReport", "ScalingResult", "apply_map", "c3_principal_minors",
     "c_matrix", "chern_forms", "choi_fixture", "det", "from_curvature",
-    "from_kraus", "herm_eigvals", "is_positive_definite", "matmul",
+    "from_kraus", "herm_eigvals", "is_positive_definite",
     "mixed_discriminant", "mixed_discriminant_polarized", "moment_exact",
     "moment_mc", "phi_direct", "phi_dual", "phi_integral_r2",
     "phi_integral_r3", "phi_r4_decomposition", "positivity_certificate",

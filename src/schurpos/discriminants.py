@@ -112,13 +112,10 @@ def mixed_discriminant(mats) -> complex:
     ms, r = _check_tuple(mats)
     if r > MAX_RANK:
         raise ValueError(f"rank {r} exceeds supported maximum {MAX_RANK}")
-    total = 0.0 + 0.0j
-    rows = np.empty((r, r), dtype=complex)
-    for perm, _ in signed_permutations(r):
-        for i in range(r):
-            rows[i, :] = ms[perm[i]][i, :]
-        total += det(rows)
-    return total / math.factorial(r)
+    perms = np.array([perm for perm, _ in signed_permutations(r)])
+    # rows[k, i] = row i of A^{perms[k, i]}: one (r!, r, r) stack, one LAPACK call
+    rows = np.stack(ms)[perms, np.arange(r)]
+    return complex(np.linalg.det(rows).sum()) / math.factorial(r)
 
 
 def mixed_discriminant_polarized(mats) -> complex:

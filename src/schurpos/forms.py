@@ -93,11 +93,6 @@ class Form:
     def bidegrees(self) -> set[tuple[int, int]]:
         return {(len(i), len(j)) for i, j in self.coeffs}
 
-    def component(self, p: int, q: int) -> "Form":
-        """The (p, q)-bidegree part."""
-        return Form(self.n, {k: v for k, v in self.coeffs.items()
-                             if len(k[0]) == p and len(k[1]) == q})
-
     def conjugate(self) -> "Form":
         """Complex conjugate form: swaps I and J with the (-1)^{pq} reorder sign."""
         out = {}
@@ -108,9 +103,6 @@ class Form:
 
     def max_abs(self) -> float:
         return max((abs(v) for v in self.coeffs.values()), default=0.0)
-
-    def prune(self, cutoff: float = 0.0) -> "Form":
-        return Form(self.n, {k: v for k, v in self.coeffs.items() if abs(v) > cutoff})
 
     def __repr__(self) -> str:
         return f"Form(n={self.n}, terms={len(self.coeffs)}, degrees={sorted(self.bidegrees())})"
@@ -154,13 +146,6 @@ def wedge(u: Form, v: Form) -> Form:
     return Form(u.n, out)
 
 
-def wedge_power(u: Form, k: int) -> Form:
-    out = Form.one(u.n)
-    for _ in range(k):
-        out = wedge(out, u)
-    return out
-
-
 def volume_coefficient(u: Form) -> complex:
     """tau with (top part of u) = tau * i^n dz^1 ^ dzbar^1 ^ ... ^ dz^n ^ dzbar^n."""
     n = u.n
@@ -201,6 +186,8 @@ class CurvatureTensor:
         expected = (self.rank, self.rank, self.dim, self.dim)
         if e.shape != expected:
             raise ValueError(f"entries shape {e.shape} != {expected}")
+        if not np.isfinite(e).all():
+            raise ValueError("curvature entries are non-finite")
         defect = float(np.max(np.abs(e - np.conj(np.transpose(e, (1, 0, 3, 2))))))
         if defect > CURVATURE_SYMMETRY_TOL:
             raise ValueError(f"curvature symmetry defect {defect:.3e}")

@@ -1,21 +1,16 @@
-"""Self-contained dense complex linear algebra for small matrices.
+"""Dense complex linear algebra for small matrices, validated at the edge.
 
 Everything downstream (block maps, scaling, spherical moments, form
-coefficients) runs on plain square complex numpy arrays.  The two
-nontrivial kernels are written out explicitly rather than delegated:
+coefficients) runs on plain square complex numpy arrays.  This module owns
+the input checks (square shape, finite entries, Hermitian symmetry within
+HERMITIAN_TOL) and hands the kernels to LAPACK through numpy.linalg:
 
-* ``det`` is Gaussian elimination with partial pivoting,
-* ``herm_eigvals`` / ``herm_eig`` is a cyclic Jacobi sweep for Hermitian
-  matrices (complex rotations, fixed row-major pivot order), which keeps
-  eigenvalue results deterministic across platforms.
-
-Matrices here are tiny (dim <= 8), so clarity and determinism win over
-asymptotics.
+* ``det`` is ``np.linalg.det``,
+* ``herm_eig`` / ``herm_eigvals`` are ``np.linalg.eigh`` /
+  ``np.linalg.eigvalsh`` on the symmetrized input.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -23,17 +18,14 @@ import numpy as np
 #: symmetrized, beyond it rejected.
 HERMITIAN_TOL = 1e-10
 
-#: Jacobi sweeps stop once the off-diagonal Frobenius norm drops below this.
-JACOBI_OFF_TOL = 1e-13
-
-_MAX_SWEEPS = 60
-
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce to a square complex128 array (copying) and validate shape."""
+    """Coerce to a square complex128 array (copying); validate shape and finiteness."""
     m = np.array(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
     return m
 
 
@@ -51,104 +43,19 @@ def ensure_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of two square matrices of equal dimension."""
-    ma, mb = as_matrix(a), as_matrix(b)
-    if ma.shape != mb.shape:
-        raise ValueError(f"dimension mismatch: {ma.shape[0]} vs {mb.shape[0]}")
-    return ma @ mb
-
-
 def det(a) -> complex:
-    """Determinant by partially pivoted elimination; singular input gives 0."""
-    m = as_matrix(a)
-    n = m.shape[0]
-    sign = 1.0
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(m[k:, k])))
-        if m[piv, k] == 0.0:
-            return 0.0 + 0.0j
-        if piv != k:
-            m[[k, piv]] = m[[piv, k]]
-            sign = -sign
-        m[k + 1:, k + 1:] -= np.outer(m[k + 1:, k] / m[k, k], m[k, k + 1:])
-    return complex(sign * np.prod(np.diagonal(m)))
-
-
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Zero a[p, q] by the complex Jacobi rotation, updating a and v in place.
-
-    With g = a[p,q] = |g| u, the phase diag(u, 1) reduces the 2x2 pivot block
-    to a real symmetric one, then the usual Givens angle applies.
-    """
-    g = a[p, q]
-    absg = abs(g)
-    u = g / absg
-    alpha = a[p, p].real
-    beta = a[q, q].real
-    phi = (beta - alpha) / (2.0 * absg)
-    if phi == 0.0:
-        t = 1.0
-    else:
-        t = math.copysign(1.0, phi) / (abs(phi) + math.sqrt(phi * phi + 1.0))
-    c = 1.0 / math.sqrt(t * t + 1.0)
-    s = t * c
-
-    wpp, wpq = u * c, u * s
-    colp = wpp * a[:, p] - s * a[:, q]
-    colq = wpq * a[:, p] + c * a[:, q]
-    a[:, p], a[:, q] = colp, colq
-    rowp = np.conj(wpp) * a[p, :] - s * a[q, :]
-    rowq = np.conj(wpq) * a[p, :] + c * a[q, :]
-    a[p, :], a[q, :] = rowp, rowq
-    # clean the pivot pair exactly; diagonal is real by construction
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-
-    vp = wpp * v[:, p] - s * v[:, q]
-    vq = wpq * v[:, p] + c * v[:, q]
-    v[:, p], v[:, q] = vp, vq
-
-
-def _off_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diagonal(a))
-    return float(np.linalg.norm(off))
+    """Determinant (LU via LAPACK); singular input gives 0."""
+    return complex(np.linalg.det(as_matrix(a)))
 
 
 def herm_eig(a, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix.
-
-    Cyclic Jacobi with a fixed row-major sweep order.  Convergence is the
-    off-diagonal Frobenius norm below JACOBI_OFF_TOL, with a relative floor
-    so large-norm inputs cannot stall at the roundoff plateau.
-    """
-    m = ensure_hermitian(a, tol)
-    n = m.shape[0]
-    v = np.eye(n, dtype=complex)
-    if n == 1:
-        return np.array([m[0, 0].real]), v
-    stop = max(JACOBI_OFF_TOL, 1e-15 * (1.0 + float(np.linalg.norm(m))))
-    for _ in range(_MAX_SWEEPS):
-        if _off_norm(m) < stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(m[p, q]) > stop / (n * n):
-                    _jacobi_rotate(m, v, p, q)
-    if _off_norm(m) >= stop:
-        raise RuntimeError(
-            f"Jacobi sweep did not converge: off-norm {_off_norm(m):.3e}")
-    vals = np.real(np.diagonal(m)).copy()
-    order = np.argsort(vals, kind="stable")
-    return vals[order], v[:, order]
+    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix."""
+    return np.linalg.eigh(ensure_hermitian(a, tol))
 
 
 def herm_eigvals(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix (cyclic Jacobi)."""
-    vals, _ = herm_eig(a, tol)
-    return vals
+    """Ascending eigenvalues of a Hermitian matrix."""
+    return np.linalg.eigvalsh(ensure_hermitian(a, tol))
 
 
 def is_positive_definite(a, tol: float = 1e-12) -> tuple[bool, float]:

@@ -6,8 +6,15 @@ For a block map with r = w, the quantity of interest is the signed sum
 
 real for Hermitian-symmetric blocks.  Besides this direct sum, it equals
 
-* the dual double sum over the transposed block family A_pq with
-  (A_pq)_ij = (B_ij)_pq, weighted 1/r!;
+* the same sum over the transposed block family A_pq with
+  (A_pq)_ij = (B_ij)_pq: expanding D writes Phi as Cayley's
+  hyperdeterminant of the order-4 block tensor,
+
+      Phi = (1/r!) sum_{pi, sigma, tau} sgn(pi sigma tau)
+            prod_m B[m, pi(m), sigma(m), tau(m)],
+
+  which is symmetric under swapping the axis pairs (0, 1) and (2, 3), so
+  the dual route is the direct sum on the axis-swapped tensor;
 * for r = 2 under the doubly stochastic normalization, the exact spherical
   integral of 4 - 3 det C(xi);
 * for r = 3, the integral of 10 det C(xi) + 27 - 12 sigma_2(C(xi)), whose
@@ -24,8 +31,7 @@ is involved.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -75,21 +81,14 @@ def phi_direct(h: BlockMap) -> PhiReport:
 def phi_dual(h: BlockMap) -> PhiReport:
     """The same number from the transposed block family A_pq.
 
-    (A_pq)_ij = (B_ij)_pq, and Phi = (1/r!) sum over signed pairs of
-    permutations of D(A_{gamma(1) pi(1)}, ...).  Must agree with phi_direct.
+    (A_pq)_ij = (B_ij)_pq.  Expanding D turns Phi into Cayley's
+    hyperdeterminant of the order-4 tensor B, which is symmetric under
+    swapping the axis pairs (0, 1) and (2, 3); so this is phi_direct on the
+    axis-swapped tensor, and agreement with phi_direct checks that symmetry.
     """
-    r = _require_square(h, 4, "phi_dual")
-    # a[p, q] as a matrix in (i, j)
-    a = np.transpose(h.blocks, (2, 3, 0, 1))
-    total = 0.0 + 0.0j
-    perms = signed_permutations(r)
-    for gamma, sg in perms:
-        for pi, sp in perms:
-            total += sg * sp * mixed_discriminant(
-                [a[gamma[i], pi[i]] for i in range(r)])
-    total /= math.factorial(r)
-    return PhiReport(value=float(total.real), imaginary_residue=float(abs(total.imag)),
-                     method="dual")
+    _require_square(h, 4, "phi_dual")
+    rep = phi_direct(BlockMap(h.blocks.transpose(2, 3, 0, 1)))
+    return replace(rep, method="dual")
 
 
 def c_matrix(h: BlockMap, xi) -> np.ndarray:

@@ -25,12 +25,13 @@ floating-point noise.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .forms import CurvatureTensor
-from .hermitian import as_matrix, det, inv_sqrt_hermitian
+from .hermitian import as_matrix, inv_sqrt_hermitian
 
 #: Block symmetry B_ij* = B_ji must hold within this entrywise defect.
 BLOCK_SYMMETRY_TOL = 1e-10
@@ -52,6 +53,8 @@ class BlockMap:
         b = np.asarray(self.blocks, dtype=complex)
         if b.ndim != 4 or b.shape[0] != b.shape[1] or b.shape[2] != b.shape[3]:
             raise ValueError(f"blocks must have shape (r, r, w, w), got {b.shape}")
+        if not np.isfinite(b).all():
+            raise ValueError("blocks have non-finite entries")
         self.blocks = b
 
     @property
@@ -174,8 +177,14 @@ def choi_fixture() -> BlockMap:
     -E_ij.  Validated once per process: exact structural identities, and a
     grid certificate that must come back strictly positive (the grid never
     hits the map's boundary zero locus, a measure-zero torus; refinement
-    would, so the gate uses the raw grid minimum).
+    would, so the gate uses the raw grid minimum).  Each call returns a
+    fresh copy that the caller may mutate.
     """
+    return BlockMap(_validated_choi_blocks().copy())
+
+
+@functools.cache
+def _validated_choi_blocks() -> np.ndarray:
     blocks = np.zeros((3, 3, 3, 3), dtype=complex)
     for i in range(3):
         for j in range(3):
@@ -186,17 +195,6 @@ def choi_fixture() -> BlockMap:
             else:
                 blocks[i, j, i, j] = -1.0
     fixture = BlockMap(blocks)
-    _validate_choi(fixture)
-    return fixture
-
-
-_choi_validated = False
-
-
-def _validate_choi(fixture: BlockMap) -> None:
-    global _choi_validated
-    if _choi_validated:
-        return
     if fixture.symmetry_defect() != 0.0:
         raise NotStrictlyPositiveError("Choi fixture lost Hermitian block symmetry")
     diag_sum = sum(fixture.block(i, i) for i in range(3))
@@ -207,7 +205,7 @@ def _validate_choi(fixture: BlockMap) -> None:
     if min_eig <= 0.0:
         raise NotStrictlyPositiveError(
             f"Choi fixture failed the positivity certificate: min_eig {min_eig:.3e}")
-    _choi_validated = True
+    return blocks
 
 
 def _min_output_eigs(h: BlockMap, xis: np.ndarray) -> np.ndarray:
@@ -268,17 +266,33 @@ def positivity_certificate(h: BlockMap, grid: int, seed: int,
     return best_val, best_xi
 
 
+def _congruence_output(blocks: np.ndarray, c1: np.ndarray) -> np.ndarray:
+    """B_ij -> C1 B_ij C1*."""
+    return np.einsum("xa,klab,yb->klxy", c1, blocks, c1.conj())
+
+
+def _congruence_input(blocks: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """B_ij -> sum_kl conj(C2_ik) C2_jl B_kl."""
+    return np.einsum("ik,jl,klxy->ijxy", c2.conj(), c2, blocks)
+
+
 def scale(h: BlockMap, c1, c2) -> BlockMap:
-    """Operator scaling S_{C1,C2}(H)(X) = C1 H(C2* X C2) C1* on blocks."""
+    """Operator scaling S_{C1,C2}(H)(X) = C1 H(C2* X C2) C1* on blocks.
+
+    C1 and C2 must be invertible: the smallest singular value of each must
+    exceed 1e-12 times its largest (a scale-invariant test).
+    """
     m1, m2 = as_matrix(c1), as_matrix(c2)
     if m1.shape[0] != h.w:
         raise ValueError(f"c1 dim {m1.shape[0]} != output dim {h.w}")
     if m2.shape[0] != h.r:
         raise ValueError(f"c2 dim {m2.shape[0]} != input dim {h.r}")
-    if abs(det(m1)) <= 1e-12 or abs(det(m2)) <= 1e-12:
-        raise ValueError("scaling matrices must be invertible (|det| > 1e-12)")
-    inner = np.einsum("xa,klab,yb->klxy", m1, h.blocks, m1.conj())
-    return BlockMap(np.einsum("ik,jl,klxy->ijxy", m2.conj(), m2, inner))
+    for m in (m1, m2):
+        sv = np.linalg.svd(m, compute_uv=False)
+        if not sv[-1] > 1e-12 * sv[0]:
+            raise ValueError("scaling matrices must be invertible "
+                             "(smallest singular value > 1e-12 x largest)")
+    return BlockMap(_congruence_input(_congruence_output(h.blocks, m1), m2))
 
 
 def trace_matrix(h: BlockMap) -> np.ndarray:
@@ -333,7 +347,9 @@ def sinkhorn_normalize(h: BlockMap, tol: float = 1e-10, max_iter: int = 500,
             c1_step = inv_sqrt_hermitian(left)
         except RuntimeError as exc:
             raise NotStrictlyPositiveError(f"left marginal is singular: {exc}") from exc
-        current = scale(current, c1_step, np.eye(r))
+        # step matrices are invertible by construction (inv_sqrt_hermitian
+        # refuses near-singular input), so scale's check is skipped
+        current = BlockMap(_congruence_output(current.blocks, c1_step))
         c1_total = c1_step @ c1_total
 
         t = trace_matrix(current)
@@ -341,7 +357,7 @@ def sinkhorn_normalize(h: BlockMap, tol: float = 1e-10, max_iter: int = 500,
             c2_step = sqrt_r * np.conj(inv_sqrt_hermitian(t))
         except RuntimeError as exc:
             raise NotStrictlyPositiveError(f"trace matrix is singular: {exc}") from exc
-        current = scale(current, np.eye(r), c2_step)
+        current = BlockMap(_congruence_input(current.blocks, c2_step))
         c2_total = c2_step @ c2_total
 
         iterations += 1

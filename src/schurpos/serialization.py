@@ -114,8 +114,9 @@ def phi_report_to_json(rep: PhiReport) -> dict:
 
 
 def dump(obj: dict, path: str | None) -> str:
-    """Serialize deterministically; write to path when given, else return text."""
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    """Serialize deterministically as strict JSON (non-finite floats raise
+    ValueError); write to path when given, else return text."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -22,6 +22,24 @@ def run_json(capsys, *argv):
     return code, (json.loads(out) if out.strip() else None), err
 
 
+def gen_with_nan(tmp_path, *gen_args):
+    """Generate a fixture file, then set the real part of its first entry to NaN."""
+    path = tmp_path / "nan.json"
+    assert main(["gen", *gen_args, "--output", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    entry = obj["blocks"] if "blocks" in obj else obj["R"]
+    while not isinstance(entry[0], float):
+        entry = entry[0]
+    entry[0] = float("nan")
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def assert_rejected_without_nan(code, out, err):
+    assert code == 2
+    assert "NaN" not in out + err
+
+
 class TestGen:
     def test_trace_map(self, capsys, tmp_path):
         path = tmp_path / "trace.json"
@@ -52,6 +70,9 @@ class TestGen:
             assert main(["gen", "kraus", "--rank", "3", "--seed", "11",
                          "--output", str(p)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_nan_eps_is_precondition_error(self, capsys):
+        assert_rejected_without_nan(*run(capsys, "gen", "kraus", "--eps", "nan"))
 
 
 class TestScale:
@@ -110,6 +131,10 @@ class TestScale:
         obj2.pop("timestamp")
         assert obj1 == obj2
 
+    def test_nan_entry_is_precondition_error(self, capsys, tmp_path):
+        path = gen_with_nan(tmp_path, "kraus", "--rank", "2")
+        assert_rejected_without_nan(*run(capsys, "scale", "--input", str(path)))
+
 
 class TestPhi:
     def test_trace_map_all_methods(self, capsys, tmp_path):
@@ -147,6 +172,12 @@ class TestPhi:
                            "--method", "integral")
         assert code == 2
         assert "sinkhorn" in err or "stochastic" in err
+
+    @pytest.mark.parametrize("method", ["direct", "all"])
+    def test_nan_entry_is_precondition_error(self, capsys, tmp_path, method):
+        path = gen_with_nan(tmp_path, "kraus", "--rank", "2")
+        assert_rejected_without_nan(
+            *run(capsys, "phi", "--input", str(path), "--method", method))
 
 
 class TestSchur:
@@ -192,6 +223,11 @@ class TestSchur:
         code, _, err = run(capsys, "schur", "--input", str(path),
                            "--partition", "1,2,0")
         assert code == 2
+
+    def test_nan_entry_is_precondition_error(self, capsys, tmp_path):
+        path = gen_with_nan(tmp_path, "curvature")
+        assert_rejected_without_nan(*run(
+            capsys, "schur", "--input", str(path), "--partition", "1,0,0"))
 
 
 class TestVerify:

@@ -390,6 +390,13 @@ class TestGriffithsGenerator:
             random_griffiths_curvature(3, 3, -1, eps=0.1, seed=0)
 
 
+def test_curvature_rejects_non_finite():
+    entries = np.zeros((2, 2, 2, 2), dtype=complex)
+    entries[0, 0, 0, 0] = np.inf
+    with pytest.raises(ValueError):
+        CurvatureTensor(rank=2, dim=2, entries=entries)
+
+
 def test_validate_partition_padding():
     assert validate_partition((2, 1), rank=3, dim=3) == (2, 1, 0)
     assert validate_partition((1, 1, 1), rank=3, dim=5) == (1, 1, 1)

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from schurpos.hermitian import (det, ensure_hermitian, herm_eig, herm_eigvals,
-                                inv_sqrt_hermitian, is_positive_definite,
-                                matmul)
+                                inv_sqrt_hermitian, is_positive_definite)
 
 
 def random_complex(rng, n):
@@ -31,30 +30,6 @@ def leibniz_det(a):
             prod *= a[i, perm[i]]
         total += sign * prod
     return total
-
-
-class TestMatmul:
-    def test_identity(self):
-        eye = np.eye(3, dtype=complex)
-        assert np.array_equal(matmul(eye, eye), eye)
-
-    def test_diagonal(self):
-        out = matmul(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
-        assert np.allclose(out, np.diag([3.0, 8.0]), atol=0)
-
-    def test_against_triple_loop(self):
-        rng = np.random.default_rng(101)
-        a, b = random_complex(rng, 4), random_complex(rng, 4)
-        naive = np.zeros((4, 4), dtype=complex)
-        for i in range(4):
-            for j in range(4):
-                for k in range(4):
-                    naive[i, j] += a[i, k] * b[k, j]
-        assert np.max(np.abs(matmul(a, b) - naive)) < 1e-13
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matmul(np.eye(2), np.eye(3))
 
 
 class TestDet:
@@ -135,6 +110,11 @@ class TestEigvals:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             herm_eigvals(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            herm_eigvals(np.array([[1.0, 0.0], [0.0, bad]]))
 
     def test_symmetrizes_within_tolerance(self):
         a = np.array([[1.0, 0.5 + 1e-12j], [0.5 - 2e-12j, 2.0]])

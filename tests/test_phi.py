@@ -67,6 +67,10 @@ class TestPhiDual:
         h = normalized_map(3, seed=89)
         assert abs(phi_dual(h).value - phi_direct(h).value) < 1e-9
 
+    def test_matches_direct_r4_normalized(self):
+        h = normalized_map(4, seed=91)
+        assert abs(phi_dual(h).value - phi_direct(h).value) < 1e-9
+
 
 class TestCMatrix:
     def test_trace_map_gives_identity(self):
@@ -201,3 +205,11 @@ class TestScalingCovariance:
             factor = abs(det(c1)) ** 2 * abs(det(c2)) ** 2
             scaled = phi_direct(scale(h, c1, c2)).value
             assert abs(scaled - factor * base) / abs(factor * base) < 1e-8
+
+    def test_small_well_conditioned_scaling_accepted(self):
+        # det(1e-4 I) = 1e-16 at r = 4: tiny, yet perfectly conditioned
+        h = trace_map(4)
+        c1, c2 = 1e-4 * np.eye(4), np.eye(4)
+        factor = abs(det(c1)) ** 2 * abs(det(c2)) ** 2
+        scaled = phi_direct(scale(h, c1, c2)).value
+        assert abs(scaled - factor * phi_direct(h).value) <= 1e-12 * factor

@@ -105,6 +105,10 @@ class TestChoiFixture:
         t = trace_matrix(h)
         assert np.array_equal(t, 2.0 * np.eye(3))
 
+    def test_returns_fresh_copy(self):
+        choi_fixture().blocks[:] = 0.0
+        assert np.array_equal(trace_matrix(choi_fixture()), 2.0 * np.eye(3))
+
     def test_certificate_documented_thresholds(self):
         h = choi_fixture()
         # Grid phase stays strictly positive: the zero locus of the map's
