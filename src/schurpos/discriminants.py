@@ -19,6 +19,18 @@ the trace of the word read along the cycle.  Cycles are read from their
 smallest element following pi forward; the full sum over S_n is invariant
 under reversing that orientation (pi <-> pi^{-1} is a bijection), which the
 tests confirm by Monte Carlo.
+
+The Monte Carlo route ``moment_mc`` runs in real arithmetic.  With
+xi = x + iy, v = (x, y) in R^{2r} and U = A + iB,
+
+    xi* U xi = v^T M v + i v^T N v,
+    M = sym([[A, -B], [B, A]]),  N = sym([[B, A], [-A, B]]),
+
+where sym(X) = (X + X^T)/2; N = 0 exactly when U is Hermitian.  The forms
+are homogeneous of degree 2, so each sample divides the product of the
+forms by |v|^{2n} rather than normalizing v.  Its sample stream is the one
+``sample_unit_sphere`` draws: block b is seeded by seed + b, and a block's
+first standard normal draw is x and its second y.
 """
 
 from __future__ import annotations
@@ -201,6 +213,19 @@ def sample_unit_sphere(rng: np.random.Generator, count: int, r: int) -> np.ndarr
     return z / np.linalg.norm(z, axis=1)[:, None]
 
 
+def _real_forms(u: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Real symmetric M, N with xi* U xi = v^T M v + i v^T N v, v = (Re xi, Im xi).
+
+    N is returned as None when it vanishes, which it does exactly when U is
+    Hermitian.
+    """
+    a, b = u.real, u.imag
+    m = np.block([[a, -b], [b, a]])
+    n = np.block([[b, a], [-a, b]])
+    n = (n + n.T) / 2.0
+    return (m + m.T) / 2.0, (n if n.any() else None)
+
+
 def moment_mc(mats, samples: int, seed: int,
               block_size: int = 1 << 16) -> tuple[complex, float]:
     """Monte Carlo spherical moment with standard error.
@@ -208,30 +233,62 @@ def moment_mc(mats, samples: int, seed: int,
     Samples are drawn in fixed-size blocks, block b seeded by seed + b, so
     the result depends only on (seed, samples, block_size) and a parallel
     reduction over blocks would reproduce the serial one exactly.
+
+    The stream is unchanged from ``sample_unit_sphere``: a block's first
+    standard normal draw is Re xi and its second Im xi.  The arithmetic is
+    real: with v = (Re xi, Im xi), xi* U xi = v^T M v + i v^T N v, and each
+    sample is prod_i (v^T M_i v + i v^T N_i v) / |v|^{2n}, so v is never
+    normalized.  Hermitian factors (N = 0) keep the product real.
     """
     ms = [as_matrix(m) for m in mats]
+    if not ms:
+        raise ValueError("empty moment word")
     if samples < 1:
         raise ValueError("need at least one sample")
+    if block_size < 1:
+        raise ValueError("block_size must be at least 1")
     r = ms[0].shape[0]
     for m in ms:
         if m.shape[0] != r:
             raise ValueError("mixed dimensions in moment word")
-    sum_w = 0.0 + 0.0j
+    forms = [_real_forms(m) for m in ms]
+    real = all(n is None for _, n in forms)
+    # buffers of one full block, reused by every block as views [:count]
+    size = min(block_size, samples)
+    half = np.empty((size, r))
+    v = np.empty((size, 2 * r))
+    vm = np.empty((size, 2 * r))
+    q = np.empty((2, size))
+    w = np.empty(size, dtype=float if real else complex)
+    sum_w = 0.0
     sum_abs2 = 0.0
     done = 0
     block = 0
     while done < samples:
         count = min(block_size, samples - done)
         rng = np.random.default_rng(seed + block)
-        xi = sample_unit_sphere(rng, count, r)
-        w = np.ones(count, dtype=complex)
-        for m in ms:
-            w *= np.einsum("si,ij,sj->s", xi.conj(), m, xi)
-        sum_w += complex(w.sum())
-        sum_abs2 += float(np.sum(np.abs(w) ** 2))
+        hb, vb, vmb, wb = half[:count], v[:count], vm[:count], w[:count]
+        q_re, q_im = q[0, :count], q[1, :count]
+        rng.standard_normal(out=hb)
+        vb[:, :r] = hb
+        rng.standard_normal(out=hb)
+        vb[:, r:] = hb
+        np.einsum("sj,sj->s", vb, vb, out=q_re)
+        np.power(q_re, -len(ms), out=wb)
+        for m, n in forms:
+            np.matmul(vb, m, out=vmb)
+            np.einsum("sj,sj->s", vmb, vb, out=q_re)
+            if n is None:
+                wb *= q_re
+            else:
+                np.matmul(vb, n, out=vmb)
+                np.einsum("sj,sj->s", vmb, vb, out=q_im)
+                wb *= q_re + 1j * q_im
+        sum_w += wb.sum()
+        sum_abs2 += float(np.vdot(wb, wb).real)
         done += count
         block += 1
-    mean = sum_w / samples
+    mean = complex(sum_w) / samples
     if samples == 1:
         return mean, 0.0
     var = max(sum_abs2 - samples * abs(mean) ** 2, 0.0) / (samples - 1)

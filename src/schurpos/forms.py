@@ -449,6 +449,8 @@ def weak_positivity_min(u: Form, samples: int, seed: int,
         raise ValueError(f"bidegree ({p},{p}) exceeds ambient dimension {n}")
     if samples < 1:
         raise ValueError("need at least one sample")
+    if block_size < 1:
+        raise ValueError("block_size must be at least 1")
     if q == 0:
         tau = volume_coefficient(u)
         return float(tau.real), []

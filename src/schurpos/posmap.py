@@ -132,11 +132,14 @@ def apply_map(h: BlockMap, x) -> np.ndarray:
 def from_kraus(cs, eps: float = 0.0) -> BlockMap:
     """Completely positive map B_ij = sum_k C_k E_ij C_k*, plus eps * trace map.
 
-    Each Kraus operator C_k must be w x r.  With eps > 0 the map is strictly
-    positive: H(xi xi*) >= eps |xi|^2 I.
+    Each Kraus operator C_k must be w x r, and eps >= 0 (eps = 0 gives the
+    completely positive map).  With eps > 0 the map is strictly positive:
+    H(xi xi*) >= eps |xi|^2 I.
     """
     if not cs:
         raise ValueError("need at least one Kraus operator")
+    if not eps >= 0:
+        raise ValueError("eps must be nonnegative")
     mats = [np.array(c, dtype=complex) for c in cs]
     w, r = mats[0].shape
     for c in mats:
@@ -327,7 +330,7 @@ def sinkhorn_normalize(h: BlockMap, tol: float = 1e-10, max_iter: int = 500,
     r = h.r
     if h.w != r:
         raise ValueError("sinkhorn_normalize needs a square map (r = w)")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if check_positive:
         min_eig, _ = positivity_certificate(h, grid=certificate_grid,

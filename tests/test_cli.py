@@ -74,6 +74,14 @@ class TestGen:
     def test_nan_eps_is_precondition_error(self, capsys):
         assert_rejected_without_nan(*run(capsys, "gen", "kraus", "--eps", "nan"))
 
+    def test_negative_eps_is_precondition_error(self, capsys, tmp_path):
+        path = tmp_path / "k.json"
+        code, _, err = run(capsys, "gen", "kraus", "--eps", "-5",
+                           "--output", str(path))
+        assert code == 2
+        assert "eps" in err
+        assert not path.exists()
+
 
 class TestScale:
     def test_trace_map_fixed_point(self, capsys, tmp_path):
@@ -134,6 +142,12 @@ class TestScale:
     def test_nan_entry_is_precondition_error(self, capsys, tmp_path):
         path = gen_with_nan(tmp_path, "kraus", "--rank", "2")
         assert_rejected_without_nan(*run(capsys, "scale", "--input", str(path)))
+
+    def test_nan_tol_is_precondition_error(self, capsys, tmp_path):
+        path = tmp_path / "k.json"
+        assert main(["gen", "kraus", "--rank", "2", "--output", str(path)]) == 0
+        assert_rejected_without_nan(*run(capsys, "scale", "--input", str(path),
+                                         "--tol", "nan"))
 
 
 class TestPhi:

@@ -238,6 +238,77 @@ class TestMomentMonteCarlo:
         with pytest.raises(ValueError):
             moment_mc([np.eye(2)], samples=0, seed=0)
 
+    def test_rejects_empty_word(self):
+        with pytest.raises(ValueError, match="empty moment word"):
+            moment_mc([], samples=10, seed=0)
+
+    def test_rejects_zero_block_size(self):
+        # count would be 0 and the block loop would never advance
+        with pytest.raises(ValueError, match="block_size"):
+            moment_mc([np.eye(2)], samples=10, seed=0, block_size=0)
+
+    def test_single_sample_has_zero_stderr(self):
+        rng = np.random.default_rng(71)
+        us = [random_hermitian(rng, 3) for _ in range(2)]
+        est, stderr = moment_mc(us, samples=1, seed=4)
+        assert stderr == 0.0
+        assert est == pytest.approx(einsum_moment_mc(us, 1, 4)[0], rel=1e-12)
+
+
+def einsum_moment_mc(mats, samples, seed, block_size=1 << 16):
+    """Oracle: the complex-einsum kernel on normalized sphere samples, with
+    the blocks, seeds and error estimate of ``moment_mc``."""
+    ms = [np.asarray(m, dtype=complex) for m in mats]
+    r = ms[0].shape[0]
+    sum_w = 0.0 + 0.0j
+    sum_abs2 = 0.0
+    done = 0
+    block = 0
+    while done < samples:
+        count = min(block_size, samples - done)
+        rng = np.random.default_rng(seed + block)
+        xi = sample_unit_sphere(rng, count, r)
+        w = np.ones(count, dtype=complex)
+        for m in ms:
+            w *= np.einsum("si,ij,sj->s", xi.conj(), m, xi)
+        sum_w += complex(w.sum())
+        sum_abs2 += float(np.sum(np.abs(w) ** 2))
+        done += count
+        block += 1
+    mean = sum_w / samples
+    if samples == 1:
+        return mean, 0.0
+    var = max(sum_abs2 - samples * abs(mean) ** 2, 0.0) / (samples - 1)
+    return mean, math.sqrt(var / samples)
+
+
+class TestMomentMonteCarloStream:
+    """The real-arithmetic kernel reproduces the complex-einsum kernel on the
+    same sample stream; 150_000 samples are two full blocks and a partial one."""
+
+    SAMPLES = 150_000
+
+    @pytest.mark.parametrize("r, n", [(2, 2), (3, 2), (3, 3), (4, 4)])
+    def test_matches_einsum_kernel(self, r, n):
+        rng = np.random.default_rng(1000 + 10 * r + n)
+        us = [random_hermitian(rng, r) for _ in range(n)]
+        est, stderr = moment_mc(us, self.SAMPLES, seed=17)
+        want, want_stderr = einsum_moment_mc(us, self.SAMPLES, seed=17)
+        assert est.imag == 0.0  # Hermitian words stay on the real path
+        assert est == pytest.approx(want, rel=1e-12)
+        assert stderr == pytest.approx(want_stderr, rel=1e-12)
+
+    def test_non_hermitian_word(self):
+        rng = np.random.default_rng(83)
+        us = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
+              random_hermitian(rng, 3)]
+        est, stderr = moment_mc(us, self.SAMPLES, seed=19)
+        want, want_stderr = einsum_moment_mc(us, self.SAMPLES, seed=19)
+        assert est == pytest.approx(want, rel=1e-12)
+        assert stderr == pytest.approx(want_stderr, rel=1e-12)
+        assert abs(est.imag) > 10 * stderr  # the complex path was taken
+        assert abs(est - moment_exact(us)) < 5 * stderr
+
 
 def test_symmetric_projector_identity():
     """dim(V^sym2) * E[(xi xi*)^(x2)] equals the symmetrizer on C^2 x C^2."""

@@ -292,6 +292,12 @@ class TestWeakPositivity:
         assert val > 0.0
         assert len(witness) == 1
 
+    def test_rejects_zero_block_size(self):
+        # count would be 0 and the block loop would never advance
+        u = Form(2, {((0,), (0,)): 1j, ((1,), (1,)): 1j})
+        with pytest.raises(ValueError, match="block_size"):
+            weak_positivity_min(u, samples=10, seed=0, block_size=0)
+
     def test_indefinite_form_witness(self):
         u = Form(2, {((0,), (0,)): 1j, ((1,), (1,)): -1j})
         val, witness = weak_positivity_min(u, samples=2000, seed=0)
