@@ -20,6 +20,11 @@ smallest element following pi forward; the full sum over S_n is invariant
 under reversing that orientation (pi <-> pi^{-1} is a bijection), which the
 tests confirm by Monte Carlo.
 
+``mixed_discriminant``, ``trace_word`` and ``moment_exact`` map one word
+(k, r, r) to a complex and a stack of words (..., k, r, r) to an array (...),
+so the Leibniz terms of ``phi`` go through one call; ``_check_stack`` is the
+one validator of matrix words.
+
 The Monte Carlo route ``moment_mc`` runs in real arithmetic.  With
 xi = x + iy, v = (x, y) in R^{2r} and U = A + iB,
 
@@ -40,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hermitian import as_matrix, det
+from .hermitian import det
 
 #: Longest supported moment word; (r)_n stays exactly representable and the
 #: S_n sum stays desk-sized.
@@ -83,10 +88,7 @@ def signed_permutations(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 def rising_factorial(r: int, n: int) -> int:
     """(r)_n = r (r+1) ... (r+n-1), as an exact integer."""
-    out = 1
-    for k in range(n):
-        out *= r + k
-    return out
+    return math.prod(range(r, r + n))
 
 
 def cycle_decomposition(perm: tuple[int, ...]) -> list[list[int]]:
@@ -107,27 +109,40 @@ def cycle_decomposition(perm: tuple[int, ...]) -> list[list[int]]:
     return cycles
 
 
-def _check_tuple(mats) -> tuple[list[np.ndarray], int]:
-    ms = [as_matrix(m) for m in mats]
-    r = len(ms)
-    if r == 0:
-        raise ValueError("empty matrix tuple")
-    for m in ms:
-        if m.shape[0] != r:
-            raise ValueError(
-                f"mixed discriminant needs {r} matrices of dim {r}, got dim {m.shape[0]}")
-    return ms, r
+@lru_cache(maxsize=None)
+def permutation_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``signed_permutations(n)`` as read-only arrays: perms (n!, n), signs (n!,)."""
+    perms, signs = (np.array(col) for col in zip(*signed_permutations(n)))
+    perms.flags.writeable = signs.flags.writeable = False
+    return perms, signs
 
 
-def mixed_discriminant(mats) -> complex:
-    """Permutation-sum mixed discriminant of r matrices of dimension r."""
-    ms, r = _check_tuple(mats)
+def _check_stack(mats, what: str) -> np.ndarray:
+    """One word (k, r, r) or a stack of words (..., k, r, r) of finite square
+    matrices, as one complex array; ragged input raises in numpy."""
+    a = np.asarray(mats, dtype=complex)
+    if a.size == 0:
+        raise ValueError(f"empty {what}")
+    if a.ndim < 3 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"{what} needs square matrices of one dimension, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} has non-finite entries")
+    return a
+
+
+def mixed_discriminant(mats) -> complex | np.ndarray:
+    """Permutation-sum mixed discriminant of r matrices of dimension r, per word."""
+    a = _check_stack(mats, "matrix tuple")
+    r = a.shape[-1]
+    if a.shape[-3] != r:
+        raise ValueError(
+            f"mixed discriminant needs {r} matrices of dim {r}, got {a.shape[-3]}")
     if r > MAX_RANK:
         raise ValueError(f"rank {r} exceeds supported maximum {MAX_RANK}")
-    perms = np.array([perm for perm, _ in signed_permutations(r)])
-    # rows[k, i] = row i of A^{perms[k, i]}: one (r!, r, r) stack, one LAPACK call
-    rows = np.stack(ms)[perms, np.arange(r)]
-    return complex(np.linalg.det(rows).sum()) / math.factorial(r)
+    perms, _ = permutation_table(r)
+    # rows[..., k, i] = row i of A^{perms[k, i]}: one (..., r!, r, r) stack, one LAPACK call
+    rows = a[..., perms, np.arange(r), :]
+    return np.linalg.det(rows).sum(-1) / math.factorial(r)
 
 
 def mixed_discriminant_polarized(mats) -> complex:
@@ -137,9 +152,10 @@ def mixed_discriminant_polarized(mats) -> complex:
     values det(sum_{k in S} A^k); an independent oracle for
     ``mixed_discriminant``.
     """
-    ms, r = _check_tuple(mats)
-    if r > 6:
-        raise ValueError(f"polarized route supports rank <= 6, got {r}")
+    ms = _check_stack(mats, "matrix tuple")
+    r = len(ms)
+    if ms.shape != (r, r, r) or r > 6:
+        raise ValueError(f"polarized route needs r <= 6 matrices of dim r, got shape {ms.shape}")
     total = 0.0 + 0.0j
     for mask in range(1, 1 << r):
         acc = np.zeros((r, r), dtype=complex)
@@ -154,18 +170,17 @@ def mixed_discriminant_polarized(mats) -> complex:
 
 def trace_expansion_r2(x, y) -> complex:
     """D(X, Y) for 2 x 2 matrices: (tr X tr Y - tr XY) / 2."""
-    mx, my = as_matrix(x), as_matrix(y)
-    if mx.shape != (2, 2) or my.shape != (2, 2):
+    mx, my = ms = _check_stack([x, y], "trace_expansion_r2")
+    if ms.shape != (2, 2, 2):
         raise ValueError("trace_expansion_r2 needs 2x2 matrices")
     return (np.trace(mx) * np.trace(my) - np.trace(mx @ my)) / 2.0
 
 
 def trace_expansion_r3(u, v, w) -> complex:
     """D(U, V, W) for 3 x 3 matrices via the six-term trace formula."""
-    mu, mv, mw = as_matrix(u), as_matrix(v), as_matrix(w)
-    for m in (mu, mv, mw):
-        if m.shape != (3, 3):
-            raise ValueError("trace_expansion_r3 needs 3x3 matrices")
+    mu, mv, mw = ms = _check_stack([u, v, w], "trace_expansion_r3")
+    if ms.shape != (3, 3, 3):
+        raise ValueError("trace_expansion_r3 needs 3x3 matrices")
     tu, tv, tw = np.trace(mu), np.trace(mv), np.trace(mw)
     six_d = (
         tu * tv * tw
@@ -178,32 +193,25 @@ def trace_expansion_r3(u, v, w) -> complex:
     return six_d / 6.0
 
 
-def trace_word(perm: tuple[int, ...], mats: list[np.ndarray]) -> complex:
-    """tr_pi: product over cycles of pi of tr(matrix word along the cycle)."""
-    val = 1.0 + 0.0j
+def trace_word(perm: tuple[int, ...], mats) -> complex | np.ndarray:
+    """tr_pi: product over cycles of pi of tr(matrix word along the cycle), per word."""
+    u = np.asarray(mats, dtype=complex)
+    val = 1.0
     for cyc in cycle_decomposition(perm):
-        word = mats[cyc[0]]
+        word = u[..., cyc[0], :, :]
         for i in cyc[1:]:
-            word = word @ mats[i]
-        val *= np.trace(word)
+            word = word @ u[..., i, :, :]
+        val = val * np.trace(word, axis1=-2, axis2=-1)
     return val
 
 
-def moment_exact(mats) -> complex:
-    """Exact spherical moment int prod_i (xi* U_i xi) dmu over S^{2r-1}."""
-    ms = [as_matrix(m) for m in mats]
-    n = len(ms)
-    if n == 0:
-        raise ValueError("empty moment word")
+def moment_exact(mats) -> complex | np.ndarray:
+    """Exact spherical moment int prod_i (xi* U_i xi) dmu over S^{2r-1}, per word."""
+    a = _check_stack(mats, "moment word")
+    n, r = a.shape[-3], a.shape[-1]
     if n > MAX_WORD_LEN:
         raise ValueError(f"moment word length {n} exceeds maximum {MAX_WORD_LEN}")
-    r = ms[0].shape[0]
-    for m in ms:
-        if m.shape[0] != r:
-            raise ValueError("mixed dimensions in moment word")
-    total = 0.0 + 0.0j
-    for perm, _ in signed_permutations(n):
-        total += trace_word(perm, ms)
+    total = sum(trace_word(perm, a) for perm, _ in signed_permutations(n))
     return total / rising_factorial(r, n)
 
 
@@ -240,17 +248,14 @@ def moment_mc(mats, samples: int, seed: int,
     sample is prod_i (v^T M_i v + i v^T N_i v) / |v|^{2n}, so v is never
     normalized.  Hermitian factors (N = 0) keep the product real.
     """
-    ms = [as_matrix(m) for m in mats]
-    if not ms:
-        raise ValueError("empty moment word")
+    ms = _check_stack(mats, "moment word")
+    if ms.ndim != 3:
+        raise ValueError(f"moment_mc takes one word (n, r, r), got shape {ms.shape}")
     if samples < 1:
         raise ValueError("need at least one sample")
     if block_size < 1:
         raise ValueError("block_size must be at least 1")
-    r = ms[0].shape[0]
-    for m in ms:
-        if m.shape[0] != r:
-            raise ValueError("mixed dimensions in moment word")
+    r = ms.shape[-1]
     forms = [_real_forms(m) for m in ms]
     real = all(n is None for _, n in forms)
     # buffers of one full block, reused by every block as views [:count]

@@ -26,6 +26,7 @@ Everything is pointwise linear algebra: no d, no global structure.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -58,6 +59,8 @@ class Form:
     def __init__(self, n: int, coeffs: dict | None = None):
         self.n = n
         self.coeffs = dict(coeffs) if coeffs else {}
+        if not all(map(cmath.isfinite, self.coeffs.values())):
+            raise ValueError("form has non-finite coefficients")
 
     @classmethod
     def one(cls, n: int) -> "Form":

@@ -27,17 +27,22 @@ Here C(xi) is the r x r matrix of quadratic forms (xi* B_ij xi).  All the
 integrals are evaluated exactly: each monomial in the entries of C(xi) is a
 product of quadratic forms and goes through ``moment_exact``; no quadrature
 is involved.
+
+The Leibniz terms (B_{1 sigma(1)}, ..., B_{r sigma(r)}) are enumerated once,
+as the (r!, r, w, w) array ``leibniz_stack``; each route dots their signs
+with one stacked kernel: ``mixed_discriminant``, ``moment_exact`` (int det C)
+or ``four_cycle_trace_sum`` (the rank-4 residue).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import permutations
 from typing import NamedTuple
 
 import numpy as np
 
-from .discriminants import (cycle_decomposition, mixed_discriminant,
-                            moment_exact, signed_permutations, trace_word)
+from .discriminants import mixed_discriminant, moment_exact, permutation_table
 from .posmap import BlockMap, normalization_residual
 
 #: Integral routes demand this much normalization before they make sense.
@@ -52,12 +57,17 @@ class PhiReport:
     lower_bound: float | None = None
 
 
-def _require_square(h: BlockMap, max_rank: int, what: str) -> int:
+def _report(z: complex, method: str, **extra) -> PhiReport:
+    return PhiReport(value=float(z.real), imaginary_residue=float(abs(z.imag)),
+                     method=method, **extra)
+
+
+def _require_rank(h: BlockMap, ranks: range, what: str) -> None:
     if h.r != h.w:
         raise ValueError(f"{what} needs a square map (r = w), got r={h.r}, w={h.w}")
-    if h.r > max_rank:
-        raise ValueError(f"{what} supports rank <= {max_rank}, got {h.r}")
-    return h.r
+    if h.r not in ranks:
+        raise ValueError(f"{what} needs rank {ranks[0]}, got {h.r}" if len(ranks) == 1
+                         else f"{what} supports rank <= {ranks[-1]}, got {h.r}")
 
 
 def _require_normalized(h: BlockMap, what: str) -> None:
@@ -68,14 +78,22 @@ def _require_normalized(h: BlockMap, what: str) -> None:
             f"{NORMALIZATION_RESIDUAL_TOL:.0e} (run sinkhorn_normalize first)")
 
 
+def leibniz_stack(h: BlockMap) -> np.ndarray:
+    """The Leibniz terms of Phi: stack[k, i] = B_{i, perms[k, i]}, shape (r!, r, w, w).
+
+    Term k enters every route with sign ``permutation_table(r)[1][k]``.
+    """
+    perms, _ = permutation_table(h.r)
+    return h.blocks[np.arange(h.r), perms]
+
+
 def phi_direct(h: BlockMap) -> PhiReport:
     """The signed permutation sum over mixed discriminants of block rows."""
-    r = _require_square(h, 5, "phi_direct")
-    total = 0.0 + 0.0j
-    for perm, sign in signed_permutations(r):
-        total += sign * mixed_discriminant([h.block(i, perm[i]) for i in range(r)])
-    return PhiReport(value=float(total.real), imaginary_residue=float(abs(total.imag)),
-                     method="direct")
+    _require_rank(h, range(1, 6), "phi_direct")
+    _, signs = permutation_table(h.r)
+    # one term at a time: a whole (r!, r!, r, r) row stack costs memory at rank 5
+    total = sum(s * mixed_discriminant(word) for s, word in zip(signs, leibniz_stack(h)))
+    return _report(total, "direct")
 
 
 def phi_dual(h: BlockMap) -> PhiReport:
@@ -86,7 +104,7 @@ def phi_dual(h: BlockMap) -> PhiReport:
     swapping the axis pairs (0, 1) and (2, 3); so this is phi_direct on the
     axis-swapped tensor, and agreement with phi_direct checks that symmetry.
     """
-    _require_square(h, 4, "phi_dual")
+    _require_rank(h, range(1, 5), "phi_dual")
     rep = phi_direct(BlockMap(h.blocks.transpose(2, 3, 0, 1)))
     return replace(rep, method="dual")
 
@@ -104,33 +122,24 @@ def c_matrix(h: BlockMap, xi) -> np.ndarray:
 
 def integral_det_c(h: BlockMap) -> complex:
     """Exact int det C(xi) dmu: the Leibniz monomials of det C through moment_exact."""
-    r = h.r
-    total = 0.0 + 0.0j
-    for perm, sign in signed_permutations(r):
-        total += sign * moment_exact([h.block(i, perm[i]) for i in range(r)])
-    return total
+    _, signs = permutation_table(h.r)
+    return signs @ moment_exact(leibniz_stack(h))
 
 
 def integral_sigma2_c(h: BlockMap) -> complex:
     """Exact int sigma_2(C(xi)) dmu via 2x2 principal minors of C."""
-    total = 0.0 + 0.0j
-    for i in range(h.r):
-        for j in range(i + 1, h.r):
-            total += moment_exact([h.block(i, i), h.block(j, j)])
-            total -= moment_exact([h.block(i, j), h.block(j, i)])
-    return total
+    pairs = np.stack(np.triu_indices(h.r, 1), -1)
+    # words[0, p] = (B_ii, B_jj), words[1, p] = (B_ij, B_ji) for pair p = (i, j)
+    words = h.blocks[pairs, np.stack([pairs, pairs[:, ::-1]])]
+    diag, off = moment_exact(words).sum(-1)
+    return diag - off
 
 
 def phi_integral_r2(h: BlockMap) -> PhiReport:
     """Exact spherical form for r = 2: Phi = int (4 - 3 det C(xi)) dmu >= 1."""
-    r = _require_square(h, 2, "phi_integral_r2")
-    if r != 2:
-        raise ValueError("phi_integral_r2 needs rank 2")
+    _require_rank(h, range(2, 3), "phi_integral_r2")
     _require_normalized(h, "phi_integral_r2")
-    idet = integral_det_c(h)
-    value = 4.0 - 3.0 * idet
-    return PhiReport(value=float(value.real), imaginary_residue=float(abs(value.imag)),
-                     method="integral_r2")
+    return _report(4.0 - 3.0 * integral_det_c(h), "integral_r2")
 
 
 def phi_integral_r3(h: BlockMap) -> PhiReport:
@@ -140,15 +149,11 @@ def phi_integral_r3(h: BlockMap) -> PhiReport:
     Phi >= int det C dmu > 0; the report carries that integral as
     lower_bound.
     """
-    r = _require_square(h, 3, "phi_integral_r3")
-    if r != 3:
-        raise ValueError("phi_integral_r3 needs rank 3")
+    _require_rank(h, range(3, 4), "phi_integral_r3")
     _require_normalized(h, "phi_integral_r3")
     idet = integral_det_c(h)
-    isig = integral_sigma2_c(h)
-    value = 10.0 * idet + 27.0 - 12.0 * isig
-    return PhiReport(value=float(value.real), imaginary_residue=float(abs(value.imag)),
-                     method="integral_r3", lower_bound=float(idet.real))
+    value = 10.0 * idet + 27.0 - 12.0 * integral_sigma2_c(h)
+    return _report(value, "integral_r3", lower_bound=float(idet.real))
 
 
 class R4Decomposition(NamedTuple):
@@ -157,15 +162,14 @@ class R4Decomposition(NamedTuple):
     total: float
 
 
-def four_cycle_trace_sum(mats) -> complex:
-    """Q(U_1..U_4): sum over the six 4-cycles of the trace along the cycle."""
-    if len(mats) != 4:
+def four_cycle_trace_sum(mats) -> complex | np.ndarray:
+    """Q(U_1..U_4): sum over the six 4-cycles of the trace along the cycle, per word."""
+    u = np.asarray(mats, dtype=complex)
+    if u.ndim < 3 or u.shape[-3] != 4:
         raise ValueError("four_cycle_trace_sum needs exactly 4 matrices")
-    total = 0.0 + 0.0j
-    for perm, _ in signed_permutations(4):
-        if len(cycle_decomposition(perm)) == 1:
-            total += trace_word(perm, list(mats))
-    return total
+    return sum(np.trace(u[..., 0, :, :] @ u[..., a, :, :] @ u[..., b, :, :] @ u[..., c, :, :],
+                        axis1=-2, axis2=-1)
+               for a, b, c in permutations((1, 2, 3)))
 
 
 def phi_r4_decomposition(h: BlockMap) -> R4Decomposition:
@@ -175,15 +179,11 @@ def phi_r4_decomposition(h: BlockMap) -> R4Decomposition:
     q_part = -(1/12) sum_sigma sgn(sigma) Q(B_{1 sigma(1)}, ..., B_{4 sigma(4)});
     their sum equals phi_direct.
     """
-    r = _require_square(h, 4, "phi_r4_decomposition")
-    if r != 4:
-        raise ValueError("phi_r4_decomposition needs rank 4")
+    _require_rank(h, range(4, 5), "phi_r4_decomposition")
     _require_normalized(h, "phi_r4_decomposition")
     integral = 35.0 * integral_det_c(h) + 128.0 - (80.0 / 3.0) * integral_sigma2_c(h)
-    q_sum = 0.0 + 0.0j
-    for perm, sign in signed_permutations(4):
-        q_sum += sign * four_cycle_trace_sum([h.block(i, perm[i]) for i in range(4)])
-    q_part = -q_sum / 12.0
+    _, signs = permutation_table(4)
+    q_part = -(signs @ four_cycle_trace_sum(leibniz_stack(h))) / 12.0
     return R4Decomposition(integral_part=float(integral.real),
                            q_part=float(q_part.real),
                            total=float((integral + q_part).real))
@@ -210,9 +210,7 @@ def rank2_norm_identity(h: BlockMap) -> tuple[float, float, float]:
 
     Returns (phi, d_term, norm_term); needs tr(B_12) = 0 within 1e-9.
     """
-    r = _require_square(h, 2, "rank2_norm_identity")
-    if r != 2:
-        raise ValueError("rank2_norm_identity needs rank 2")
+    _require_rank(h, range(2, 3), "rank2_norm_identity")
     off_trace = abs(complex(np.trace(h.block(0, 1))))
     if off_trace > 1e-9:
         raise ValueError(

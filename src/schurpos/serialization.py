@@ -28,53 +28,40 @@ def complex_from_json(v) -> complex:
 
 
 def matrix_to_json(m) -> list:
-    arr = np.asarray(m, dtype=complex)
-    return [[complex_to_json(arr[i, j]) for j in range(arr.shape[1])]
-            for i in range(arr.shape[0])]
+    """A complex array of any shape as nested lists of [re, im] pairs."""
+    a = np.asarray(m, dtype=complex)
+    return np.stack([a.real, a.imag], -1).tolist()
+
+
+def _from_pairs(v, shape: tuple) -> np.ndarray:
+    """Nested [re, im] pairs as one complex array, which must have ``shape``."""
+    a = np.ascontiguousarray(v, dtype=float)
+    if a.shape != (*shape, 2):
+        raise ValueError(f"expected [re, im] pairs of shape {tuple(shape)}, "
+                         f"got an array of shape {a.shape}")
+    return a.view(complex)[..., 0]
 
 
 def matrix_from_json(rows) -> np.ndarray:
-    return np.array([[complex_from_json(v) for v in row] for row in rows],
-                    dtype=complex)
+    return _from_pairs(rows, np.shape(rows)[:2])
 
 
 def block_map_to_json(h: BlockMap) -> dict:
-    return {
-        "r": h.r,
-        "w": h.w,
-        "blocks": [[matrix_to_json(h.block(i, j)) for j in range(h.r)]
-                   for i in range(h.r)],
-    }
+    return {"r": h.r, "w": h.w, "blocks": matrix_to_json(h.blocks)}
 
 
 def block_map_from_json(obj: dict) -> BlockMap:
     r, w = int(obj["r"]), int(obj["w"])
-    blocks = np.zeros((r, r, w, w), dtype=complex)
-    for i in range(r):
-        for j in range(r):
-            blocks[i, j] = matrix_from_json(obj["blocks"][i][j])
-    return BlockMap(blocks).require_symmetry()
+    return BlockMap(_from_pairs(obj["blocks"], (r, r, w, w))).require_symmetry()
 
 
 def curvature_to_json(t: CurvatureTensor) -> dict:
-    r, n = t.rank, t.dim
-    return {
-        "rank": r,
-        "dim": n,
-        "R": [[[[complex_to_json(t.entries[i, j, a, b]) for b in range(n)]
-                for a in range(n)] for j in range(r)] for i in range(r)],
-    }
+    return {"rank": t.rank, "dim": t.dim, "R": matrix_to_json(t.entries)}
 
 
 def curvature_from_json(obj: dict) -> CurvatureTensor:
     r, n = int(obj["rank"]), int(obj["dim"])
-    entries = np.zeros((r, r, n, n), dtype=complex)
-    for i in range(r):
-        for j in range(r):
-            for a in range(n):
-                for b in range(n):
-                    entries[i, j, a, b] = complex_from_json(obj["R"][i][j][a][b])
-    return CurvatureTensor(rank=r, dim=n, entries=entries)
+    return CurvatureTensor(rank=r, dim=n, entries=_from_pairs(obj["R"], (r, r, n, n)))
 
 
 def form_to_json(u: Form) -> dict:
@@ -124,5 +111,9 @@ def dump(obj: dict, path: str | None) -> str:
 
 
 def load(path: str) -> dict:
+    """Read a JSON file whose top level must be an object."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object at the top level, got {type(obj).__name__}")
+    return obj

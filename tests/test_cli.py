@@ -194,6 +194,24 @@ class TestPhi:
             *run(capsys, "phi", "--input", str(path), "--method", method))
 
 
+    def test_declared_rank_beyond_blocks_is_precondition_error(self, capsys, tmp_path):
+        path = tmp_path / "k.json"
+        assert main(["gen", "kraus", "--rank", "2", "--output", str(path)]) == 0
+        obj = json.loads(path.read_text())
+        obj["r"] = 3
+        path.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "phi", "--input", str(path))
+        assert code == 2
+        assert "shape" in err
+
+    def test_top_level_list_is_precondition_error(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        code, _, err = run(capsys, "phi", "--input", str(path))
+        assert code == 2
+        assert "JSON object" in err
+
+
 class TestSchur:
     def test_partition_210_matches_expansion(self, capsys, tmp_path):
         path = tmp_path / "curv.json"
@@ -242,6 +260,17 @@ class TestSchur:
         path = gen_with_nan(tmp_path, "curvature")
         assert_rejected_without_nan(*run(
             capsys, "schur", "--input", str(path), "--partition", "1,0,0"))
+
+
+    def test_short_curvature_is_precondition_error(self, capsys, tmp_path):
+        path = tmp_path / "curv.json"
+        main(["gen", "curvature", "--rank", "3", "--dim", "3", "--output", str(path)])
+        obj = json.loads(path.read_text())
+        obj["R"] = obj["R"][:2]
+        path.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "schur", "--input", str(path), "--partition", "1,0,0")
+        assert code == 2
+        assert "shape" in err
 
 
 class TestVerify:

@@ -2,15 +2,18 @@
 
 import itertools
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from schurpos.discriminants import (cycle_decomposition, mixed_discriminant,
                                     mixed_discriminant_polarized, moment_exact,
-                                    moment_mc, rising_factorial,
-                                    sample_unit_sphere, signed_permutations,
-                                    trace_expansion_r2, trace_expansion_r3)
+                                    moment_mc, permutation_table,
+                                    rising_factorial, sample_unit_sphere,
+                                    signed_permutations, trace_expansion_r2,
+                                    trace_expansion_r3)
 from schurpos.hermitian import det
 
 
@@ -49,6 +52,13 @@ class TestSignedPermutations:
     def test_counts(self):
         assert len(signed_permutations(4)) == 24
         assert len({p for p, _ in signed_permutations(4)}) == 24
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_table_matches_tuples(self, n):
+        perms, signs = permutation_table(n)
+        assert perms.shape == (math.factorial(n), n)
+        assert [(tuple(p), s) for p, s in zip(perms.tolist(), signs)] == \
+            list(signed_permutations(n))
 
 
 class TestMixedDiscriminant:
@@ -102,6 +112,22 @@ class TestMixedDiscriminant:
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             mixed_discriminant([np.eye(2), np.eye(2), np.eye(2)])
+
+    @pytest.mark.parametrize("bad", [[], [np.eye(2), np.eye(3)],
+                                     np.ones((2, 2, 3)), [np.eye(2), np.full((2, 2), np.inf)]])
+    def test_rejects_malformed_word(self, bad):
+        with pytest.raises(ValueError):
+            mixed_discriminant(bad)
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_stack_matches_per_item(self, r):
+        rng = np.random.default_rng(24 + r)
+        stack = (rng.standard_normal((2, 3, r, r, r))
+                 + 1j * rng.standard_normal((2, 3, r, r, r)))
+        got = mixed_discriminant(stack)
+        assert got.shape == (2, 3)
+        want = [[mixed_discriminant(word) for word in row] for row in stack]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
 class TestPolarized:
@@ -206,6 +232,33 @@ class TestMomentExact:
     def test_word_length_cap(self):
         with pytest.raises(ValueError):
             moment_exact([np.eye(2)] * 7)
+
+    @pytest.mark.parametrize("r,n", [(2, 1), (2, 3), (3, 2), (4, 4)])
+    def test_stack_matches_per_item(self, r, n):
+        rng = np.random.default_rng(10 * r + n)
+        stack = (rng.standard_normal((3, 2, n, r, r))
+                 + 1j * rng.standard_normal((3, 2, n, r, r)))
+        got = moment_exact(stack)
+        assert got.shape == (3, 2)
+        want = [[moment_exact(word) for word in row] for row in stack]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("r,n", [(2, 2), (3, 3), (2, 4)])
+    def test_matches_exact_monomial_integration(self, r, n):
+        # Independent of the cycle-trace formula: expand prod_i xi* U_i xi into
+        # monomials conj(xi)^alpha xi^beta; only alpha = beta survives, with
+        # int |xi^alpha|^2 dmu = alpha! (r-1)! / (r-1+|alpha|)!.
+        rng = np.random.default_rng(50 + 10 * r + n)
+        us = rng.integers(-3, 4, size=(n, r, r))
+        exact = Fraction(0)
+        for a in itertools.product(range(r), repeat=n):
+            alpha = Counter(a)
+            weight = Fraction(math.prod(math.factorial(k) for k in alpha.values())
+                              * math.factorial(r - 1), math.factorial(r - 1 + n))
+            for b in set(itertools.permutations(a)):
+                exact += weight * math.prod(int(us[i, a[i], b[i]]) for i in range(n))
+        got = moment_exact(us)
+        assert abs(got - float(exact)) <= 1e-13 * max(1.0, abs(float(exact)))
 
 
 class TestMomentMonteCarlo:

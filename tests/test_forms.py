@@ -403,6 +403,12 @@ def test_curvature_rejects_non_finite():
         CurvatureTensor(rank=2, dim=2, entries=entries)
 
 
+@pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(0, float("-inf"))])
+def test_form_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        Form(2, {((0,), (0,)): 1.0, ((1,), (1,)): bad})
+
+
 def test_validate_partition_padding():
     assert validate_partition((2, 1), rank=3, dim=3) == (2, 1, 0)
     assert validate_partition((1, 1, 1), rank=3, dim=5) == (1, 1, 1)

@@ -1,11 +1,17 @@
 """Every route to the double mixed discriminant, cross-checked."""
 
+import itertools
+from functools import reduce
+
 import numpy as np
 import pytest
 
+from schurpos.discriminants import (mixed_discriminant, moment_exact,
+                                    permutation_table, signed_permutations)
 from schurpos.hermitian import det
-from schurpos.phi import (c_matrix, four_cycle_trace_sum, phi_direct, phi_dual,
-                          phi_integral_r2, phi_integral_r3,
+from schurpos.phi import (c_matrix, four_cycle_trace_sum, integral_det_c,
+                          integral_sigma2_c, leibniz_stack, phi_direct,
+                          phi_dual, phi_integral_r2, phi_integral_r3,
                           phi_r4_decomposition, rank2_norm_identity,
                           schur_delta)
 from schurpos.posmap import (BlockMap, choi_fixture, identity_map,
@@ -213,3 +219,89 @@ class TestScalingCovariance:
         factor = abs(det(c1)) ** 2 * abs(det(c2)) ** 2
         scaled = phi_direct(scale(h, c1, c2)).value
         assert abs(scaled - factor * phi_direct(h).value) <= 1e-12 * factor
+
+
+# Reference loops: one kernel call per Leibniz term, as the routes were first
+# written.  The stacked routes must reproduce them to roundoff.
+
+def loop_phi_direct(h):
+    total = 0j
+    for perm, sign in signed_permutations(h.r):
+        total += sign * mixed_discriminant([h.block(i, perm[i]) for i in range(h.r)])
+    return total
+
+
+def loop_integral_det_c(h):
+    total = 0j
+    for perm, sign in signed_permutations(h.r):
+        total += sign * moment_exact([h.block(i, perm[i]) for i in range(h.r)])
+    return total
+
+
+def loop_integral_sigma2_c(h):
+    total = 0j
+    for i in range(h.r):
+        for j in range(i + 1, h.r):
+            total += moment_exact([h.block(i, i), h.block(j, j)])
+            total -= moment_exact([h.block(i, j), h.block(j, i)])
+    return total
+
+
+def loop_four_cycle_trace_sum(mats):
+    """The six 4-cycles 0 -> a -> b -> c -> 0, each traced along the cycle."""
+    return sum(np.trace(reduce(np.matmul, [mats[0], mats[a], mats[b], mats[c]]))
+               for a, b, c in itertools.permutations((1, 2, 3)))
+
+
+def loop_q_sum(h):
+    total = 0j
+    for perm, sign in signed_permutations(4):
+        total += sign * loop_four_cycle_trace_sum([h.block(i, perm[i]) for i in range(4)])
+    return total
+
+
+def assert_close(got, want, rtol=1e-12):
+    assert abs(got - want) <= rtol * abs(want), (got, want)
+
+
+ROUTE_MAPS = {"choi": choi_fixture()}
+for _r in range(2, 6):
+    ROUTE_MAPS[f"raw_r{_r}"] = random_kraus_map(_r, 3, 0.2, seed=150 + _r)
+    ROUTE_MAPS[f"normalized_r{_r}"] = normalized_map(_r, seed=160 + _r)
+
+
+class TestStackedRoutesMatchLoops:
+    @pytest.fixture(params=sorted(ROUTE_MAPS))
+    def h(self, request):
+        return ROUTE_MAPS[request.param]
+
+    def test_leibniz_stack_terms(self, h):
+        perms, _ = permutation_table(h.r)
+        for word, perm in zip(leibniz_stack(h), perms):
+            for i in range(h.r):
+                assert np.array_equal(word[i], h.block(i, perm[i]))
+
+    def test_phi_direct(self, h):
+        want = loop_phi_direct(h)
+        rep = phi_direct(h)
+        assert_close(rep.value, want.real)
+        assert abs(rep.imaginary_residue - abs(want.imag)) <= 1e-12 * abs(want)
+
+    def test_integral_det_c(self, h):
+        assert_close(integral_det_c(h), loop_integral_det_c(h))
+
+    def test_integral_sigma2_c(self, h):
+        assert_close(integral_sigma2_c(h), loop_integral_sigma2_c(h))
+
+    @pytest.mark.parametrize("name", ["raw_r4", "normalized_r4"])
+    def test_q_sum(self, name):
+        h = ROUTE_MAPS[name]
+        stack = leibniz_stack(h)
+        for word in stack:
+            assert_close(four_cycle_trace_sum(word), loop_four_cycle_trace_sum(word))
+        _, signs = permutation_table(4)
+        assert_close(signs @ four_cycle_trace_sum(stack), loop_q_sum(h))
+
+    def test_r4_q_part(self):
+        h = ROUTE_MAPS["normalized_r4"]
+        assert_close(phi_r4_decomposition(h).q_part, -loop_q_sum(h).real / 12.0)

@@ -63,6 +63,12 @@ def test_form_load_rejects_out_of_range():
                             "entries": [{"I": [3], "J": [1], "val": [1.0, 0.0]}]})
 
 
+def test_form_load_rejects_non_finite():
+    with pytest.raises(ValueError, match="non-finite"):
+        ser.form_from_json({"n": 2, "p": 1,
+                            "entries": [{"I": [1], "J": [1], "val": [float("nan"), 0.0]}]})
+
+
 def test_phi_report_schema():
     rep = PhiReport(value=1.0, imaginary_residue=0.0, method="direct")
     obj = ser.phi_report_to_json(rep)
