@@ -138,6 +138,8 @@ def cmd_schur(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {args.trials}")
     limit = args.trials if args.trials else None
     results = verify.run_all(seed=args.seed, limit=limit)
     for res in results:
@@ -211,7 +213,7 @@ def main(argv=None) -> int:
     except NotStrictlyPositiveError as exc:
         print(f"positivity precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -54,6 +54,9 @@ MAX_WORD_LEN = 6
 #: Largest tuple size for the permutation-sum mixed discriminant.
 MAX_RANK = 8
 
+#: Samples per seeded block of ``moment_mc``.
+MC_BLOCK = 1 << 16
+
 
 @lru_cache(maxsize=None)
 def signed_permutations(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -215,10 +218,13 @@ def moment_exact(mats) -> complex | np.ndarray:
     return total / rising_factorial(r, n)
 
 
-def sample_unit_sphere(rng: np.random.Generator, count: int, r: int) -> np.ndarray:
-    """Unit vectors in C^r via normalized standard complex Gaussians."""
-    z = rng.standard_normal((count, r)) + 1j * rng.standard_normal((count, r))
-    return z / np.linalg.norm(z, axis=1)[:, None]
+def sample_unit_sphere(rng: np.random.Generator, shape, r: int) -> np.ndarray:
+    """Unit vectors in C^r, an array of leading shape ``shape`` (an int or a
+    tuple), via normalized standard complex Gaussians: all real parts are
+    drawn first, then all imaginary parts."""
+    size = (*np.atleast_1d(shape), r)
+    z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return z / np.linalg.norm(z, axis=-1)[..., None]
 
 
 def _real_forms(u: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -234,13 +240,12 @@ def _real_forms(u: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     return (m + m.T) / 2.0, (n if n.any() else None)
 
 
-def moment_mc(mats, samples: int, seed: int,
-              block_size: int = 1 << 16) -> tuple[complex, float]:
+def moment_mc(mats, samples: int, seed: int) -> tuple[complex, float]:
     """Monte Carlo spherical moment with standard error.
 
-    Samples are drawn in fixed-size blocks, block b seeded by seed + b, so
-    the result depends only on (seed, samples, block_size) and a parallel
-    reduction over blocks would reproduce the serial one exactly.
+    Samples are drawn in blocks of MC_BLOCK, block b seeded by seed + b, so
+    the result depends only on (seed, samples) and a parallel reduction over
+    blocks would reproduce the serial one exactly.
 
     The stream is unchanged from ``sample_unit_sphere``: a block's first
     standard normal draw is Re xi and its second Im xi.  The arithmetic is
@@ -253,13 +258,11 @@ def moment_mc(mats, samples: int, seed: int,
         raise ValueError(f"moment_mc takes one word (n, r, r), got shape {ms.shape}")
     if samples < 1:
         raise ValueError("need at least one sample")
-    if block_size < 1:
-        raise ValueError("block_size must be at least 1")
     r = ms.shape[-1]
     forms = [_real_forms(m) for m in ms]
     real = all(n is None for _, n in forms)
     # buffers of one full block, reused by every block as views [:count]
-    size = min(block_size, samples)
+    size = min(MC_BLOCK, samples)
     half = np.empty((size, r))
     v = np.empty((size, 2 * r))
     vm = np.empty((size, 2 * r))
@@ -270,7 +273,7 @@ def moment_mc(mats, samples: int, seed: int,
     done = 0
     block = 0
     while done < samples:
-        count = min(block_size, samples - done)
+        count = min(MC_BLOCK, samples - done)
         rng = np.random.default_rng(seed + block)
         hb, vb, vmb, wb = half[:count], v[:count], vm[:count], w[:count]
         q_re, q_im = q[0, :count], q[1, :count]

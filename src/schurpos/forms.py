@@ -21,6 +21,21 @@ Conventions fixed here and relied on everywhere:
   raising or lowering and (R)^i_j is read off as R[j, i, :, :] up to the
   transpose-invariance of determinants.
 
+Chern forms go through the mixed-discriminant kernel of ``discriminants``.
+(1,1)-forms commute, so c_k = (i/2pi)^k sum_{|S|=k} det(Theta[S, S]), and
+expanding a wedge of k (1,1)-forms with coefficient matrices A^1 .. A^k gives
+the coefficient of dz^I ^ dzbar^J as (-1)^{k(k-1)/2} k! D(A^1[I,J], ..,
+A^k[I,J]).  Hence, over k-subsets S of the fiber and I, J of the base,
+
+    c_k[I, J] = (i/2pi)^k (-1)^{k(k-1)/2} k!
+                sum_S sum_{sigma in S_k} sgn(sigma) D((R[S_m, S_sigma(m)][I, J])_m),
+
+a signed sum of mixed discriminants of the rank-k sub-blocks of the
+curvature: the same Leibniz sum as the double mixed discriminant Phi.  The
+principal-minor route ``c3_principal_minors``, ``twist_chern`` and the
+Schur determinants run on the form algebra (``wedge``, ``det_forms``)
+instead, so they check ``chern_forms`` without sharing its arithmetic.
+
 Everything is pointwise linear algebra: no d, no global structure.
 """
 
@@ -29,14 +44,21 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, product
 
 import numpy as np
+
+from .discriminants import (mixed_discriminant, permutation_table,
+                            sample_unit_sphere, signed_permutations)
 
 #: Hermitian pair symmetry R[i,j,a,b] = conj(R[j,i,b,a]) must hold within this.
 CURVATURE_SYMMETRY_TOL = 1e-12
 
 TWO_PI = 2.0 * math.pi
+
+#: Samples per seeded block of ``weak_positivity_min``.
+WEAK_POSITIVITY_BLOCK = 1 << 12
 
 
 def merge_sign(a: tuple, b: tuple) -> tuple[int, tuple] | tuple[None, tuple]:
@@ -69,9 +91,6 @@ class Form:
     @classmethod
     def zero(cls, n: int) -> "Form":
         return cls(n)
-
-    def copy(self) -> "Form":
-        return Form(self.n, self.coeffs)
 
     def __add__(self, other: "Form") -> "Form":
         if self.n != other.n:
@@ -187,6 +206,8 @@ class CurvatureTensor:
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=complex)
         expected = (self.rank, self.rank, self.dim, self.dim)
+        if self.rank < 1 or self.dim < 1:
+            raise ValueError(f"rank and dim must be at least 1, got {expected}")
         if e.shape != expected:
             raise ValueError(f"entries shape {e.shape} != {expected}")
         if not np.isfinite(e).all():
@@ -213,9 +234,7 @@ def random_griffiths_curvature(rank: int, dim: int, terms: int, eps: float,
     for _ in range(terms):
         t = rng.standard_normal((rank, dim)) + 1j * rng.standard_normal((rank, dim))
         entries += np.einsum("ia,jb->ijab", t, t.conj())
-    for i in range(rank):
-        for a in range(dim):
-            entries[i, i, a, a] += eps
+    entries += eps * np.einsum("ij,ab->ijab", np.eye(rank), np.eye(dim))
     return CurvatureTensor(rank=rank, dim=dim, entries=entries)
 
 
@@ -230,71 +249,57 @@ def restrict_fiber(tensor: CurvatureTensor, subset) -> CurvatureTensor:
 
 def curvature_form_matrix(tensor: CurvatureTensor) -> list[list[Form]]:
     """The rank x rank matrix of (1,1)-forms Theta[i][j] = sum R[i,j,a,b] dz^a ^ dzbar^b."""
-    r, n = tensor.rank, tensor.dim
-    out = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            coeffs = {}
-            for a in range(n):
-                for b in range(n):
-                    v = tensor.entries[i, j, a, b]
-                    if v != 0:
-                        coeffs[((a,), (b,))] = complex(v)
-            row.append(Form(n, coeffs))
-        out.append(row)
-    return out
+    n = tensor.dim
+    keys = [((a,), (b,)) for a in range(n) for b in range(n)]
+    return [[Form(n, {k: v for k, v in zip(keys, block.ravel().tolist()) if v})
+             for block in row] for row in tensor.entries]
 
 
 def det_forms(entries: list[list[Form]]) -> Form:
-    """Determinant of a matrix of commuting (even) forms.
+    """Determinant of a matrix of commuting (even) forms as the Leibniz sum
+    sum_sigma sgn(sigma) entries[0][sigma(0)] ^ ... ^ entries[r-1][sigma(r-1)].
 
-    First-row Laplace expansion with memoization on (row, remaining columns);
-    equivalent to the Leibniz sum but shares subproducts.
+    A term with an empty factor is skipped before any wedge: a structural
+    zero (as in a Jacobi-Trudi matrix) must not let a partial product trip
+    the degree-overflow check of ``wedge``.
     """
-    r = len(entries)
-    n = entries[0][0].n
-    memo: dict = {}
-
-    def minor(row: int, cols: frozenset) -> Form:
-        if row == r:
-            return Form.one(n)
-        key = (row, cols)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        acc = Form.zero(n)
-        for pos, j in enumerate(sorted(cols)):
-            sub = minor(row + 1, cols - {j})
-            term = wedge(entries[row][j], sub)
-            acc = acc + term if pos % 2 == 0 else acc - term
-        memo[key] = acc
-        return acc
-
-    return minor(0, frozenset(range(r)))
+    total = Form.zero(entries[0][0].n)
+    for perm, sign in signed_permutations(len(entries)):
+        factors = [row[j] for row, j in zip(entries, perm)]
+        if all(f.coeffs for f in factors):
+            total = total + sign * reduce(wedge, factors)
+    return total
 
 
 def chern_forms(tensor: CurvatureTensor) -> list[Form]:
-    """Chern forms c_0 .. c_r as the bidegree components of det(Id + (i/2pi) Theta)."""
+    """Chern forms c_0 .. c_r of det(Id + (i/2pi) Theta).
+
+    c_k[I, J] = (i/2pi)^k (-1)^{k(k-1)/2} k! sum_{|S|=k} sum_sigma sgn(sigma)
+    D((R[S_m, S_sigma(m)][I, J])_m): one ``mixed_discriminant`` call per k
+    over the words of every fiber subset S, base pair (I, J) and sigma.  c_k
+    holds every (k, k) key, zeros included; c_k = 0 for k > dim.
+    """
     if tensor.rank > 5 or tensor.dim > 5:
         raise ValueError("chern_forms is desk-scale: rank <= 5 and dim <= 5")
     r, n = tensor.rank, tensor.dim
-    fac = 1j / TWO_PI
-    theta = curvature_form_matrix(tensor)
-    entries = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            e = fac * theta[i][j]
-            if i == j:
-                e = e + Form.one(n)
-            row.append(e)
-        entries.append(row)
-    total = det_forms(entries)
-    cs = [Form.zero(n) for _ in range(r + 1)]
-    for (i, j), v in total.coeffs.items():
-        if len(i) == len(j) and len(i) <= r:
-            cs[len(i)].coeffs[(i, j)] = cs[len(i)].coeffs.get((i, j), 0.0j) + v
+    cs = [Form.one(n)]
+    for k in range(1, r + 1):
+        if k > n:
+            cs.append(Form.zero(n))
+            continue
+        perms, signs = permutation_table(k)
+        fiber = np.array(list(combinations(range(r), k)))
+        base = list(combinations(range(n), k))
+        ij = np.array(base)
+        # words[S, I, J, p, m] = R[S_m, S_perms[p, m]][I, J], a k x k matrix
+        words = tensor.entries[fiber[:, None, None, None, :, None, None],
+                               fiber[:, perms][:, None, None, :, :, None, None],
+                               ij[None, :, None, None, None, :, None],
+                               ij[None, None, :, None, None, None, :]]
+        scale = (1j / TWO_PI) ** k * (-1) ** (k * (k - 1) // 2) * math.factorial(k)
+        coeffs = (mixed_discriminant(words) @ signs).sum(0) * scale
+        # tolist(): Python complex coefficients, so reports built on them stay JSON-ready
+        cs.append(Form(n, dict(zip(product(base, base), coeffs.ravel().tolist()))))
     return cs
 
 
@@ -430,8 +435,7 @@ def _batched_minors(g: np.ndarray, ks: list[tuple]) -> np.ndarray:
     return out
 
 
-def weak_positivity_min(u: Form, samples: int, seed: int,
-                        block_size: int = 1 << 12) -> tuple[float, list[np.ndarray]]:
+def weak_positivity_min(u: Form, samples: int, seed: int) -> tuple[float, list[np.ndarray]]:
     """Minimum volume coefficient of u ^ i^{q^2} beta ^ betabar over sampled
     decomposable beta, with the minimizing covectors as witness.
 
@@ -441,9 +445,9 @@ def weak_positivity_min(u: Form, samples: int, seed: int,
     is sampling evidence of weak positivity; a negative minimum is a genuine
     disproof with the witness exhibiting it.
 
-    Sampling runs in blocks seeded by seed + block_index; the minimum is a
-    deterministic merge, so the result depends only on (seed, samples,
-    block_size).
+    Sampling runs in blocks of WEAK_POSITIVITY_BLOCK seeded by seed +
+    block_index; the minimum is a deterministic merge, so the result depends
+    only on (seed, samples).
     """
     p = _homogeneous_pp(u)
     n = u.n
@@ -452,8 +456,6 @@ def weak_positivity_min(u: Form, samples: int, seed: int,
         raise ValueError(f"bidegree ({p},{p}) exceeds ambient dimension {n}")
     if samples < 1:
         raise ValueError("need at least one sample")
-    if block_size < 1:
-        raise ValueError("block_size must be at least 1")
     if q == 0:
         tau = volume_coefficient(u)
         return float(tau.real), []
@@ -463,10 +465,8 @@ def weak_positivity_min(u: Form, samples: int, seed: int,
     done = 0
     block = 0
     while done < samples:
-        count = min(block_size, samples - done)
-        rng = np.random.default_rng(seed + block)
-        g = rng.standard_normal((count, q, n)) + 1j * rng.standard_normal((count, q, n))
-        g /= np.linalg.norm(g, axis=2)[:, :, None]
+        count = min(WEAK_POSITIVITY_BLOCK, samples - done)
+        g = sample_unit_sphere(np.random.default_rng(seed + block), (count, q), n)
         b = _batched_minors(g, ks)
         taus = np.real(np.einsum("sk,kl,sl->s", b, m, b.conj()))
         k = int(np.argmin(taus))

@@ -34,12 +34,12 @@ def hermitian_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 
-def ensure_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Return the symmetrized (a + a*)/2, rejecting inputs beyond ``tol``."""
+def ensure_hermitian(a) -> np.ndarray:
+    """Return the symmetrized (a + a*)/2, rejecting inputs beyond HERMITIAN_TOL."""
     m = as_matrix(a)
     defect = hermitian_defect(m)
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > {tol:.0e}")
+    if defect > HERMITIAN_TOL:
+        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > {HERMITIAN_TOL:.0e}")
     return (m + m.conj().T) / 2.0
 
 
@@ -48,35 +48,35 @@ def det(a) -> complex:
     return complex(np.linalg.det(as_matrix(a)))
 
 
-def herm_eig(a, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
+def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix."""
-    return np.linalg.eigh(ensure_hermitian(a, tol))
+    return np.linalg.eigh(ensure_hermitian(a))
 
 
-def herm_eigvals(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def herm_eigvals(a) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix."""
-    return np.linalg.eigvalsh(ensure_hermitian(a, tol))
+    return np.linalg.eigvalsh(ensure_hermitian(a))
 
 
-def is_positive_definite(a, tol: float = 1e-12) -> tuple[bool, float]:
-    """(min eigenvalue > tol, min eigenvalue) for a Hermitian matrix."""
-    vals = herm_eigvals(a)
-    lo = float(vals[0])
-    return lo > tol, lo
+def is_positive_definite(a) -> tuple[bool, float]:
+    """(min eigenvalue > 1e-12, min eigenvalue) for a Hermitian matrix."""
+    lo = float(herm_eigvals(a)[0])
+    return lo > 1e-12, lo
 
 
-def inv_sqrt_hermitian(a, clamp: float = 1e-14, clamp_rel: float = 1e-8) -> np.ndarray:
+def inv_sqrt_hermitian(a) -> np.ndarray:
     """Inverse square root of a Hermitian positive definite matrix.
 
-    Eigenvalues below ``clamp`` are clamped before inversion, but the clamp
-    may only absorb floating-point wobble: if it moves an eigenvalue by more
-    than ``clamp_rel`` of the floor itself, the matrix is effectively
-    singular and we refuse to continue.
+    Eigenvalues below the floor 1e-14 are clamped to it before inversion,
+    but the clamp may only absorb floating-point wobble: if it moves an
+    eigenvalue by more than 1e-8 of the floor itself, the matrix is
+    effectively singular and we refuse to continue.
     """
+    floor = 1e-14
     vals, vecs = herm_eig(a)
-    if vals[0] < clamp:
-        if (clamp - float(vals[0])) / clamp > clamp_rel:
+    if vals[0] < floor:
+        if (floor - float(vals[0])) / floor > 1e-8:
             raise RuntimeError(
                 f"matrix is numerically singular (min eigenvalue {vals[0]:.3e})")
-        vals = np.maximum(vals, clamp)
+        vals = np.maximum(vals, floor)
     return (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .discriminants import sample_unit_sphere
 from .forms import CurvatureTensor
 from .hermitian import as_matrix, inv_sqrt_hermitian
 
@@ -51,8 +52,8 @@ class BlockMap:
 
     def __post_init__(self):
         b = np.asarray(self.blocks, dtype=complex)
-        if b.ndim != 4 or b.shape[0] != b.shape[1] or b.shape[2] != b.shape[3]:
-            raise ValueError(f"blocks must have shape (r, r, w, w), got {b.shape}")
+        if b.ndim != 4 or b.shape[0] != b.shape[1] or b.shape[2] != b.shape[3] or not b.size:
+            raise ValueError(f"blocks must have shape (r, r, w, w), r, w >= 1, got {b.shape}")
         if not np.isfinite(b).all():
             raise ValueError("blocks have non-finite entries")
         self.blocks = b
@@ -72,10 +73,10 @@ class BlockMap:
         swapped = np.conj(np.transpose(self.blocks, (1, 0, 3, 2)))
         return float(np.max(np.abs(self.blocks - swapped)))
 
-    def require_symmetry(self, tol: float = BLOCK_SYMMETRY_TOL) -> "BlockMap":
+    def require_symmetry(self) -> "BlockMap":
         defect = self.symmetry_defect()
-        if defect > tol:
-            raise ValueError(f"block symmetry defect {defect:.3e} exceeds {tol:.0e}")
+        if defect > BLOCK_SYMMETRY_TOL:
+            raise ValueError(f"block symmetry defect {defect:.3e} > {BLOCK_SYMMETRY_TOL:.0e}")
         return self
 
 
@@ -97,28 +98,17 @@ class ScalingResult:
 def trace_map(r: int, w: int | None = None) -> BlockMap:
     """H(X) = tr(X) I: blocks B_ij = delta_ij I."""
     w = r if w is None else w
-    blocks = np.zeros((r, r, w, w), dtype=complex)
-    for i in range(r):
-        blocks[i, i] = np.eye(w)
-    return BlockMap(blocks)
+    return BlockMap(np.einsum("ij,ab->ijab", np.eye(r), np.eye(w)))
 
 
 def identity_map(r: int) -> BlockMap:
     """H = id: blocks B_ij = E_ij (boundary of positivity, rank-one outputs)."""
-    blocks = np.zeros((r, r, r, r), dtype=complex)
-    for i in range(r):
-        for j in range(r):
-            blocks[i, j, i, j] = 1.0
-    return BlockMap(blocks)
+    return BlockMap(np.einsum("ia,jb->ijab", np.eye(r), np.eye(r)))
 
 
 def transpose_map(r: int) -> BlockMap:
     """H(X) = X^T: blocks B_ij = E_ji."""
-    blocks = np.zeros((r, r, r, r), dtype=complex)
-    for i in range(r):
-        for j in range(r):
-            blocks[i, j, j, i] = 1.0
-    return BlockMap(blocks)
+    return BlockMap(np.einsum("ib,ja->ijab", np.eye(r), np.eye(r)))
 
 
 def apply_map(h: BlockMap, x) -> np.ndarray:
@@ -156,6 +146,8 @@ def from_kraus(cs, eps: float = 0.0) -> BlockMap:
 
 def random_kraus_map(r: int, terms: int, eps: float, seed: int) -> BlockMap:
     """Seeded random Kraus-plus-eps map with r = w (strictly positive for eps > 0)."""
+    if r < 1:
+        raise ValueError("rank must be at least 1")
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(2.0 * r * max(terms, 1))
     cs = [scale * (rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))
@@ -220,14 +212,13 @@ def _min_output_eigs(h: BlockMap, xis: np.ndarray) -> np.ndarray:
 
 
 def positivity_certificate(h: BlockMap, grid: int, seed: int,
-                           refine: bool = True,
-                           rounds: int = 50) -> tuple[float, np.ndarray]:
+                           refine: bool = True) -> tuple[float, np.ndarray]:
     """Minimize the smallest eigenvalue of H(xi xi*) over sampled unit xi.
 
-    Runs ``grid`` seeded samples, then (optionally) coordinate descent on
-    the sphere from the best one: each round perturbs every real/imaginary
-    coordinate by +-step, renormalizes, keeps improvements, and halves the
-    step after a round with no improvement.
+    Runs ``grid`` seeded samples, then (optionally) up to 50 rounds of
+    coordinate descent on the sphere from the best one: each round
+    perturbs every real/imaginary coordinate by +-step, renormalizes, keeps
+    improvements, and halves the step after a round with no improvement.
 
     Returns (min_eig, witness xi).  min_eig > 0 is evidence of positivity;
     min_eig clearly below zero disproves it and the witness exhibits the
@@ -241,8 +232,7 @@ def positivity_certificate(h: BlockMap, grid: int, seed: int,
     remaining = grid
     while remaining > 0:
         count = min(remaining, 1 << 14)
-        z = rng.standard_normal((count, h.r)) + 1j * rng.standard_normal((count, h.r))
-        xis = z / np.linalg.norm(z, axis=1)[:, None]
+        xis = sample_unit_sphere(rng, count, h.r)
         eigs = _min_output_eigs(h, xis)
         k = int(np.argmin(eigs))
         if eigs[k] < best_val:
@@ -251,7 +241,7 @@ def positivity_certificate(h: BlockMap, grid: int, seed: int,
         remaining -= count
     if refine:
         step = 0.5
-        for _ in range(rounds):
+        for _ in range(50):
             improved = False
             for c in range(h.r):
                 for delta in (step, -step, 1j * step, -1j * step):
@@ -315,14 +305,14 @@ def normalization_residual(h: BlockMap) -> float:
 
 
 def sinkhorn_normalize(h: BlockMap, tol: float = 1e-10, max_iter: int = 500,
-                       check_positive: bool = True,
-                       certificate_grid: int = 256) -> ScalingResult:
+                       check_positive: bool = True) -> ScalingResult:
     """Alternately rescale H until doubly stochastic within ``tol``.
 
     Left step: with L = H(I)/r, congruence by L^{-1/2} makes H(I) = rI
     exactly.  Right step: the input-side update transforms the trace matrix
     as T -> conj(C2) T C2^T, so C2 = sqrt(r) conj(T^{-1/2}) makes T = rI
     exactly.  Singular L or T aborts: the map is not strictly positive.
+    With ``check_positive`` a 256-sample positivity certificate runs first.
 
     Returns the scaled map with cumulative C1, C2; ``converged`` is False
     when max_iter is exhausted with residual still above ``tol``.
@@ -333,8 +323,7 @@ def sinkhorn_normalize(h: BlockMap, tol: float = 1e-10, max_iter: int = 500,
     if not tol > 0:
         raise ValueError("tol must be positive")
     if check_positive:
-        min_eig, _ = positivity_certificate(h, grid=certificate_grid,
-                                            seed=_CERT_SEED)
+        min_eig, _ = positivity_certificate(h, grid=256, seed=_CERT_SEED)
         if min_eig <= 1e-12:
             raise NotStrictlyPositiveError(
                 f"certificate min_eig {min_eig:.3e}: map is not strictly positive")

@@ -42,6 +42,14 @@ def _from_pairs(v, shape: tuple) -> np.ndarray:
     return a.view(complex)[..., 0]
 
 
+def _declared_size(obj: dict, key: str) -> int:
+    """A declared array size, which must be a JSON integer >= 1."""
+    v = obj[key]
+    if type(v) is not int or v < 1:
+        raise ValueError(f"{key!r} must be an integer >= 1, got {v!r}")
+    return v
+
+
 def matrix_from_json(rows) -> np.ndarray:
     return _from_pairs(rows, np.shape(rows)[:2])
 
@@ -51,7 +59,7 @@ def block_map_to_json(h: BlockMap) -> dict:
 
 
 def block_map_from_json(obj: dict) -> BlockMap:
-    r, w = int(obj["r"]), int(obj["w"])
+    r, w = _declared_size(obj, "r"), _declared_size(obj, "w")
     return BlockMap(_from_pairs(obj["blocks"], (r, r, w, w))).require_symmetry()
 
 
@@ -60,7 +68,7 @@ def curvature_to_json(t: CurvatureTensor) -> dict:
 
 
 def curvature_from_json(obj: dict) -> CurvatureTensor:
-    r, n = int(obj["rank"]), int(obj["dim"])
+    r, n = _declared_size(obj, "rank"), _declared_size(obj, "dim")
     return CurvatureTensor(rank=r, dim=n, entries=_from_pairs(obj["R"], (r, r, n, n)))
 
 
@@ -80,7 +88,7 @@ def form_to_json(u: Form) -> dict:
 
 
 def form_from_json(obj: dict) -> Form:
-    n = int(obj["n"])
+    n = _declared_size(obj, "n")
     coeffs = {}
     for e in obj["entries"]:
         i = tuple(int(x) - 1 for x in e["I"])

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import forms, phi
-from .discriminants import moment_exact, moment_mc
+from .discriminants import moment_exact, moment_mc, sample_unit_sphere
 from .hermitian import det, herm_eigvals
 from .posmap import (BlockMap, choi_fixture, random_kraus_map,
                      sinkhorn_normalize, trace_map)
@@ -311,9 +311,7 @@ def criterion_10_schur_inequality(seed: int, limit: int | None = None) -> Criter
     )
     h = _normalized_random_map(3, _sub_seed(seed, 10, 0))
     rng = np.random.default_rng(_sub_seed(seed, 10, 1))
-    xis = rng.standard_normal((_count(FULL_COUNTS["integrand_xis"], limit), 3)) \
-        + 1j * rng.standard_normal((_count(FULL_COUNTS["integrand_xis"], limit), 3))
-    xis /= np.linalg.norm(xis, axis=1)[:, None]
+    xis = sample_unit_sphere(rng, _count(FULL_COUNTS["integrand_xis"], limit), 3)
     worst_pointwise = 0.0
     for xi in xis:
         c = phi.c_matrix(h, xi)
@@ -344,10 +342,7 @@ def criterion_11_twist_expansion(seed: int, limit: int | None = None) -> Criteri
         omega = scale_w * forms.standard_omega(3)
         twisted = forms.twist_chern(cs, eps, omega)
         # curvature-shift oracle: R -> R - eps (2pi/i) omega Id
-        shifted = tensor.entries.copy()
-        for i in range(3):
-            for a in range(3):
-                shifted[i, i, a, a] -= eps * scale_w
+        shifted = tensor.entries - eps * scale_w * np.einsum("ij,ab->ijab", np.eye(3), np.eye(3))
         oracle = forms.chern_forms(
             forms.CurvatureTensor(rank=3, dim=3, entries=shifted))
         for k in range(4):

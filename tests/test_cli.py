@@ -83,6 +83,17 @@ class TestGen:
         assert not path.exists()
 
 
+    @pytest.mark.parametrize("kind, size", [("trace", "--rank"), ("kraus", "--rank"),
+                                            ("curvature", "--rank"),
+                                            ("curvature", "--dim")])
+    def test_zero_size_is_precondition_error(self, capsys, tmp_path, kind, size):
+        path = tmp_path / "h.json"
+        code, _, err = run(capsys, "gen", kind, size, "0", "--output", str(path))
+        assert code == 2
+        assert "at least 1" in err or ">= 1" in err
+        assert not path.exists()
+
+
 class TestScale:
     def test_trace_map_fixed_point(self, capsys, tmp_path):
         path = tmp_path / "trace.json"
@@ -204,6 +215,23 @@ class TestPhi:
         assert code == 2
         assert "shape" in err
 
+    @pytest.mark.parametrize("bad", [None, [2], 2.5, 0, True, "2"])
+    def test_declared_rank_not_an_integer_is_precondition_error(self, capsys, tmp_path,
+                                                                bad):
+        path = tmp_path / "k.json"
+        assert main(["gen", "kraus", "--rank", "2", "--output", str(path)]) == 0
+        obj = json.loads(path.read_text())
+        obj["r"] = bad
+        path.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "phi", "--input", str(path))
+        assert code == 2
+        assert "'r' must be an integer >= 1" in err
+
+    def test_directory_input_is_precondition_error(self, capsys, tmp_path):
+        code, _, err = run(capsys, "phi", "--input", str(tmp_path))
+        assert code == 2
+        assert "precondition" in err
+
     def test_top_level_list_is_precondition_error(self, capsys, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
@@ -283,6 +311,12 @@ class TestVerify:
         assert len(obj["criteria"]) == 11
         assert elapsed < 10.0
         assert err.count("[PASS]") == 11
+
+    def test_negative_trials_is_precondition_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--trials", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--trials" in err
 
     def test_corrupted_fixture_fails_cleanly(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

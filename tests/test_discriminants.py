@@ -295,17 +295,23 @@ class TestMomentMonteCarlo:
         with pytest.raises(ValueError, match="empty moment word"):
             moment_mc([], samples=10, seed=0)
 
-    def test_rejects_zero_block_size(self):
-        # count would be 0 and the block loop would never advance
-        with pytest.raises(ValueError, match="block_size"):
-            moment_mc([np.eye(2)], samples=10, seed=0, block_size=0)
-
     def test_single_sample_has_zero_stderr(self):
         rng = np.random.default_rng(71)
         us = [random_hermitian(rng, 3) for _ in range(2)]
         est, stderr = moment_mc(us, samples=1, seed=4)
         assert stderr == 0.0
         assert est == pytest.approx(einsum_moment_mc(us, 1, 4)[0], rel=1e-12)
+
+
+def test_sample_unit_sphere_leading_shape():
+    # a (count, q) draw is the inline two-call draw the samplers used before
+    a = sample_unit_sphere(np.random.default_rng(5), (7, 2), 3)
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal((7, 2, 3)) + 1j * rng.standard_normal((7, 2, 3))
+    z /= np.linalg.norm(z, axis=2)[:, :, None]
+    assert np.array_equal(a, z)
+    assert np.array_equal(sample_unit_sphere(np.random.default_rng(5), 7, 3),
+                          sample_unit_sphere(np.random.default_rng(5), (7,), 3))
 
 
 def einsum_moment_mc(mats, samples, seed, block_size=1 << 16):

@@ -163,6 +163,118 @@ class TestChernForms:
             chern_forms(t)
 
 
+def wedge_or_zero(u, v):
+    """``wedge``, reading a product beyond top degree as zero (its overflow
+    error fires only when every term pair vanishes)."""
+    try:
+        return wedge(u, v)
+    except ValueError:
+        return Form.zero(u.n)
+
+
+def laplace_det_forms(entries):
+    """Oracle: first-row Laplace expansion memoized on (row, remaining columns)."""
+    r, n = len(entries), entries[0][0].n
+    memo = {}
+
+    def minor(row, cols):
+        if row == r:
+            return Form.one(n)
+        if (row, cols) not in memo:
+            acc = Form.zero(n)
+            for pos, j in enumerate(sorted(cols)):
+                term = wedge_or_zero(entries[row][j], minor(row + 1, cols - {j}))
+                acc = acc + term if pos % 2 == 0 else acc - term
+            memo[(row, cols)] = acc
+        return memo[(row, cols)]
+
+    return minor(0, frozenset(range(r)))
+
+
+def laplace_chern_forms(t):
+    """Oracle: det(Id + (i/2pi) Theta) over inhomogeneous forms, split by degree."""
+    n = t.dim
+    theta = curvature_form_matrix(t)
+    entries = [[(1j / TWO_PI) * theta[i][j] + (Form.one(n) if i == j else Form.zero(n))
+                for j in range(t.rank)] for i in range(t.rank)]
+    cs = [Form.zero(n) for _ in range(t.rank + 1)]
+    for (i, j), v in laplace_det_forms(entries).coeffs.items():
+        if len(i) == len(j) and len(i) <= t.rank:
+            cs[len(i)].coeffs[(i, j)] = v
+    return cs
+
+
+def assert_forms_close(got, want, scale=None, rtol=1e-13):
+    scale = want.max_abs() if scale is None else scale
+    assert max_coeff_diff(got, want) <= rtol * scale
+
+
+def largest_leibniz_term(entries):
+    """Largest product of entry magnitudes along a permutation: the size of
+    the terms whose cancellation a determinant of forms may suffer."""
+    return max(math.prod(row[j].max_abs() for row, j in zip(entries, perm))
+               for perm in itertools.permutations(range(len(entries))))
+
+
+def jacobi_trudi(cs, lam):
+    rank = len(cs) - 1
+    zero = Form.zero(cs[0].n)
+    return [[cs[k] if 0 <= (k := lam[i] - i + j) <= rank else zero
+             for j in range(rank)] for i in range(rank)]
+
+
+class TestChernMatchesFormAlgebra:
+    """The mixed-discriminant Chern route and the Leibniz det_forms against
+    the Laplace expansion over the form algebra."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+    def test_every_rank_and_dim(self, rank):
+        for dim in range(1, 6):
+            for seed in (0, 1):
+                t = random_griffiths_curvature(rank, dim, rank, 0.2, seed=seed)
+                cs, want = chern_forms(t), laplace_chern_forms(t)
+                assert len(cs) == rank + 1
+                for k in range(rank + 1):
+                    assert_forms_close(cs[k], want[k])
+                    if k > dim:
+                        assert cs[k].coeffs == {}
+
+    def test_zero_tensor_gives_pure_zero_forms(self):
+        t = CurvatureTensor(rank=4, dim=3, entries=np.zeros((4, 4, 3, 3)))
+        cs = chern_forms(t)
+        for k in (1, 2, 3):
+            assert cs[k].bidegrees() == {(k, k)} and cs[k].max_abs() == 0.0
+        assert cs[4].coeffs == {}
+
+    def test_coefficients_are_python_complex(self):
+        cs = chern_forms(random_griffiths_curvature(3, 3, 2, 0.2, seed=3))
+        assert all(type(v) is complex for c in cs for v in c.coeffs.values())
+
+    @pytest.mark.parametrize("rank", [3, 4, 5])
+    def test_jacobi_trudi_determinants(self, rank):
+        cs = chern_forms(random_griffiths_curvature(rank, rank, 2, 0.2, seed=rank))
+        parts = [p for p in itertools.product(range(rank + 1), repeat=rank)
+                 if list(p) == sorted(p, reverse=True) and 0 < sum(p) <= rank]
+        for lam in parts:
+            entries = jacobi_trudi(cs, lam)
+            assert_forms_close(schur_form(cs, lam), laplace_det_forms(entries),
+                               largest_leibniz_term(entries))
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_even_form_matrices_with_empty_entries(self, r):
+        rng = np.random.default_rng(40 + r)
+
+        def entry():
+            if rng.random() < 0.3:
+                return Form.zero(r)
+            return random_11_form(rng, r) + complex(rng.standard_normal()) * Form.one(r)
+
+        for _ in range(5):
+            entries = [[entry() for _ in range(r)] for _ in range(r)]
+            assert_forms_close(det_forms(entries), laplace_det_forms(entries),
+                               largest_leibniz_term(entries))
+
+
 class TestSchurForm:
     def test_single_row_partitions(self):
         t = random_griffiths_curvature(3, 3, 2, 0.25, seed=8)
@@ -292,12 +404,6 @@ class TestWeakPositivity:
         assert val > 0.0
         assert len(witness) == 1
 
-    def test_rejects_zero_block_size(self):
-        # count would be 0 and the block loop would never advance
-        u = Form(2, {((0,), (0,)): 1j, ((1,), (1,)): 1j})
-        with pytest.raises(ValueError, match="block_size"):
-            weak_positivity_min(u, samples=10, seed=0, block_size=0)
-
     def test_indefinite_form_witness(self):
         u = Form(2, {((0,), (0,)): 1j, ((1,), (1,)): -1j})
         val, witness = weak_positivity_min(u, samples=2000, seed=0)
@@ -328,15 +434,16 @@ class TestWeakPositivity:
         assert witness == []
         assert abs(val - volume_coefficient(c3).real) < 1e-16
 
-    def test_c3_volume_equals_phi_constant(self):
-        # for r = n = 3 the c3 volume coefficient is 3!/(2pi)^3 times the
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_ck_volume_equals_phi_constant(self, k):
+        # for r = n = k the c_k volume coefficient is k!/(2pi)^k times the
         # double mixed discriminant of the associated block map
         for seed in (23, 24, 25):
-            t = random_griffiths_curvature(3, 3, 2, 0.3, seed=seed)
-            tau, _ = weak_positivity_min(chern_forms(t)[3], samples=1, seed=0)
+            t = random_griffiths_curvature(k, k, 2, 0.3, seed=seed)
+            tau, _ = weak_positivity_min(chern_forms(t)[k], samples=1, seed=0)
             phi = phi_direct(from_curvature(t)).value
             assert phi > 0.0
-            assert abs(tau - 6.0 / TWO_PI ** 3 * phi) < 1e-10 * abs(phi)
+            assert abs(tau - math.factorial(k) / TWO_PI ** k * phi) < 1e-10 * abs(phi)
 
     def test_fast_path_matches_direct_wedge(self):
         rng = np.random.default_rng(26)

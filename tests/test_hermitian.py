@@ -124,15 +124,15 @@ class TestEigvals:
 
 class TestPositiveDefinite:
     def test_identity(self):
-        ok, lo = is_positive_definite(np.eye(3), 1e-12)
+        ok, lo = is_positive_definite(np.eye(3))
         assert ok and abs(lo - 1.0) < 1e-14
 
     def test_semidefinite_boundary(self):
-        ok, lo = is_positive_definite(np.diag([1.0, 0.0]), 1e-12)
+        ok, lo = is_positive_definite(np.diag([1.0, 0.0]))
         assert not ok and abs(lo) < 1e-14
 
     def test_indefinite(self):
-        ok, lo = is_positive_definite(np.diag([2.0, -1.0]), 1e-12)
+        ok, lo = is_positive_definite(np.diag([2.0, -1.0]))
         assert not ok and abs(lo + 1.0) < 1e-14
 
 

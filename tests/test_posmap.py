@@ -246,3 +246,14 @@ def test_transpose_map_blocks():
     h = transpose_map(3)
     assert h.block(0, 1)[1, 0] == 1.0
     assert h.symmetry_defect() == 0.0
+
+
+@pytest.mark.parametrize("shape", [(0, 0, 0, 0), (0, 0, 2, 2), (2, 2, 0, 0)])
+def test_block_map_rejects_empty_sizes(shape):
+    with pytest.raises(ValueError, match=r"r, w >= 1"):
+        BlockMap(np.zeros(shape))
+
+
+def test_random_kraus_map_rejects_zero_rank():
+    with pytest.raises(ValueError, match="at least 1"):
+        random_kraus_map(0, 3, 0.1, seed=0)

@@ -57,6 +57,18 @@ def test_form_roundtrip_uses_one_based_indices():
                for k in keys)
 
 
+@pytest.mark.parametrize("bad", [None, [3], 3.0, 0, -1, False])
+def test_loaders_require_integer_sizes(bad):
+    bm = ser.block_map_to_json(random_kraus_map(2, 2, 0.1, seed=6))
+    curv = ser.curvature_to_json(random_griffiths_curvature(2, 2, 1, 0.1, seed=6))
+    form = {"n": 2, "p": 1, "entries": [{"I": [1], "J": [1], "val": [1.0, 0.0]}]}
+    for load, obj, key in ((ser.block_map_from_json, bm, "w"),
+                           (ser.curvature_from_json, curv, "dim"),
+                           (ser.form_from_json, form, "n")):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            load({**obj, key: bad})
+
+
 def test_form_load_rejects_out_of_range():
     with pytest.raises(ValueError):
         ser.form_from_json({"n": 2, "p": 1,
