@@ -9,7 +9,8 @@ increasing multi-indices (0-based), representing
 where dz^I = dz^{i_1} ^ ... ^ dz^{i_p}.  All Koszul signs are resolved at
 construction time, so stored keys are always increasing.  Mixed-bidegree
 content is allowed in one Form (the total Chern form is inhomogeneous);
-operations that need a pure (p, p) form validate it.
+operations that need a pure (p, p) form validate it.  The algebra is total:
+a product beyond top degree is the zero form, never an error.
 
 Conventions fixed here and relied on everywhere:
 
@@ -137,21 +138,15 @@ def max_coeff_diff(u: Form, v: Form) -> float:
                default=0.0)
 
 
-def _min_total_degree(u: Form) -> int:
-    return min((len(i) + len(j) for i, j in u.coeffs), default=0)
-
-
 def wedge(u: Form, v: Form) -> Form:
     """Exterior product.  Koszul sign: moving dzbar^{J1} past dz^{I2} gives
     (-1)^{|J1| |I2|}, then both index merges contribute their sorting signs.
 
-    Term pairs beyond top degree vanish by index overlap; the overflow error
-    fires only when every term pair must (the whole product is out of range).
+    Term pairs beyond top degree vanish by index overlap, so a product beyond
+    top degree is the zero form.
     """
     if u.n != v.n:
         raise ValueError("ambient dimensions differ")
-    if u.coeffs and v.coeffs and _min_total_degree(u) + _min_total_degree(v) > 2 * u.n:
-        raise ValueError("degree overflow: product exceeds top degree")
     out: dict = {}
     for (i1, j1), a in u.coeffs.items():
         sgn_flip = -1.0 if len(j1) % 2 else 1.0
@@ -225,7 +220,7 @@ def random_griffiths_curvature(rank: int, dim: int, terms: int, eps: float,
     The pairing with (v, xi) evaluates to sum_s |sum T^s_{ia} v^i xi^a|^2
     + eps |v|^2 |xi|^2, so positivity holds by construction for eps > 0.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if terms < 0:
         raise ValueError("terms must be nonnegative")
@@ -258,16 +253,10 @@ def curvature_form_matrix(tensor: CurvatureTensor) -> list[list[Form]]:
 def det_forms(entries: list[list[Form]]) -> Form:
     """Determinant of a matrix of commuting (even) forms as the Leibniz sum
     sum_sigma sgn(sigma) entries[0][sigma(0)] ^ ... ^ entries[r-1][sigma(r-1)].
-
-    A term with an empty factor is skipped before any wedge: a structural
-    zero (as in a Jacobi-Trudi matrix) must not let a partial product trip
-    the degree-overflow check of ``wedge``.
     """
     total = Form.zero(entries[0][0].n)
     for perm, sign in signed_permutations(len(entries)):
-        factors = [row[j] for row, j in zip(entries, perm)]
-        if all(f.coeffs for f in factors):
-            total = total + sign * reduce(wedge, factors)
+        total = total + sign * reduce(wedge, [row[j] for row, j in zip(entries, perm)])
     return total
 
 
@@ -414,25 +403,15 @@ def _pairing_matrix(u: Form, q: int) -> tuple[list[tuple], np.ndarray]:
 
 
 def _batched_minors(g: np.ndarray, ks: list[tuple]) -> np.ndarray:
-    """Pluecker coordinates det(g[:, :, K]) for each K; g has shape (m, q, n)."""
+    """Pluecker coordinates det(g[:, :, K]) for each K; g has shape (m, q, n).
+
+    One Leibniz gather: g[s, m, K[perms[p, m]]] multiplied over m and summed
+    with the signs of the Heap-ordered ``permutation_table``.
+    """
     q = g.shape[1]
-
-    def bdet(a: np.ndarray) -> np.ndarray:
-        k = a.shape[1]
-        if k == 1:
-            return a[:, 0, 0]
-        acc = np.zeros(a.shape[0], dtype=complex)
-        cols = list(range(k))
-        for pos in range(k):
-            rest = cols[:pos] + cols[pos + 1:]
-            term = a[:, 0, pos] * bdet(a[:, 1:, :][:, :, rest])
-            acc += term if pos % 2 == 0 else -term
-        return acc
-
-    out = np.empty((g.shape[0], len(ks)), dtype=complex)
-    for idx, k in enumerate(ks):
-        out[:, idx] = bdet(g[:, :, list(k)]) if q else 1.0
-    return out
+    perms, signs = permutation_table(q)
+    cols = np.array(ks)[:, perms]
+    return g[:, np.arange(q), cols].prod(-1) @ signs
 
 
 def weak_positivity_min(u: Form, samples: int, seed: int) -> tuple[float, list[np.ndarray]]:

@@ -322,6 +322,8 @@ def sinkhorn_normalize(h: BlockMap, tol: float = 1e-10, max_iter: int = 500,
         raise ValueError("sinkhorn_normalize needs a square map (r = w)")
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if max_iter < 0:
+        raise ValueError("max_iter must be nonnegative")
     if check_positive:
         min_eig, _ = positivity_certificate(h, grid=256, seed=_CERT_SEED)
         if min_eig <= 1e-12:

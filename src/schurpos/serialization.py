@@ -95,6 +95,8 @@ def form_from_json(obj: dict) -> Form:
         j = tuple(int(x) - 1 for x in e["J"])
         if any(x < 0 or x >= n for x in i + j):
             raise ValueError(f"multi-index out of range in {e!r}")
+        if any(list(m) != sorted(set(m)) for m in (i, j)):
+            raise ValueError(f"multi-index not strictly increasing in {e!r}")
         coeffs[(i, j)] = coeffs.get((i, j), 0.0j) + complex_from_json(e["val"])
     return Form(n, coeffs)
 

@@ -59,24 +59,27 @@ def _count(full: int, limit: int | None) -> int:
     return full if limit is None else max(1, min(full, limit))
 
 
-def _normalized_random_map(r: int, seed: int, terms: int = 3,
-                           eps: float = 0.2) -> BlockMap:
-    raw = random_kraus_map(r, terms, eps, seed)
-    res = sinkhorn_normalize(raw, tol=1e-11, max_iter=1000, check_positive=False)
+#: Kraus terms and positivity margin of every random map the criteria draw.
+KRAUS_TERMS = 3
+KRAUS_EPS = 0.2
+
+
+def _normalized(h: BlockMap) -> BlockMap:
+    res = sinkhorn_normalize(h, tol=1e-11, max_iter=1000, check_positive=False)
     if not res.converged:
         raise RuntimeError(f"scaling failed to converge (residual {res.residual:.3e})")
     return res.scaled
 
 
+def _normalized_random_map(r: int, seed: int) -> BlockMap:
+    return _normalized(random_kraus_map(r, KRAUS_TERMS, KRAUS_EPS, seed))
+
+
 def _normalized_choi_mixture(seed: int) -> BlockMap:
     rng = np.random.default_rng(seed)
     t = float(rng.uniform(0.2, 0.9))
-    kraus = random_kraus_map(3, 3, 0.2, _sub_seed(seed, 1))
-    mixed = BlockMap(t * choi_fixture().blocks + (1.0 - t) * kraus.blocks)
-    res = sinkhorn_normalize(mixed, tol=1e-11, max_iter=1000, check_positive=False)
-    if not res.converged:
-        raise RuntimeError(f"choi mixture scaling failed (residual {res.residual:.3e})")
-    return res.scaled
+    kraus = random_kraus_map(3, KRAUS_TERMS, KRAUS_EPS, _sub_seed(seed, 1))
+    return _normalized(BlockMap(t * choi_fixture().blocks + (1.0 - t) * kraus.blocks))
 
 
 def _random_invertible(r: int, rng: np.random.Generator) -> np.ndarray:

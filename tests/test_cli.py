@@ -160,6 +160,13 @@ class TestScale:
         assert_rejected_without_nan(*run(capsys, "scale", "--input", str(path),
                                          "--tol", "nan"))
 
+    def test_negative_max_iter_is_precondition_error(self, capsys, tmp_path):
+        path = tmp_path / "k.json"
+        assert main(["gen", "kraus", "--rank", "2", "--output", str(path)]) == 0
+        code, _, err = run(capsys, "scale", "--input", str(path), "--max-iter", "-1")
+        assert code == 2
+        assert "max_iter" in err
+
 
 class TestPhi:
     def test_trace_map_all_methods(self, capsys, tmp_path):

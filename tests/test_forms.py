@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from schurpos.forms import (CurvatureTensor, Form, c3_principal_minors,
-                            chern_forms, curvature_form_matrix, det_forms,
-                            is_real_pp, max_coeff_diff,
+from schurpos.discriminants import sample_unit_sphere
+from schurpos.forms import (CurvatureTensor, Form, _batched_minors,
+                            c3_principal_minors, chern_forms,
+                            curvature_form_matrix, det_forms, is_real_pp,
+                            max_coeff_diff,
                             random_griffiths_curvature, restrict_fiber,
                             schur_form, standard_omega, twist_chern,
                             validate_partition, volume_coefficient,
@@ -103,9 +105,12 @@ class TestWedge:
         assert max_coeff_diff(wedge(b1, b2), (-1.0) * wedge(b2, b1)) == 0.0
 
     def test_degree_overflow(self):
+        # a product beyond top degree is the zero form, not an error
+        rng = np.random.default_rng(5)
         top = Form(2, {((0, 1), (0, 1)): 1.0 + 0j})
-        with pytest.raises(ValueError):
-            wedge(top, Form(2, {((0,), ()): 1.0 + 0j}))
+        assert wedge(top, Form(2, {((0,), ()): 1.0 + 0j})).coeffs == {}
+        u = random_11_form(rng, 2)
+        assert wedge(wedge(u, u), u).coeffs == {}
 
     def test_conjugate(self):
         u = Form(2, {((0,), (1,)): 2.0 + 3.0j})
@@ -163,15 +168,6 @@ class TestChernForms:
             chern_forms(t)
 
 
-def wedge_or_zero(u, v):
-    """``wedge``, reading a product beyond top degree as zero (its overflow
-    error fires only when every term pair vanishes)."""
-    try:
-        return wedge(u, v)
-    except ValueError:
-        return Form.zero(u.n)
-
-
 def laplace_det_forms(entries):
     """Oracle: first-row Laplace expansion memoized on (row, remaining columns)."""
     r, n = len(entries), entries[0][0].n
@@ -183,7 +179,7 @@ def laplace_det_forms(entries):
         if (row, cols) not in memo:
             acc = Form.zero(n)
             for pos, j in enumerate(sorted(cols)):
-                term = wedge_or_zero(entries[row][j], minor(row + 1, cols - {j}))
+                term = wedge(entries[row][j], minor(row + 1, cols - {j}))
                 acc = acc + term if pos % 2 == 0 else acc - term
             memo[(row, cols)] = acc
         return memo[(row, cols)]
@@ -331,6 +327,14 @@ class TestC3PrincipalMinors:
         t = CurvatureTensor(rank=4, dim=3, entries=np.zeros((4, 4, 3, 3)))
         assert c3_principal_minors(t).max_abs() == 0.0
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_below_degree_three_is_zero(self, dim):
+        for rank in (3, 4, 5):
+            t = random_griffiths_curvature(rank, dim, 2, 0.3, seed=rank)
+            minors = c3_principal_minors(t)
+            assert minors.coeffs == {}
+            assert max_coeff_diff(minors, chern_forms(t)[3]) == 0.0
+
     def test_sum_over_restrictions(self):
         t = random_griffiths_curvature(4, 3, 2, 0.2, seed=14)
         total = Form.zero(3)
@@ -384,17 +388,16 @@ class TestTwist:
         assert max_coeff_diff(got, want) < 1e-15
 
     def test_matches_curvature_shift(self):
-        t = random_griffiths_curvature(3, 3, 2, 0.2, seed=20)
-        cs = chern_forms(t)
+        # criterion 11's oracle: R -> R - eps (2pi/i) omega Id, at every dim
+        # up to 3 (at dim < 3 the products beyond top degree vanish)
         eps = 0.17
-        shifted = t.entries.copy()
-        for i in range(3):
-            for a in range(3):
-                shifted[i, i, a, a] -= eps
-        oracle = chern_forms(CurvatureTensor(rank=3, dim=3, entries=shifted))
-        got = twist_chern(cs, eps, standard_omega(3))
-        for k in range(4):
-            assert max_coeff_diff(got[k], oracle[k]) < 1e-10
+        for dim in (1, 2, 3):
+            t = random_griffiths_curvature(3, dim, 2, 0.2, seed=20)
+            shifted = t.entries - eps * np.einsum("ij,ab->ijab", np.eye(3), np.eye(dim))
+            oracle = chern_forms(CurvatureTensor(rank=3, dim=dim, entries=shifted))
+            got = twist_chern(chern_forms(t), eps, standard_omega(dim))
+            for k in range(4):
+                assert max_coeff_diff(got[k], oracle[k]) < 1e-10
 
 
 class TestWeakPositivity:
@@ -482,6 +485,32 @@ class TestWeakPositivity:
         assert len(witness) == 1
 
 
+def recursive_minors(g, ks):
+    """Oracle: the former first-row Laplace recursion, one minor at a time."""
+    def bdet(a):
+        if a.shape[1] == 1:
+            return a[:, 0, 0]
+        acc = np.zeros(a.shape[0], dtype=complex)
+        cols = list(range(a.shape[1]))
+        for pos in range(a.shape[1]):
+            term = a[:, 0, pos] * bdet(a[:, 1:, :][:, :, cols[:pos] + cols[pos + 1:]])
+            acc += term if pos % 2 == 0 else -term
+        return acc
+
+    return np.stack([bdet(g[:, :, list(k)]) for k in ks], axis=1)
+
+
+@pytest.mark.parametrize("q,tol", [(1, 0.0), (2, 0.0), (3, 1e-15), (4, 1e-15)])
+def test_batched_minors_match_recursion(q, tol):
+    # unit covectors keep every minor below 1, so the tolerance is absolute
+    for n in range(q, 6):
+        g = sample_unit_sphere(np.random.default_rng(10 * n + q), (300, q), n)
+        ks = list(itertools.combinations(range(n), q))
+        got = _batched_minors(g, ks)
+        assert got.shape == (300, len(ks))
+        assert np.max(np.abs(got - recursive_minors(g, ks))) <= tol
+
+
 class TestGriffithsGenerator:
     def test_symmetry_exact(self):
         t = random_griffiths_curvature(4, 3, 3, 0.2, seed=28)
@@ -501,6 +530,8 @@ class TestGriffithsGenerator:
             random_griffiths_curvature(3, 3, 2, eps=0.0, seed=0)
         with pytest.raises(ValueError):
             random_griffiths_curvature(3, 3, -1, eps=0.1, seed=0)
+        with pytest.raises(ValueError, match="eps must be positive"):
+            random_griffiths_curvature(3, 3, 2, eps=float("nan"), seed=0)
 
 
 def test_curvature_rejects_non_finite():

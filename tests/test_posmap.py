@@ -241,6 +241,10 @@ class TestSinkhorn:
         with pytest.raises(ValueError):
             sinkhorn_normalize(trace_map(3, 4))
 
+    def test_negative_max_iter_rejected(self):
+        with pytest.raises(ValueError, match="max_iter must be nonnegative"):
+            sinkhorn_normalize(trace_map(3), max_iter=-1)
+
 
 def test_transpose_map_blocks():
     h = transpose_map(3)

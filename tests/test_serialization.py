@@ -75,6 +75,14 @@ def test_form_load_rejects_out_of_range():
                             "entries": [{"I": [3], "J": [1], "val": [1.0, 0.0]}]})
 
 
+@pytest.mark.parametrize("key", ["I", "J"])
+@pytest.mark.parametrize("index", [[2, 1], [1, 1]])
+def test_form_load_rejects_unsorted_multi_index(key, index):
+    entry = {"I": [1, 2], "J": [1, 2], "val": [1.0, 0.0], key: index}
+    with pytest.raises(ValueError, match="not strictly increasing"):
+        ser.form_from_json({"n": 2, "p": 2, "entries": [entry]})
+
+
 def test_form_load_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite"):
         ser.form_from_json({"n": 2, "p": 1,
