@@ -256,7 +256,10 @@ def det_forms(entries: list[list[Form]]) -> Form:
     """
     total = Form.zero(entries[0][0].n)
     for perm, sign in signed_permutations(len(entries)):
-        total = total + sign * reduce(wedge, [row[j] for row, j in zip(entries, perm)])
+        factors = [row[j] for row, j in zip(entries, perm)]
+        # an empty factor (a structural zero, as in Jacobi-Trudi) zeroes the term: skip its wedges
+        if all(f.coeffs for f in factors):
+            total = total + sign * reduce(wedge, factors)
     return total
 
 

@@ -67,16 +67,17 @@ def is_positive_definite(a) -> tuple[bool, float]:
 def inv_sqrt_hermitian(a) -> np.ndarray:
     """Inverse square root of a Hermitian positive definite matrix.
 
-    Eigenvalues below the floor 1e-14 are clamped to it before inversion,
-    but the clamp may only absorb floating-point wobble: if it moves an
-    eigenvalue by more than 1e-8 of the floor itself, the matrix is
+    Eigenvalues below the floor 1e-14 x (largest eigenvalue) are clamped to
+    it before inversion, but the clamp may only absorb floating-point
+    wobble: if it moves an eigenvalue by more than 1e-8 of the floor
+    itself, or the largest eigenvalue is not positive, the matrix is
     effectively singular and we refuse to continue.
     """
-    floor = 1e-14
     vals, vecs = herm_eig(a)
+    floor = 1e-14 * float(vals[-1])
+    if not floor > 0 or floor - float(vals[0]) > 1e-8 * floor:
+        raise RuntimeError(
+            f"matrix is numerically singular (min eigenvalue {vals[0]:.3e})")
     if vals[0] < floor:
-        if (floor - float(vals[0])) / floor > 1e-8:
-            raise RuntimeError(
-                f"matrix is numerically singular (min eigenvalue {vals[0]:.3e})")
         vals = np.maximum(vals, floor)
     return (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T

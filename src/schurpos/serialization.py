@@ -74,8 +74,8 @@ def curvature_from_json(obj: dict) -> CurvatureTensor:
 
 def form_to_json(u: Form) -> dict:
     degs = u.bidegrees()
-    if len(degs) > 1:
-        raise ValueError(f"only homogeneous forms serialize; got degrees {sorted(degs)}")
+    if len(degs) > 1 or any(p != q for p, q in degs):
+        raise ValueError(f"only pure (p, p) forms serialize; got degrees {sorted(degs)}")
     p = next(iter(degs))[0] if degs else 0
     entries = []
     for (i, j) in sorted(u.coeffs):
@@ -88,11 +88,15 @@ def form_to_json(u: Form) -> dict:
 
 
 def form_from_json(obj: dict) -> Form:
-    n = _declared_size(obj, "n")
+    n, p = _declared_size(obj, "n"), obj["p"]
+    if type(p) is not int or not 0 <= p <= n:
+        raise ValueError(f"'p' must be an integer in [0, n], got {p!r}")
     coeffs = {}
     for e in obj["entries"]:
         i = tuple(int(x) - 1 for x in e["I"])
         j = tuple(int(x) - 1 for x in e["J"])
+        if len(i) != p or len(j) != p:
+            raise ValueError(f"multi-index length differs from declared p = {p} in {e!r}")
         if any(x < 0 or x >= n for x in i + j):
             raise ValueError(f"multi-index out of range in {e!r}")
         if any(list(m) != sorted(set(m)) for m in (i, j)):

@@ -126,6 +126,19 @@ class TestScale:
         assert code == 2
         assert "positivity" in err
 
+    @pytest.mark.parametrize("c", [1e-13, 1e-16])
+    def test_tiny_multiple_of_positive_map(self, capsys, tmp_path, c):
+        path = tmp_path / "k.json"
+        main(["gen", "kraus", "--rank", "3", "--eps", "0.2", "--seed", "1",
+              "--output", str(path)])
+        _, want, _ = run_json(capsys, "scale", "--input", str(path))
+        h = ser.block_map_from_json(json.loads(path.read_text()))
+        h.blocks *= c
+        ser.dump(ser.block_map_to_json(h), str(path))
+        code, got, _ = run_json(capsys, "scale", "--input", str(path))
+        assert code == 0
+        assert got["iterations"] == want["iterations"]
+
     def test_missing_input(self, capsys):
         code, _, err = run(capsys, "scale", "--input", "/nonexistent.json")
         assert code == 2

@@ -148,6 +148,21 @@ class TestInvSqrt:
         with pytest.raises(RuntimeError):
             inv_sqrt_hermitian(np.diag([1.0, 0.0]))
 
+    @pytest.mark.parametrize("c", [1e-16, 1e-30])
+    def test_floor_is_relative(self, c):
+        rng = np.random.default_rng(43)
+        a = random_hermitian(rng, 3)
+        spd = c * (a @ a.conj().T + 0.5 * np.eye(3))
+        s = inv_sqrt_hermitian(spd)
+        assert np.max(np.abs(s @ spd @ s - np.eye(3))) < 1e-11
+        with pytest.raises(RuntimeError):
+            inv_sqrt_hermitian(np.diag([c, 0.0]))
+
+    @pytest.mark.parametrize("m", [np.zeros((2, 2)), -np.eye(2)])
+    def test_rejects_non_positive_spectrum(self, m):
+        with pytest.raises(RuntimeError):
+            inv_sqrt_hermitian(m)
+
 
 def test_ensure_hermitian_rejects_large_defect():
     with pytest.raises(ValueError):

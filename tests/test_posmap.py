@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from schurpos.discriminants import sample_unit_sphere
 from schurpos.forms import CurvatureTensor, random_griffiths_curvature
 from schurpos.posmap import (BlockMap, NotStrictlyPositiveError, apply_map,
                              choi_fixture, from_curvature, from_kraus,
@@ -15,6 +16,53 @@ from schurpos.posmap import (BlockMap, NotStrictlyPositiveError, apply_map,
 def random_unit(rng, r):
     z = rng.standard_normal(r) + 1j * rng.standard_normal(r)
     return z / np.linalg.norm(z)
+
+
+def min_output_eig(h, xi):
+    mat = apply_map(h, np.outer(xi, xi.conj()))
+    return np.linalg.eigvalsh((mat + mat.conj().T) / 2)[0]
+
+
+def sequential_certificate(h, grid, seed, refine=True):
+    """The earlier certificate: a sample-at-a-time grid loop, then up to 50
+    rounds of coordinate descent that try the 4r moves one by one."""
+    rng = np.random.default_rng(seed)
+    best_val, best_xi, remaining = np.inf, None, grid
+    while remaining > 0:
+        count = min(remaining, 1 << 14)
+        xis = sample_unit_sphere(rng, count, h.r)
+        outer = np.einsum("si,sj->sij", xis, xis.conj())
+        mats = np.einsum("sij,ijab->sab", outer, h.blocks)
+        eigs = np.linalg.eigvalsh((mats + np.conj(np.transpose(mats, (0, 2, 1)))) / 2.0)[:, 0]
+        k = int(np.argmin(eigs))
+        if eigs[k] < best_val:
+            best_val, best_xi = float(eigs[k]), xis[k].copy()
+        remaining -= count
+    if refine:
+        step = 0.5
+        for _ in range(50):
+            improved = False
+            for c in range(h.r):
+                for delta in (step, -step, 1j * step, -1j * step):
+                    cand = best_xi.copy()
+                    cand[c] += delta
+                    cand /= np.linalg.norm(cand)
+                    val = float(min_output_eig(h, cand))
+                    if val < best_val:
+                        best_val, best_xi = val, cand
+                        improved = True
+            if not improved:
+                step *= 0.5
+                if step < 1e-12:
+                    break
+    return best_val, best_xi
+
+
+def choi_mixture(seed):
+    rng = np.random.default_rng(seed)
+    t = float(rng.uniform(0.2, 0.9))
+    kraus = random_kraus_map(3, 3, 0.2, seed=1000 + seed)
+    return BlockMap(t * choi_fixture().blocks + (1.0 - t) * kraus.blocks)
 
 
 class TestApply:
@@ -94,6 +142,42 @@ class TestCertificate:
         assert min_eig < -0.5
         mat = apply_map(h, np.outer(xi, xi.conj()))
         assert np.min(np.linalg.eigvalsh((mat + mat.conj().T) / 2)) < -0.5
+
+
+class TestBatchedRefinement:
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_matches_sequential_descent_on_kraus_maps(self, r):
+        for seed in range(10):
+            h = random_kraus_map(r, 3, 0.2, seed=seed)
+            got, _ = positivity_certificate(h, grid=256, seed=seed)
+            want, _ = sequential_certificate(h, grid=256, seed=seed)
+            assert abs(got - want) < 1e-12
+
+    @pytest.mark.parametrize("make", [lambda s: random_kraus_map(3, 3, 0.2, seed=s),
+                                      choi_mixture, lambda s: choi_fixture()],
+                             ids=["kraus", "choi_mixture", "choi"])
+    def test_never_above_grid_minimum(self, make):
+        for seed in range(10):
+            h = make(seed)
+            refined, _ = positivity_certificate(h, grid=256, seed=seed)
+            grid_min, _ = positivity_certificate(h, grid=256, seed=seed, refine=False)
+            assert refined <= grid_min
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_witness_attains_value(self, seed):
+        for h in (random_kraus_map(3, 3, 0.2, seed=seed), choi_mixture(seed)):
+            val, xi = positivity_certificate(h, grid=256, seed=seed)
+            assert abs(np.linalg.norm(xi) - 1.0) < 1e-14
+            assert abs(min_output_eig(h, xi) - val) < 1e-14
+
+    @pytest.mark.parametrize("grid", [1, 300, 40_000])
+    def test_grid_phase_is_the_sequential_loop(self, grid):
+        # 40_000 spans three chunks of 2^14 samples
+        for h in (random_kraus_map(3, 3, 0.2, seed=7), choi_fixture()):
+            got_val, got_xi = positivity_certificate(h, grid=grid, seed=11, refine=False)
+            want_val, want_xi = sequential_certificate(h, grid=grid, seed=11, refine=False)
+            assert got_val == want_val
+            assert np.array_equal(got_xi, want_xi)
 
 
 class TestChoiFixture:
@@ -209,6 +293,21 @@ class TestSinkhorn:
     def test_identity_map_fails_precondition(self):
         with pytest.raises(NotStrictlyPositiveError):
             sinkhorn_normalize(identity_map(3))
+
+    @pytest.mark.parametrize("c", [1.0, 1e-13, 1e3])
+    def test_boundary_maps_fail_precondition_at_any_scale(self, c):
+        for h in (identity_map(3), choi_fixture()):
+            with pytest.raises(NotStrictlyPositiveError):
+                sinkhorn_normalize(BlockMap(c * h.blocks))
+
+    @pytest.mark.parametrize("c", [1e-13, 1e-16])
+    def test_tiny_multiples_normalize_alike(self, c):
+        h = random_kraus_map(3, 3, 0.2, seed=1)
+        want = sinkhorn_normalize(h)
+        got = sinkhorn_normalize(BlockMap(c * h.blocks))
+        assert got.converged
+        assert got.iterations == want.iterations
+        assert np.max(np.abs(got.scaled.blocks - want.scaled.blocks)) < 1e-12
 
     @pytest.mark.parametrize("r,seed", [(2, 53), (3, 59), (4, 61)])
     def test_random_kraus_normalizes(self, r, seed):

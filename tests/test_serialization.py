@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from schurpos import serialization as ser
-from schurpos.forms import chern_forms, random_griffiths_curvature
+from schurpos.forms import (Form, chern_forms, max_coeff_diff,
+                            random_griffiths_curvature)
 from schurpos.phi import PhiReport
 from schurpos.posmap import random_kraus_map
 
@@ -67,6 +68,35 @@ def test_loaders_require_integer_sizes(bad):
                            (ser.form_from_json, form, "n")):
         with pytest.raises(ValueError, match="must be an integer >= 1"):
             load({**obj, key: bad})
+
+
+@pytest.mark.parametrize("p", [None, 1.0, True, [1], -1, 3])
+def test_form_load_requires_declared_p_in_range(p):
+    with pytest.raises(ValueError, match="'p' must be an integer in"):
+        ser.form_from_json({"n": 2, "p": p,
+                            "entries": [{"I": [1], "J": [1], "val": [1.0, 0.0]}]})
+
+
+@pytest.mark.parametrize("i,j", [([1, 2], [1, 2]), ([1], [1, 2]), ([1, 2], [2]), ([], [])])
+def test_form_load_rejects_entries_off_declared_p(i, j):
+    entry = {"I": i, "J": j, "val": [1.0, 0.0]}
+    with pytest.raises(ValueError, match="declared p = 1"):
+        ser.form_from_json({"n": 2, "p": 1, "entries": [entry]})
+
+
+@pytest.mark.parametrize("degs", [[(1, 0)], [(0, 2)], [(1, 1), (2, 2)]])
+def test_form_save_refuses_non_pure_bidegree(degs):
+    n = 2
+    coeffs = {(tuple(range(p)), tuple(range(q))): 1.0 + 0.0j for p, q in degs}
+    with pytest.raises(ValueError, match=r"only pure \(p, p\) forms"):
+        ser.form_to_json(Form(n, coeffs))
+
+
+def test_form_roundtrip_every_degree():
+    t = random_griffiths_curvature(3, 3, 2, 0.1, seed=5)
+    for c in [*chern_forms(t), Form.zero(3)]:
+        obj = ser.form_to_json(c)
+        assert max_coeff_diff(ser.form_from_json(obj), c) == 0.0
 
 
 def test_form_load_rejects_out_of_range():
