@@ -128,6 +128,7 @@ def cmd_schur(args) -> int:
         "schur_form": ser.form_to_json(form),
         "weak_positivity": {
             "samples": args.samples,
+            "exact": forms.weak_positivity_is_exact(form),
             "min_coeff": min_coeff,
             "witness": [[ser.complex_to_json(z) for z in cov] for cov in witness],
         },

@@ -161,13 +161,8 @@ def mixed_discriminant_polarized(mats) -> complex:
         raise ValueError(f"polarized route needs r <= 6 matrices of dim r, got shape {ms.shape}")
     total = 0.0 + 0.0j
     for mask in range(1, 1 << r):
-        acc = np.zeros((r, r), dtype=complex)
-        bits = 0
-        for k in range(r):
-            if mask >> k & 1:
-                acc += ms[k]
-                bits += 1
-        total += (-1) ** (r - bits) * det(acc)
+        pick = [k for k in range(r) if mask >> k & 1]
+        total += (-1) ** (r - len(pick)) * det(ms[pick].sum(0))
     return total / math.factorial(r)
 
 

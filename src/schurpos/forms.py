@@ -37,6 +37,11 @@ principal-minor route ``c3_principal_minors``, ``twist_chern`` and the
 Schur determinants run on the form algebra (``wedge``, ``det_forms``)
 instead, so they check ``chern_forms`` without sharing its arithmetic.
 
+Weak positivity of a (p,p)-form u tests u ^ i^{q^2} beta ^ betabar, q = n - p,
+against decomposable (q,0)-forms beta: a Hermitian form in the Pluecker
+vector of beta.  For q <= 1 and q >= n - 1 every (q,0)-form is decomposable,
+so the minimum is an eigenvalue; only 2 <= q <= n - 2 is sampled.
+
 Everything is pointwise linear algebra: no d, no global structure.
 """
 
@@ -45,7 +50,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations, product
 
 import numpy as np
@@ -53,7 +58,8 @@ import numpy as np
 from .discriminants import (mixed_discriminant, permutation_table,
                             sample_unit_sphere, signed_permutations)
 
-#: Hermitian pair symmetry R[i,j,a,b] = conj(R[j,i,b,a]) must hold within this.
+#: Hermitian pair symmetry R[i,j,a,b] = conj(R[j,i,b,a]) must hold within this
+#: multiple of the largest entry.
 CURVATURE_SYMMETRY_TOL = 1e-12
 
 TWO_PI = 2.0 * math.pi
@@ -62,8 +68,12 @@ TWO_PI = 2.0 * math.pi
 WEAK_POSITIVITY_BLOCK = 1 << 12
 
 
+@cache
 def merge_sign(a: tuple, b: tuple) -> tuple[int, tuple] | tuple[None, tuple]:
-    """Sign to interleave two increasing index tuples, or (None, ()) on overlap."""
+    """Sign to interleave two increasing index tuples, or (None, ()) on overlap.
+
+    Memoized: the keys are pairs of index subsets, at most 4^n of them.
+    """
     inv = 0
     for x in a:
         for y in b:
@@ -104,9 +114,6 @@ class Form:
     def __sub__(self, other: "Form") -> "Form":
         return self + (-1.0) * other
 
-    def __neg__(self) -> "Form":
-        return (-1.0) * self
-
     def __mul__(self, scalar) -> "Form":
         s = complex(scalar)
         return Form(self.n, {k: s * v for k, v in self.coeffs.items()})
@@ -118,11 +125,8 @@ class Form:
 
     def conjugate(self) -> "Form":
         """Complex conjugate form: swaps I and J with the (-1)^{pq} reorder sign."""
-        out = {}
-        for (i, j), v in self.coeffs.items():
-            sign = -1.0 if (len(i) * len(j)) % 2 else 1.0
-            out[(j, i)] = out.get((j, i), 0.0j) + sign * np.conj(v)
-        return Form(self.n, out)
+        return Form(self.n, {(j, i): (-1.0 if len(i) * len(j) % 2 else 1.0) * np.conj(v)
+                             for (i, j), v in self.coeffs.items()})
 
     def max_abs(self) -> float:
         return max((abs(v) for v in self.coeffs.values()), default=0.0)
@@ -208,8 +212,9 @@ class CurvatureTensor:
         if not np.isfinite(e).all():
             raise ValueError("curvature entries are non-finite")
         defect = float(np.max(np.abs(e - np.conj(np.transpose(e, (1, 0, 3, 2))))))
-        if defect > CURVATURE_SYMMETRY_TOL:
-            raise ValueError(f"curvature symmetry defect {defect:.3e}")
+        if defect > CURVATURE_SYMMETRY_TOL * np.max(np.abs(e)):
+            raise ValueError(f"curvature symmetry defect {defect:.3e} beyond "
+                             f"{CURVATURE_SYMMETRY_TOL:.0e} x largest entry")
         self.entries = e
 
 
@@ -323,10 +328,8 @@ def schur_form(cs: list[Form], parts) -> Form:
     zero = Form.zero(n)
 
     def entry(i: int, j: int) -> Form:
-        k = lam[i] - (i + 1) + (j + 1)
-        if k < 0 or k > rank:
-            return zero
-        return cs[k]
+        k = lam[i] - i + j
+        return cs[k] if 0 <= k <= rank else zero
 
     entries = [[entry(i, j) for j in range(rank)] for i in range(rank)]
     return det_forms(entries)
@@ -337,11 +340,8 @@ def c3_principal_minors(tensor: CurvatureTensor) -> Form:
     if tensor.rank < 3:
         raise ValueError("c3 needs rank >= 3")
     theta = curvature_form_matrix(tensor)
-    n = tensor.dim
-    total = Form.zero(n)
-    for sub in combinations(range(tensor.rank), 3):
-        entries = [[theta[i][j] for j in sub] for i in sub]
-        total = total + det_forms(entries)
+    total = sum((det_forms([[theta[i][j] for j in sub] for i in sub])
+                 for sub in combinations(range(tensor.rank), 3)), Form.zero(tensor.dim))
     return ((1j / TWO_PI) ** 3) * total
 
 
@@ -364,18 +364,17 @@ def twist_chern(cs: list[Form], eps: float, omega: Form) -> list[Form]:
     n = cs[0].n
     if omega.n != n:
         raise ValueError("omega lives on a different ambient space")
-    w1 = omega
     w2 = wedge(omega, omega)
     w3 = wedge(w2, omega)
-    c1 = cs[1] + (-3.0 * eps) * w1
-    c2 = cs[2] + (-2.0 * eps) * wedge(w1, cs[1]) + (3.0 * eps * eps) * w2
-    c3 = (cs[3] + (-eps) * wedge(w1, cs[2]) + (eps * eps) * wedge(w2, cs[1])
+    c1 = cs[1] + (-3.0 * eps) * omega
+    c2 = cs[2] + (-2.0 * eps) * wedge(omega, cs[1]) + (3.0 * eps * eps) * w2
+    c3 = (cs[3] + (-eps) * wedge(omega, cs[2]) + (eps * eps) * wedge(w2, cs[1])
           + (-(eps ** 3)) * w3)
     return [Form.one(n), c1, c2, c3]
 
 
 # ---------------------------------------------------------------------------
-# Weak positivity sampling
+# Weak positivity
 # ---------------------------------------------------------------------------
 
 def _homogeneous_pp(u: Form) -> int:
@@ -394,14 +393,10 @@ def _pairing_matrix(u: Form, q: int) -> tuple[list[tuple], np.ndarray]:
     For decomposable beta with Pluecker coordinates b, the tested volume
     coefficient is exactly  tau = sum_{K,L} b_K M[K,L] conj(b_L).
     """
-    n = u.n
-    ks = list(combinations(range(n), q))
+    ks = list(combinations(range(u.n), q))
     phase = (1j) ** (q * q)
-    m = np.zeros((len(ks), len(ks)), dtype=complex)
-    for a, k in enumerate(ks):
-        for b, l in enumerate(ks):
-            probe = Form(n, {(k, l): phase})
-            m[a, b] = volume_coefficient(wedge(u, probe))
+    m = np.array([[volume_coefficient(wedge(u, Form(u.n, {(k, l): phase}))) for l in ks]
+                  for k in ks])
     return ks, m
 
 
@@ -417,19 +412,45 @@ def _batched_minors(g: np.ndarray, ks: list[tuple]) -> np.ndarray:
     return g[:, np.arange(q), cols].prod(-1) @ signs
 
 
+def weak_positivity_is_exact(u: Form) -> bool:
+    """Whether every (q,0)-form is decomposable, q = n - p (q <= 1 or q >= n - 1),
+    so that ``weak_positivity_min`` is exact rather than sampled."""
+    q = u.n - _homogeneous_pp(u)
+    return not 2 <= q <= u.n - 2
+
+
+def _covectors(b: np.ndarray, ks: list[tuple], n: int) -> np.ndarray:
+    """q orthonormal covectors (rows) whose Pluecker vector is the decomposable
+    unit b up to a phase, which no volume coefficient sees.
+
+    Contracting beta by dz^{K'}, K' a (q-1)-multi-index, leaves the vector
+    sum_j sgn(K', j) b_{K' + j} e_j of its span; the top q right singular
+    vectors of these rows are an orthonormal basis of that span.
+    """
+    q = len(ks[0])
+    index = {k: a for a, k in enumerate(ks)}
+    rows = np.zeros((math.comb(n, q - 1), n), dtype=complex)
+    for a, kp in enumerate(combinations(range(n), q - 1)):
+        for j in range(n):
+            sign, key = merge_sign(kp, (j,))
+            if sign is not None:
+                rows[a, j] = sign * b[index[key]]
+    return np.linalg.svd(rows)[2][:q]
+
+
 def weak_positivity_min(u: Form, samples: int, seed: int) -> tuple[float, list[np.ndarray]]:
-    """Minimum volume coefficient of u ^ i^{q^2} beta ^ betabar over sampled
-    decomposable beta, with the minimizing covectors as witness.
+    """Minimum volume coefficient of u ^ i^{q^2} beta ^ betabar, q = n - p,
+    over decomposable beta = beta_1 ^ ... ^ beta_q with unit Pluecker vector
+    b, and the covectors beta_i of a minimizer as witness (none for q = 0).
 
-    beta = beta_1 ^ ... ^ beta_q with each covector a normalized seeded
-    complex Gaussian; q = n - p.  For q = 0 the test is the sign of the
-    volume coefficient of u itself and sampling is moot.  A positive minimum
-    is sampling evidence of weak positivity; a negative minimum is a genuine
-    disproof with the witness exhibiting it.
-
-    Sampling runs in blocks of WEAK_POSITIVITY_BLOCK seeded by seed +
-    block_index; the minimum is a deterministic merge, so the result depends
-    only on (seed, samples).
+    The coefficient is b^T M conj(b) for the pairing matrix M.  When every
+    beta is decomposable (``weak_positivity_is_exact``) the minimum is the
+    least eigenvalue of the Hermitian part of M, returned less the roundoff
+    margin len(ks) 1e-14 max|lambda|, with b = conj(its eigenvector).  For
+    2 <= q <= n - 2 it is the least Rayleigh quotient b^T M conj(b) / |b|^2
+    over ``samples`` seeded Gaussian unit covectors, in blocks of
+    WEAK_POSITIVITY_BLOCK seeded by seed + block index.  A negative minimum
+    disproves weak positivity; a positive one proves it on the exact path.
     """
     p = _homogeneous_pp(u)
     n = u.n
@@ -439,22 +460,21 @@ def weak_positivity_min(u: Form, samples: int, seed: int) -> tuple[float, list[n
     if samples < 1:
         raise ValueError("need at least one sample")
     if q == 0:
-        tau = volume_coefficient(u)
-        return float(tau.real), []
+        return float(volume_coefficient(u).real), []
     ks, m = _pairing_matrix(u, q)
-    best = np.inf
-    witness: np.ndarray | None = None
-    done = 0
-    block = 0
-    while done < samples:
-        count = min(WEAK_POSITIVITY_BLOCK, samples - done)
+    if weak_positivity_is_exact(u):
+        lam, vecs = np.linalg.eigh((m + m.conj().T) / 2)
+        margin = len(ks) * 1e-14 * float(np.max(np.abs(lam)))
+        return float(lam[0]) - margin, list(_covectors(vecs[:, 0].conj(), ks, n))
+    best, witness = np.inf, None
+    for block, start in enumerate(range(0, samples, WEAK_POSITIVITY_BLOCK)):
+        count = min(WEAK_POSITIVITY_BLOCK, samples - start)
         g = sample_unit_sphere(np.random.default_rng(seed + block), (count, q), n)
         b = _batched_minors(g, ks)
-        taus = np.real(np.einsum("sk,kl,sl->s", b, m, b.conj()))
+        # Rayleigh quotients: the unit covectors of g give |b| <= 1, not |b| = 1
+        taus = (np.einsum("sk,kl,sl->s", b, m, b.conj()).real
+                / np.einsum("sk,sk->s", b, b.conj()).real)
         k = int(np.argmin(taus))
         if taus[k] < best:
-            best = float(taus[k])
-            witness = g[k].copy()
-        done += count
-        block += 1
-    return best, [witness[i] for i in range(q)]
+            best, witness = float(taus[k]), g[k].copy()
+    return best, list(witness)

@@ -200,9 +200,7 @@ def schur_delta(l1, l2, l3):
         raise ValueError("schur_delta needs nonnegative arguments")
     s = a1 + a2 + a3
     out = s ** 3 + 9.0 * a1 * a2 * a3 - 4.0 * s * (a1 * a2 + a1 * a3 + a2 * a3)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def rank2_norm_identity(h: BlockMap) -> tuple[float, float, float]:

@@ -35,7 +35,8 @@ from .discriminants import sample_unit_sphere
 from .forms import CurvatureTensor
 from .hermitian import as_matrix, inv_sqrt_hermitian
 
-#: Block symmetry B_ij* = B_ji must hold within this entrywise defect.
+#: Block symmetry B_ij* = B_ji must hold within this entrywise defect relative
+#: to the largest entry.
 BLOCK_SYMMETRY_TOL = 1e-10
 
 _CERT_SEED = 0x5EED
@@ -76,8 +77,9 @@ class BlockMap:
 
     def require_symmetry(self) -> "BlockMap":
         defect = self.symmetry_defect()
-        if defect > BLOCK_SYMMETRY_TOL:
-            raise ValueError(f"block symmetry defect {defect:.3e} > {BLOCK_SYMMETRY_TOL:.0e}")
+        if defect > BLOCK_SYMMETRY_TOL * np.max(np.abs(self.blocks)):
+            raise ValueError(f"block symmetry defect {defect:.3e} beyond "
+                             f"{BLOCK_SYMMETRY_TOL:.0e} x largest entry")
         return self
 
 
@@ -133,9 +135,8 @@ def from_kraus(cs, eps: float = 0.0) -> BlockMap:
         raise ValueError("eps must be nonnegative")
     mats = [np.array(c, dtype=complex) for c in cs]
     w, r = mats[0].shape
-    for c in mats:
-        if c.shape != (w, r):
-            raise ValueError("all Kraus operators must share the same shape")
+    if any(c.shape != (w, r) for c in mats):
+        raise ValueError("all Kraus operators must share the same shape")
     # B_ij[a, b] = sum_k C_k[a, i] conj(C_k[b, j])
     stack = np.stack(mats)
     blocks = np.einsum("kai,kbj->ijab", stack, stack.conj())
@@ -181,15 +182,10 @@ def choi_fixture() -> BlockMap:
 
 @functools.cache
 def _validated_choi_blocks() -> np.ndarray:
-    blocks = np.zeros((3, 3, 3, 3), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                blocks[i, i, i, i] += 1.0
-                k = (i - 1) % 3
-                blocks[i, i, k, k] += 1.0
-            else:
-                blocks[i, j, i, j] = -1.0
+    e = np.eye(3)
+    # diag(2 e_i + e_{i-1}) on the diagonal blocks, minus E_ij in every block
+    blocks = (np.einsum("ij,ia,ab->ijab", e, 2 * e + np.roll(e, -1, 1), e)
+              - np.einsum("ia,jb->ijab", e, e)).astype(complex)
     fixture = BlockMap(blocks)
     if fixture.symmetry_defect() != 0.0:
         raise NotStrictlyPositiveError("Choi fixture lost Hermitian block symmetry")

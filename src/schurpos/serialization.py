@@ -77,13 +77,8 @@ def form_to_json(u: Form) -> dict:
     if len(degs) > 1 or any(p != q for p, q in degs):
         raise ValueError(f"only pure (p, p) forms serialize; got degrees {sorted(degs)}")
     p = next(iter(degs))[0] if degs else 0
-    entries = []
-    for (i, j) in sorted(u.coeffs):
-        entries.append({
-            "I": [x + 1 for x in i],
-            "J": [x + 1 for x in j],
-            "val": complex_to_json(u.coeffs[(i, j)]),
-        })
+    entries = [{"I": [x + 1 for x in i], "J": [x + 1 for x in j], "val": complex_to_json(v)}
+               for (i, j), v in sorted(u.coeffs.items())]
     return {"n": u.n, "p": p, "entries": entries}
 
 
@@ -106,12 +101,8 @@ def form_from_json(obj: dict) -> Form:
 
 
 def phi_report_to_json(rep: PhiReport) -> dict:
-    return {
-        "value": rep.value,
-        "imag_residue": rep.imaginary_residue,
-        "method": rep.method,
-        "lower_bound": rep.lower_bound,
-    }
+    return {"value": rep.value, "imag_residue": rep.imaginary_residue,
+            "method": rep.method, "lower_bound": rep.lower_bound}
 
 
 def dump(obj: dict, path: str | None) -> str:

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from schurpos import serialization as ser
+from schurpos import serialization as ser, verify
 from schurpos.cli import main
 from schurpos.forms import chern_forms, max_coeff_diff, schur_form, wedge
 
@@ -296,6 +296,19 @@ class TestSchur:
         assert code == 0
         assert obj["weak_positivity"]["min_coeff"] > 0.0
 
+    @pytest.mark.parametrize("dim,partition,exact", [(3, "2,1,0", True), (3, "2,0,0", True),
+                                                     (4, "2,1,0", True), (4, "1,1,0", False)])
+    def test_reports_whether_minimum_is_exact(self, capsys, tmp_path, dim, partition, exact):
+        # q = dim - |partition|: exact for q <= 1 or q = dim - 1, sampled at (4, 2)
+        path = tmp_path / "curv.json"
+        main(["gen", "curvature", "--rank", "3", "--dim", str(dim), "--terms", "3",
+              "--eps", "0.2", "--seed", "13", "--output", str(path)])
+        code, obj, _ = run_json(capsys, "schur", "--input", str(path),
+                                "--partition", partition, "--samples", "300")
+        assert code == 0
+        assert obj["weak_positivity"]["exact"] is exact
+        assert obj["weak_positivity"]["min_coeff"] > 0.0
+
     def test_invalid_partition(self, capsys, tmp_path):
         path = tmp_path / "curv.json"
         main(["gen", "curvature", "--rank", "3", "--dim", "3", "--terms", "1",
@@ -331,6 +344,14 @@ class TestVerify:
         assert len(obj["criteria"]) == 11
         assert elapsed < 10.0
         assert err.count("[PASS]") == 11
+
+    def test_weak_positivity_criterion_counts_exact_targets(self):
+        # one tensor per (rank, dim): c3 at four shapes plus six Schur forms at
+        # (3, 3), every one with q <= 1 or q = n - 1
+        res = verify.criterion_9_weak_positivity(verify.DEFAULT_SEED, limit=1)
+        assert res.passed
+        assert (res.details["exact_targets"], res.details["sampled_targets"]) == (10, 0)
+        assert "exact_targets=10, sampled_targets=0" in res.line()
 
     def test_negative_trials_is_precondition_error(self, capsys):
         code, out, err = run(capsys, "verify", "--trials", "-1")

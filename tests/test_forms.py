@@ -8,13 +8,14 @@ import pytest
 
 from schurpos.discriminants import sample_unit_sphere
 from schurpos.forms import (CurvatureTensor, Form, _batched_minors,
-                            c3_principal_minors, chern_forms,
+                            _pairing_matrix, c3_principal_minors, chern_forms,
                             curvature_form_matrix, det_forms, is_real_pp,
-                            max_coeff_diff,
+                            max_coeff_diff, merge_sign,
                             random_griffiths_curvature, restrict_fiber,
                             schur_form, standard_omega, twist_chern,
                             validate_partition, volume_coefficient,
-                            weak_positivity_min, wedge)
+                            weak_positivity_is_exact, weak_positivity_min,
+                            wedge)
 from schurpos.phi import phi_direct
 from schurpos.posmap import from_curvature, positivity_certificate
 
@@ -485,6 +486,149 @@ class TestWeakPositivity:
         assert len(witness) == 1
 
 
+def random_real_pp(rng, n, p):
+    """Random real (p,p)-form on C^n with every coefficient populated; indefinite."""
+    ks = list(itertools.combinations(range(n), p))
+    u = Form(n, {(i, j): complex(*rng.standard_normal(2)) for i in ks for j in ks})
+    return u + u.conjugate()
+
+
+def covector_wedge(n, covectors):
+    """beta = beta_1 ^ ... ^ beta_q as a Form, from coefficient vectors."""
+    factors = [Form(n, {((a,), ()): complex(w[a]) for a in range(n)}) for w in covectors]
+    beta = factors[0]
+    for f in factors[1:]:
+        beta = wedge(beta, f)
+    return beta
+
+
+def pairing_spectrum(u, q):
+    """(ks, M, ascending eigenvalues of the Hermitian part of M)."""
+    ks, m = _pairing_matrix(u, q)
+    return ks, m, np.linalg.eigvalsh((m + m.conj().T) / 2)
+
+
+def rayleigh(m, ks, g):
+    """b^T M conj(b) / |b|^2 for the Pluecker vectors b of covector stacks g (s, q, n)."""
+    b = _batched_minors(g, ks)
+    return (np.einsum("sk,kl,sl->s", b, m, b.conj()).real
+            / np.einsum("sk,sk->s", b, b.conj()).real)
+
+
+def base_unitary_change(t, seed):
+    """R'[i, j] = U^T R[i, j] conj(U) for a seeded unitary U on the base."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((t.dim, t.dim)) + 1j * rng.standard_normal((t.dim, t.dim))
+    u, _ = np.linalg.qr(z)
+    entries = np.einsum("ac,ijab,bd->ijcd", u, t.entries, u.conj())
+    return CurvatureTensor(rank=t.rank, dim=t.dim, entries=entries)
+
+
+EXACT_CASES = [(n, q) for n in range(2, 6) for q in sorted({1, n - 1})]
+
+
+class TestExactWeakPositivity:
+    @pytest.mark.parametrize("n,q", EXACT_CASES)
+    def test_witness_is_unit_and_attains_value(self, n, q):
+        rng = np.random.default_rng(100 + 10 * n + q)
+        for u in (random_real_pp(rng, n, n - q),
+                  chern_forms(random_griffiths_curvature(n - q, n, 2, 0.3, 7 * n + q))[n - q]):
+            assert weak_positivity_is_exact(u)
+            val, witness = weak_positivity_min(u, samples=1, seed=0)
+            ks, _, lam = pairing_spectrum(u, q)
+            margin = len(ks) * 1e-14 * np.max(np.abs(lam))
+            assert len(witness) == q
+            b = _batched_minors(np.array(witness)[None], ks)[0]
+            assert abs(np.linalg.norm(b) - 1.0) < 1e-14
+            beta = covector_wedge(n, witness)
+            direct = volume_coefficient(wedge(u, (1j) ** (q * q) * wedge(beta, beta.conjugate())))
+            assert 0.0 <= direct.real - val <= 2 * margin
+            assert abs(direct.imag) <= margin
+            assert abs(val + margin - lam[0]) <= 1e-13 * np.max(np.abs(lam))
+
+    @pytest.mark.parametrize("n,q", EXACT_CASES)
+    def test_below_every_sampled_rayleigh_quotient(self, n, q):
+        rng = np.random.default_rng(200 + 10 * n + q)
+        u = random_real_pp(rng, n, n - q)
+        val, _ = weak_positivity_min(u, samples=1, seed=0)
+        ks, m = _pairing_matrix(u, q)
+        g = sample_unit_sphere(rng, (2000, q), n) * rng.uniform(0.1, 3.0, (2000, q, 1))
+        assert val <= rayleigh(m, ks, g).min()
+
+    @pytest.mark.parametrize("rank,dim,k", [(3, 3, 1), (3, 3, 2), (3, 4, 3), (4, 4, 3),
+                                            (3, 5, 1), (4, 5, 4)])
+    def test_invariant_under_unitary_base_change(self, rank, dim, k):
+        t = random_griffiths_curvature(rank, dim, rank, 0.2, seed=40 + dim + k)
+        val, _ = weak_positivity_min(chern_forms(t)[k], samples=1, seed=0)
+        for seed in (1, 2):
+            moved, _ = weak_positivity_min(chern_forms(base_unitary_change(t, seed))[k],
+                                           samples=1, seed=0)
+            assert abs(moved - val) <= 1e-12 * abs(val)
+
+    @pytest.mark.parametrize("rank,dim,k", [(3, 3, 1), (3, 4, 1), (3, 4, 3), (5, 5, 1),
+                                            (3, 5, 3)])
+    def test_negated_curvature_goes_negative(self, rank, dim, k):
+        # c_k(-R) = (-1)^k c_k(R): odd k turns a positive form negative;
+        # (3, 5, 3) is q = 2, the sampled path
+        t = random_griffiths_curvature(rank, dim, 2, 0.3, seed=50 + dim + k)
+        val, witness = weak_positivity_min(chern_forms(t)[k], samples=500, seed=1)
+        neg = CurvatureTensor(rank=rank, dim=dim, entries=-t.entries)
+        nval, nwitness = weak_positivity_min(chern_forms(neg)[k], samples=500, seed=1)
+        assert val > 0.0 > nval
+        assert len(nwitness) == dim - k
+
+    def test_zero_form_is_exact_zero(self):
+        val, witness = weak_positivity_min(Form.zero(3), samples=1, seed=0)
+        assert val == 0.0
+        assert len(witness) == 3
+
+
+class TestSampledRayleigh:
+    @pytest.mark.parametrize("n,q", [(4, 2), (5, 2), (5, 3)])
+    def test_never_below_lambda_min(self, n, q):
+        rng = np.random.default_rng(300 + 10 * n + q)
+        for u in (random_real_pp(rng, n, n - q),
+                  chern_forms(random_griffiths_curvature(3, n, 3, 0.2, 60 + n + q))[n - q]):
+            assert not weak_positivity_is_exact(u)
+            val, _ = weak_positivity_min(u, samples=3000, seed=4)
+            _, _, lam = pairing_spectrum(u, q)
+            assert val >= lam[0] - 1e-14 * np.max(np.abs(lam))
+
+    @pytest.mark.parametrize("n,q", [(4, 2), (5, 2), (5, 3)])
+    def test_value_is_rayleigh_quotient_of_witness(self, n, q):
+        rng = np.random.default_rng(400 + 10 * n + q)
+        u = random_real_pp(rng, n, n - q)
+        val, witness = weak_positivity_min(u, samples=2000, seed=5)
+        ks, m = _pairing_matrix(u, q)
+        g = np.array(witness)
+        scaled = g.copy()
+        scaled[0] *= 3.7 - 1.2j
+        scaled[-1] *= 0.05
+        got = rayleigh(m, ks, np.stack([g, scaled]))
+        assert np.max(np.abs(got - val)) <= 1e-13 * max(abs(val), 1.0)
+
+
+def merge_sign_uncached(a, b):
+    """Oracle: the Koszul merge sign recomputed on every call."""
+    inv = 0
+    for x in a:
+        for y in b:
+            if x == y:
+                return None, ()
+            if x > y:
+                inv += 1
+    return (-1 if inv % 2 else 1), tuple(sorted(a + b))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_memoized_merge_sign_matches_uncached(n):
+    subsets = [c for k in range(n + 1) for c in itertools.combinations(range(n), k)]
+    for a in subsets:
+        for b in subsets:
+            assert merge_sign(a, b) == merge_sign_uncached(a, b)
+            assert merge_sign(a, b) == merge_sign_uncached(a, b)
+
+
 def recursive_minors(g, ks):
     """Oracle: the former first-row Laplace recursion, one minor at a time."""
     def bdet(a):
@@ -550,3 +694,15 @@ def test_form_rejects_non_finite(bad):
 def test_validate_partition_padding():
     assert validate_partition((2, 1), rank=3, dim=3) == (2, 1, 0)
     assert validate_partition((1, 1, 1), rank=3, dim=5) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("c", [1e-20, 1.0, 1e20])
+def test_curvature_symmetry_check_is_relative(c):
+    entries = c * random_griffiths_curvature(3, 3, 2, 0.2, seed=70).entries
+    wobble = entries.copy()
+    wobble[0, 1, 0, 1] *= 1 + 1e-14
+    assert CurvatureTensor(rank=3, dim=3, entries=wobble).rank == 3
+    bad = entries.copy()
+    bad[0, 1, 0, 1] += 1e-6 * c
+    with pytest.raises(ValueError, match="curvature symmetry defect"):
+        CurvatureTensor(rank=3, dim=3, entries=bad)

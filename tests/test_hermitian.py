@@ -167,3 +167,22 @@ class TestInvSqrt:
 def test_ensure_hermitian_rejects_large_defect():
     with pytest.raises(ValueError):
         ensure_hermitian(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+
+@pytest.mark.parametrize("c", [1e-20, 1.0, 1e20])
+def test_hermitian_check_is_relative(c):
+    # roundoff-size asymmetry passes and a genuine defect fails at every scale
+    rng = np.random.default_rng(43)
+    a = random_hermitian(rng, 3)
+    spd = c * (a @ a.conj().T + 0.5 * np.eye(3))
+    s = inv_sqrt_hermitian(spd)
+    assert np.max(np.abs(s @ spd @ s - np.eye(3))) < 1e-11
+    wobble = spd.copy()
+    wobble[0, 1] *= 1 + 1e-13
+    assert np.allclose(ensure_hermitian(wobble), spd, rtol=0, atol=1e-12 * c)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        ensure_hermitian(c * np.array([[0.0, 1.0], [0.5, 0.0]]))
+    skew = spd.copy()
+    skew[0, 1] += 1e-6 * c
+    with pytest.raises(ValueError, match="not Hermitian"):
+        herm_eigvals(skew)

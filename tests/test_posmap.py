@@ -360,3 +360,15 @@ def test_block_map_rejects_empty_sizes(shape):
 def test_random_kraus_map_rejects_zero_rank():
     with pytest.raises(ValueError, match="at least 1"):
         random_kraus_map(0, 3, 0.1, seed=0)
+
+
+@pytest.mark.parametrize("c", [1e-20, 1.0, 1e20])
+def test_block_symmetry_check_is_relative(c):
+    blocks = c * random_kraus_map(3, 3, 0.2, seed=5).blocks
+    wobble = blocks.copy()
+    wobble[0, 1, 0, 1] *= 1 + 1e-13
+    assert BlockMap(wobble).require_symmetry().r == 3
+    bad = blocks.copy()
+    bad[0, 1, 0, 1] += 1e-3 * c
+    with pytest.raises(ValueError, match="block symmetry defect"):
+        BlockMap(bad).require_symmetry()
