@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     schur_p.add_argument("--input", required=True)
     schur_p.add_argument("--partition", required=True,
                          help="comma-separated, e.g. 2,1,0")
-    schur_p.add_argument("--samples", type=int, default=10_000)
+    schur_p.add_argument("--samples", type=int, default=forms.WEAK_POSITIVITY_SAMPLES)
     schur_p.add_argument("--seed", type=int, default=0)
     schur_p.add_argument("--output")
     schur_p.set_defaults(func=cmd_schur)

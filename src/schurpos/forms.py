@@ -1,16 +1,17 @@
 """Pointwise exterior algebra of forms on C^n: Chern and Schur forms,
 line-bundle twisting, and weak-positivity sampling.
 
-A form is a sparse table of coefficients over pairs (I, J) of strictly
-increasing multi-indices (0-based), representing
+A form has one bidegree (p, q) and a dense complex coefficient array of
+shape (C(n, p), C(n, q)), representing
 
-    u = sum_{I,J} u_{I,J} dz^I wedge dzbar^J ,
+    u = sum_{I,J} u[I, J] dz^I wedge dzbar^J ,
 
-where dz^I = dz^{i_1} ^ ... ^ dz^{i_p}.  All Koszul signs are resolved at
-construction time, so stored keys are always increasing.  Mixed-bidegree
-content is allowed in one Form (the total Chern form is inhomogeneous);
-operations that need a pure (p, p) form validate it.  The algebra is total:
-a product beyond top degree is the zero form, never an error.
+where rows I and columns J run over the strictly increasing multi-indices
+(0-based) in ``itertools.combinations(range(n), .)`` order, and
+dz^I = dz^{i_1} ^ ... ^ dz^{i_p}.  Every Koszul sign comes from the memoized
+merge tensor ``merge_tensor(n, a, b)``, so ``wedge`` is two matmuls.  The
+algebra is total: C(n, p) = 0 for p > n, so a product beyond top degree is a
+form with an empty coefficient array, never an error.
 
 Conventions fixed here and relied on everywhere:
 
@@ -47,11 +48,10 @@ Everything is pointwise linear algebra: no d, no global structure.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -64,126 +64,120 @@ CURVATURE_SYMMETRY_TOL = 1e-12
 
 TWO_PI = 2.0 * math.pi
 
+#: Default sample count of ``weak_positivity_min`` (and of ``schurpos schur``).
+WEAK_POSITIVITY_SAMPLES = 10_000
+
 #: Samples per seeded block of ``weak_positivity_min``.
 WEAK_POSITIVITY_BLOCK = 1 << 12
 
 
 @cache
-def merge_sign(a: tuple, b: tuple) -> tuple[int, tuple] | tuple[None, tuple]:
-    """Sign to interleave two increasing index tuples, or (None, ()) on overlap.
+def merge_tensor(n: int, a: int, b: int) -> np.ndarray:
+    """Koszul signs of the exterior product of a-vectors and b-vectors on C^n.
 
-    Memoized: the keys are pairs of index subsets, at most 4^n of them.
+    E[i, j, k] = +-1 when the i-th a-subset and the j-th b-subset of range(n)
+    (``combinations`` order) are disjoint with union the k-th (a+b)-subset,
+    the sign that sorts their concatenation; 0 otherwise.  Read-only and
+    memoized; its last axis is empty when a + b > n.
     """
-    inv = 0
-    for x in a:
-        for y in b:
-            if x == y:
-                return None, ()
-            if x > y:
-                inv += 1
-    return (-1 if inv % 2 else 1), tuple(sorted(a + b))
+    index = {k: c for c, k in enumerate(combinations(range(n), a + b))}
+    e = np.zeros((math.comb(n, a), math.comb(n, b), len(index)))
+    for x, i in enumerate(combinations(range(n), a)):
+        for y, j in enumerate(combinations(range(n), b)):
+            if not set(i) & set(j):
+                e[x, y, index[tuple(sorted(i + j))]] = (-1) ** sum(s > t for s in i for t in j)
+    e.flags.writeable = False
+    return e
 
 
 class Form:
-    """Sparse complex form on C^n keyed by (I, J) increasing multi-indices."""
+    """Complex (p, q)-form on C^n: coeffs[I, J] multiplies dz^I ^ dzbar^J, with
+    rows and columns in ``combinations(range(n), p)`` and ``(.., q)`` order."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "p", "q", "coeffs")
 
-    def __init__(self, n: int, coeffs: dict | None = None):
-        self.n = n
-        self.coeffs = dict(coeffs) if coeffs else {}
-        if not all(map(cmath.isfinite, self.coeffs.values())):
+    def __init__(self, n: int, p: int, q: int, coeffs):
+        self.n, self.p, self.q = n, p, q
+        self.coeffs = np.array(coeffs, dtype=complex)
+        shape = (math.comb(n, p), math.comb(n, q))
+        if self.coeffs.shape != shape:
+            raise ValueError(f"({p},{q})-form on C^{n} needs coefficients of shape "
+                             f"{shape}, got {self.coeffs.shape}")
+        if not np.isfinite(self.coeffs).all():
             raise ValueError("form has non-finite coefficients")
 
     @classmethod
     def one(cls, n: int) -> "Form":
-        return cls(n, {((), ()): 1.0 + 0.0j})
+        return cls(n, 0, 0, [[1.0]])
 
     @classmethod
-    def zero(cls, n: int) -> "Form":
-        return cls(n)
+    def zero(cls, n: int, p: int, q: int) -> "Form":
+        return cls(n, p, q, np.zeros((math.comb(n, p), math.comb(n, q))))
 
     def __add__(self, other: "Form") -> "Form":
-        if self.n != other.n:
-            raise ValueError("ambient dimensions differ")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0.0j) + v
-        return Form(self.n, out)
+        if (self.n, self.p, self.q) != (other.n, other.p, other.q):
+            raise ValueError(f"forms differ in (n, p, q): {(self.n, self.p, self.q)} "
+                             f"!= {(other.n, other.p, other.q)}")
+        return Form(self.n, self.p, self.q, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-1.0) * other
 
     def __mul__(self, scalar) -> "Form":
-        s = complex(scalar)
-        return Form(self.n, {k: s * v for k, v in self.coeffs.items()})
+        return Form(self.n, self.p, self.q, complex(scalar) * self.coeffs)
 
     __rmul__ = __mul__
 
-    def bidegrees(self) -> set[tuple[int, int]]:
-        return {(len(i), len(j)) for i, j in self.coeffs}
-
     def conjugate(self) -> "Form":
         """Complex conjugate form: swaps I and J with the (-1)^{pq} reorder sign."""
-        return Form(self.n, {(j, i): (-1.0 if len(i) * len(j) % 2 else 1.0) * np.conj(v)
-                             for (i, j), v in self.coeffs.items()})
+        return Form(self.n, self.q, self.p, (-1) ** (self.p * self.q) * self.coeffs.conj().T)
 
     def max_abs(self) -> float:
-        return max((abs(v) for v in self.coeffs.values()), default=0.0)
+        return float(np.abs(self.coeffs).max(initial=0.0))
 
     def __repr__(self) -> str:
-        return f"Form(n={self.n}, terms={len(self.coeffs)}, degrees={sorted(self.bidegrees())})"
+        return f"Form(n={self.n}, bidegree=({self.p},{self.q}))"
 
 
 def max_coeff_diff(u: Form, v: Form) -> float:
-    """Largest coefficient discrepancy between two forms."""
-    keys = set(u.coeffs) | set(v.coeffs)
-    return max((abs(u.coeffs.get(k, 0.0j) - v.coeffs.get(k, 0.0j)) for k in keys),
-               default=0.0)
+    """Largest coefficient discrepancy between two forms of one bidegree."""
+    return (u - v).max_abs()
 
 
 def wedge(u: Form, v: Form) -> Form:
     """Exterior product.  Koszul sign: moving dzbar^{J1} past dz^{I2} gives
-    (-1)^{|J1| |I2|}, then both index merges contribute their sorting signs.
+    (-1)^{q_u p_v}; the merges I1 + I2 and J1 + J2 contribute the signs of
+    ``merge_tensor``, contracted against kron(u.coeffs, v.coeffs), whose rows
+    run over (I1, I2) and columns over (J1, J2).
 
-    Term pairs beyond top degree vanish by index overlap, so a product beyond
-    top degree is the zero form.
+    A product beyond top degree is a form with an empty coefficient array.
     """
     if u.n != v.n:
         raise ValueError("ambient dimensions differ")
-    out: dict = {}
-    for (i1, j1), a in u.coeffs.items():
-        sgn_flip = -1.0 if len(j1) % 2 else 1.0
-        for (i2, j2), b in v.coeffs.items():
-            si, mi = merge_sign(i1, i2)
-            if si is None:
-                continue
-            sj, mj = merge_sign(j1, j2)
-            if sj is None:
-                continue
-            s = si * sj * (sgn_flip if len(i2) % 2 else 1.0)
-            key = (mi, mj)
-            out[key] = out.get(key, 0.0j) + s * a * b
-    return Form(u.n, out)
+    ei, ej = (e.reshape(e.shape[0] * e.shape[1], e.shape[2])
+              for e in (merge_tensor(u.n, u.p, v.p), merge_tensor(u.n, u.q, v.q)))
+    kron = (u.coeffs[:, None, :, None] * v.coeffs[None, :, None, :]).reshape(len(ei), len(ej))
+    coeffs = ei.T @ kron @ ej
+    return Form(u.n, u.p + v.p, u.q + v.q, (-1) ** (u.q * v.p) * coeffs)
+
+
+def _volume_phase(n: int) -> complex:
+    """tau / c for the top form c dz^{1..n} ^ dzbar^{1..n}."""
+    return (-1.0j) ** n * (-1.0) ** (n * (n - 1) // 2)
 
 
 def volume_coefficient(u: Form) -> complex:
-    """tau with (top part of u) = tau * i^n dz^1 ^ dzbar^1 ^ ... ^ dz^n ^ dzbar^n."""
-    n = u.n
-    full = tuple(range(n))
-    c = u.coeffs.get((full, full), 0.0j)
-    return c * (-1.0j) ** n * (-1.0) ** (n * (n - 1) // 2)
+    """tau with (top part of u) = tau * i^n dz^1 ^ dzbar^1 ^ ... ^ dz^n ^ dzbar^n;
+    0 unless u has bidegree (n, n)."""
+    if (u.p, u.q) != (u.n, u.n):
+        return 0j
+    return complex(u.coeffs[0, 0]) * _volume_phase(u.n)
 
 
 def is_real_pp(u: Form, tol: float = 1e-12) -> bool:
-    """Check the reality invariant u_{J,I} = (-1)^p conj(u_{I,J})."""
-    for (i, j), v in u.coeffs.items():
-        if len(i) != len(j):
-            return False
-        sign = -1.0 if len(i) % 2 else 1.0
-        if abs(u.coeffs.get((j, i), 0.0j) - sign * np.conj(v)) > tol:
-            return False
-    return True
+    """Check the reality invariant u_{J,I} = (-1)^p conj(u_{I,J}), that is,
+    that u is a (p, p)-form equal to its conjugate."""
+    return u.p == u.q and max_coeff_diff(u, u.conjugate()) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -249,23 +243,20 @@ def restrict_fiber(tensor: CurvatureTensor, subset) -> CurvatureTensor:
 
 def curvature_form_matrix(tensor: CurvatureTensor) -> list[list[Form]]:
     """The rank x rank matrix of (1,1)-forms Theta[i][j] = sum R[i,j,a,b] dz^a ^ dzbar^b."""
-    n = tensor.dim
-    keys = [((a,), (b,)) for a in range(n) for b in range(n)]
-    return [[Form(n, {k: v for k, v in zip(keys, block.ravel().tolist()) if v})
-             for block in row] for row in tensor.entries]
+    return [[Form(tensor.dim, 1, 1, block) for block in row] for row in tensor.entries]
 
 
-def det_forms(entries: list[list[Form]]) -> Form:
+def det_forms(entries: list[list[Form | None]]) -> Form | None:
     """Determinant of a matrix of commuting (even) forms as the Leibniz sum
     sum_sigma sgn(sigma) entries[0][sigma(0)] ^ ... ^ entries[r-1][sigma(r-1)].
+
+    A None entry is a structural zero (as in Jacobi-Trudi): the terms that
+    contain one are skipped, and None is returned when every term is.
     """
-    total = Form.zero(entries[0][0].n)
-    for perm, sign in signed_permutations(len(entries)):
-        factors = [row[j] for row, j in zip(entries, perm)]
-        # an empty factor (a structural zero, as in Jacobi-Trudi) zeroes the term: skip its wedges
-        if all(f.coeffs for f in factors):
-            total = total + sign * reduce(wedge, factors)
-    return total
+    terms = [sign * reduce(wedge, factors)
+             for perm, sign in signed_permutations(len(entries))
+             if None not in (factors := [row[j] for row, j in zip(entries, perm)])]
+    return reduce(Form.__add__, terms) if terms else None
 
 
 def chern_forms(tensor: CurvatureTensor) -> list[Form]:
@@ -274,7 +265,7 @@ def chern_forms(tensor: CurvatureTensor) -> list[Form]:
     c_k[I, J] = (i/2pi)^k (-1)^{k(k-1)/2} k! sum_{|S|=k} sum_sigma sgn(sigma)
     D((R[S_m, S_sigma(m)][I, J])_m): one ``mixed_discriminant`` call per k
     over the words of every fiber subset S, base pair (I, J) and sigma.  c_k
-    holds every (k, k) key, zeros included; c_k = 0 for k > dim.
+    is the (k, k) zero form for k > dim.
     """
     if tensor.rank > 5 or tensor.dim > 5:
         raise ValueError("chern_forms is desk-scale: rank <= 5 and dim <= 5")
@@ -282,21 +273,18 @@ def chern_forms(tensor: CurvatureTensor) -> list[Form]:
     cs = [Form.one(n)]
     for k in range(1, r + 1):
         if k > n:
-            cs.append(Form.zero(n))
+            cs.append(Form.zero(n, k, k))
             continue
         perms, signs = permutation_table(k)
         fiber = np.array(list(combinations(range(r), k)))
-        base = list(combinations(range(n), k))
-        ij = np.array(base)
+        ij = np.array(list(combinations(range(n), k)))
         # words[S, I, J, p, m] = R[S_m, S_perms[p, m]][I, J], a k x k matrix
         words = tensor.entries[fiber[:, None, None, None, :, None, None],
                                fiber[:, perms][:, None, None, :, :, None, None],
                                ij[None, :, None, None, None, :, None],
                                ij[None, None, :, None, None, None, :]]
         scale = (1j / TWO_PI) ** k * (-1) ** (k * (k - 1) // 2) * math.factorial(k)
-        coeffs = (mixed_discriminant(words) @ signs).sum(0) * scale
-        # tolist(): Python complex coefficients, so reports built on them stay JSON-ready
-        cs.append(Form(n, dict(zip(product(base, base), coeffs.ravel().tolist()))))
+        cs.append(Form(n, k, k, (mixed_discriminant(words) @ signs).sum(0) * scale))
     return cs
 
 
@@ -320,19 +308,13 @@ def validate_partition(parts, rank: int, dim: int) -> tuple[int, ...]:
 def schur_form(cs: list[Form], parts) -> Form:
     """P_lambda = det(c_{lambda_i - i + j}) over the even-form ring.
 
-    ``cs`` is the full list c_0 .. c_r; out-of-range Chern indices are zero.
+    ``cs`` is the full list c_0 .. c_r; out-of-range Chern indices are the
+    structural zeros of ``det_forms``.
     """
     rank = len(cs) - 1
-    n = cs[0].n
-    lam = validate_partition(parts, rank, n)
-    zero = Form.zero(n)
-
-    def entry(i: int, j: int) -> Form:
-        k = lam[i] - i + j
-        return cs[k] if 0 <= k <= rank else zero
-
-    entries = [[entry(i, j) for j in range(rank)] for i in range(rank)]
-    return det_forms(entries)
+    lam = validate_partition(parts, rank, cs[0].n)
+    return det_forms([[cs[k] if 0 <= (k := lam[i] - i + j) <= rank else None
+                       for j in range(rank)] for i in range(rank)])
 
 
 def c3_principal_minors(tensor: CurvatureTensor) -> Form:
@@ -341,14 +323,13 @@ def c3_principal_minors(tensor: CurvatureTensor) -> Form:
         raise ValueError("c3 needs rank >= 3")
     theta = curvature_form_matrix(tensor)
     total = sum((det_forms([[theta[i][j] for j in sub] for i in sub])
-                 for sub in combinations(range(tensor.rank), 3)), Form.zero(tensor.dim))
+                 for sub in combinations(range(tensor.rank), 3)), Form.zero(tensor.dim, 3, 3))
     return ((1j / TWO_PI) ** 3) * total
 
 
 def standard_omega(n: int) -> Form:
     """The strongly positive reference (1,1)-form (i/2pi) sum_a dz^a ^ dzbar^a."""
-    fac = 1j / TWO_PI
-    return Form(n, {((a,), (a,)): fac for a in range(n)})
+    return Form(n, 1, 1, (1j / TWO_PI) * np.eye(n))
 
 
 def twist_chern(cs: list[Form], eps: float, omega: Form) -> list[Form]:
@@ -377,27 +358,18 @@ def twist_chern(cs: list[Form], eps: float, omega: Form) -> list[Form]:
 # Weak positivity
 # ---------------------------------------------------------------------------
 
-def _homogeneous_pp(u: Form) -> int:
-    degs = u.bidegrees() or {(0, 0)}
-    if len(degs) != 1:
-        raise ValueError(f"form is not homogeneous: bidegrees {sorted(degs)}")
-    p, q = next(iter(degs))
-    if p != q:
-        raise ValueError(f"form has bidegree ({p},{q}), not (p,p)")
-    return p
-
-
 def _pairing_matrix(u: Form, q: int) -> tuple[list[tuple], np.ndarray]:
     """M[K, L] = tau(u ^ i^{q^2} dz^K ^ dzbar^L) over all q-multi-indices.
 
     For decomposable beta with Pluecker coordinates b, the tested volume
-    coefficient is exactly  tau = sum_{K,L} b_K M[K,L] conj(b_L).
+    coefficient is exactly  tau = sum_{K,L} b_K M[K,L] conj(b_L).  Each
+    p-subset I meets one q-subset, its complement, with the sign
+    e[I, K] = merge_tensor(n, p, q)[I, K, 0], so M = phase e^T u e.
     """
     ks = list(combinations(range(u.n), q))
-    phase = (1j) ** (q * q)
-    m = np.array([[volume_coefficient(wedge(u, Form(u.n, {(k, l): phase}))) for l in ks]
-                  for k in ks])
-    return ks, m
+    e = merge_tensor(u.n, u.p, q)[:, :, 0]
+    phase = (1j) ** (q * q) * (-1) ** (u.q * q) * _volume_phase(u.n)
+    return ks, phase * (e.T @ u.coeffs @ e)
 
 
 def _batched_minors(g: np.ndarray, ks: list[tuple]) -> np.ndarray:
@@ -415,30 +387,25 @@ def _batched_minors(g: np.ndarray, ks: list[tuple]) -> np.ndarray:
 def weak_positivity_is_exact(u: Form) -> bool:
     """Whether every (q,0)-form is decomposable, q = n - p (q <= 1 or q >= n - 1),
     so that ``weak_positivity_min`` is exact rather than sampled."""
-    q = u.n - _homogeneous_pp(u)
-    return not 2 <= q <= u.n - 2
+    if u.p != u.q:
+        raise ValueError(f"form has bidegree ({u.p},{u.q}), not (p,p)")
+    return not 2 <= u.n - u.p <= u.n - 2
 
 
-def _covectors(b: np.ndarray, ks: list[tuple], n: int) -> np.ndarray:
+def _covectors(b: np.ndarray, n: int, q: int) -> np.ndarray:
     """q orthonormal covectors (rows) whose Pluecker vector is the decomposable
     unit b up to a phase, which no volume coefficient sees.
 
     Contracting beta by dz^{K'}, K' a (q-1)-multi-index, leaves the vector
-    sum_j sgn(K', j) b_{K' + j} e_j of its span; the top q right singular
-    vectors of these rows are an orthonormal basis of that span.
+    sum_j sgn(K', j) b_{K' + j} e_j of its span: the rows of
+    merge_tensor(n, q - 1, 1) @ b.  The top q right singular vectors of these
+    rows are an orthonormal basis of that span.
     """
-    q = len(ks[0])
-    index = {k: a for a, k in enumerate(ks)}
-    rows = np.zeros((math.comb(n, q - 1), n), dtype=complex)
-    for a, kp in enumerate(combinations(range(n), q - 1)):
-        for j in range(n):
-            sign, key = merge_sign(kp, (j,))
-            if sign is not None:
-                rows[a, j] = sign * b[index[key]]
-    return np.linalg.svd(rows)[2][:q]
+    return np.linalg.svd(merge_tensor(n, q - 1, 1) @ b)[2][:q]
 
 
-def weak_positivity_min(u: Form, samples: int, seed: int) -> tuple[float, list[np.ndarray]]:
+def weak_positivity_min(u: Form, samples: int = WEAK_POSITIVITY_SAMPLES,
+                        seed: int = 0) -> tuple[float, list[np.ndarray]]:
     """Minimum volume coefficient of u ^ i^{q^2} beta ^ betabar, q = n - p,
     over decomposable beta = beta_1 ^ ... ^ beta_q with unit Pluecker vector
     b, and the covectors beta_i of a minimizer as witness (none for q = 0).
@@ -452,20 +419,19 @@ def weak_positivity_min(u: Form, samples: int, seed: int) -> tuple[float, list[n
     WEAK_POSITIVITY_BLOCK seeded by seed + block index.  A negative minimum
     disproves weak positivity; a positive one proves it on the exact path.
     """
-    p = _homogeneous_pp(u)
-    n = u.n
-    q = n - p
+    n, q = u.n, u.n - u.p
+    exact = weak_positivity_is_exact(u)
     if q < 0:
-        raise ValueError(f"bidegree ({p},{p}) exceeds ambient dimension {n}")
+        raise ValueError(f"bidegree ({u.p},{u.p}) exceeds ambient dimension {n}")
     if samples < 1:
         raise ValueError("need at least one sample")
     if q == 0:
         return float(volume_coefficient(u).real), []
     ks, m = _pairing_matrix(u, q)
-    if weak_positivity_is_exact(u):
+    if exact:
         lam, vecs = np.linalg.eigh((m + m.conj().T) / 2)
         margin = len(ks) * 1e-14 * float(np.max(np.abs(lam)))
-        return float(lam[0]) - margin, list(_covectors(vecs[:, 0].conj(), ks, n))
+        return float(lam[0]) - margin, list(_covectors(vecs[:, 0].conj(), n, q))
     best, witness = np.inf, None
     for block, start in enumerate(range(0, samples, WEAK_POSITIVITY_BLOCK)):
         count = min(WEAK_POSITIVITY_BLOCK, samples - start)

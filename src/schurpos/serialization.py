@@ -2,12 +2,15 @@
 
 One convention everywhere: a complex scalar is a two-element array
 [re, im]; matrices are row-major nested arrays of those.  Multi-indices in
-form files are 1-based (the library uses 0-based tuples internally).
+form files are 1-based (the library uses 0-based tuples internally).  The
+loaders take sizes and multi-index entries only as JSON integers, and values
+only as JSON numbers: never a bool or a string.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import combinations, product
 
 import numpy as np
 
@@ -21,10 +24,15 @@ def complex_to_json(z) -> list[float]:
     return [z.real, z.imag]
 
 
+def _all_numbers(values) -> bool:
+    """Whether every value is a JSON number: int or float, not bool or str."""
+    return set(map(type, values)) <= {int, float}
+
+
 def complex_from_json(v) -> complex:
-    if not isinstance(v, (list, tuple)) or len(v) != 2:
-        raise ValueError(f"expected [re, im], got {v!r}")
-    return complex(float(v[0]), float(v[1]))
+    if not isinstance(v, (list, tuple)) or len(v) != 2 or not _all_numbers(v):
+        raise ValueError(f"expected [re, im] of JSON numbers, got {v!r}")
+    return complex(*v)
 
 
 def matrix_to_json(m) -> list:
@@ -35,11 +43,13 @@ def matrix_to_json(m) -> list:
 
 def _from_pairs(v, shape: tuple) -> np.ndarray:
     """Nested [re, im] pairs as one complex array, which must have ``shape``."""
-    a = np.ascontiguousarray(v, dtype=float)
+    a = np.array(v, dtype=object)
     if a.shape != (*shape, 2):
         raise ValueError(f"expected [re, im] pairs of shape {tuple(shape)}, "
                          f"got an array of shape {a.shape}")
-    return a.view(complex)[..., 0]
+    if not _all_numbers(a.flat):
+        raise ValueError("array entries must be JSON numbers")
+    return a.astype(float).view(complex)[..., 0]
 
 
 def _declared_size(obj: dict, key: str) -> int:
@@ -73,31 +83,33 @@ def curvature_from_json(obj: dict) -> CurvatureTensor:
 
 
 def form_to_json(u: Form) -> dict:
-    degs = u.bidegrees()
-    if len(degs) > 1 or any(p != q for p, q in degs):
-        raise ValueError(f"only pure (p, p) forms serialize; got degrees {sorted(degs)}")
-    p = next(iter(degs))[0] if degs else 0
+    if u.p != u.q:
+        raise ValueError(f"only (p, p) forms serialize; got bidegree ({u.p},{u.q})")
+    ks = list(combinations(range(u.n), u.p))
     entries = [{"I": [x + 1 for x in i], "J": [x + 1 for x in j], "val": complex_to_json(v)}
-               for (i, j), v in sorted(u.coeffs.items())]
-    return {"n": u.n, "p": p, "entries": entries}
+               for (i, j), v in zip(product(ks, ks), u.coeffs.ravel())]
+    return {"n": u.n, "p": u.p, "entries": entries}
 
 
 def form_from_json(obj: dict) -> Form:
     n, p = _declared_size(obj, "n"), obj["p"]
     if type(p) is not int or not 0 <= p <= n:
         raise ValueError(f"'p' must be an integer in [0, n], got {p!r}")
-    coeffs = {}
+    ks = list(combinations(range(n), p))
+    coeffs = np.zeros((len(ks), len(ks)), dtype=complex)
     for e in obj["entries"]:
-        i = tuple(int(x) - 1 for x in e["I"])
-        j = tuple(int(x) - 1 for x in e["J"])
+        if not all(isinstance(e[k], list) and all(type(x) is int for x in e[k])
+                   for k in ("I", "J")):
+            raise ValueError(f"multi-indices must be lists of JSON integers in {e!r}")
+        i, j = (tuple(x - 1 for x in e[k]) for k in ("I", "J"))
         if len(i) != p or len(j) != p:
             raise ValueError(f"multi-index length differs from declared p = {p} in {e!r}")
         if any(x < 0 or x >= n for x in i + j):
             raise ValueError(f"multi-index out of range in {e!r}")
         if any(list(m) != sorted(set(m)) for m in (i, j)):
             raise ValueError(f"multi-index not strictly increasing in {e!r}")
-        coeffs[(i, j)] = coeffs.get((i, j), 0.0j) + complex_from_json(e["val"])
-    return Form(n, coeffs)
+        coeffs[ks.index(i), ks.index(j)] += complex_from_json(e["val"])
+    return Form(n, p, p, coeffs)
 
 
 def phi_report_to_json(rep: PhiReport) -> dict:

@@ -31,7 +31,6 @@ FULL_COUNTS = {
     "schur_instances": 50,
     "minor_tensors": 50,
     "weak_positivity_per_case": 50,
-    "weak_positivity_samples": 10_000,
     "schur_grid": 50,
     "integrand_xis": 1000,
     "twist_instances": 50,
@@ -273,8 +272,6 @@ def criterion_9_weak_positivity(seed: int, limit: int | None = None) -> Criterio
     Schur forms at rank = dim = 3; any negative minimum fails.  Reports how
     many minima were exact eigenvalues and how many sampled."""
     per_case = _count(FULL_COUNTS["weak_positivity_per_case"], limit)
-    samples = (FULL_COUNTS["weak_positivity_samples"] if limit is None
-               else max(100, limit))
     min_tau = np.inf
     worst_case = ""
     exact = {True: 0, False: 0}
@@ -289,7 +286,7 @@ def criterion_9_weak_positivity(seed: int, limit: int | None = None) -> Criterio
                               (2, 0, 0), (2, 1, 0), (3, 0, 0)):
                     targets.append((f"P{parts}", forms.schur_form(cs, parts)))
             for name, form in targets:
-                val, _ = forms.weak_positivity_min(form, samples, _sub_seed(sub, 1))
+                val, _ = forms.weak_positivity_min(form)
                 exact[forms.weak_positivity_is_exact(form)] += 1
                 if val < min_tau:
                     min_tau = val

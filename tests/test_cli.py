@@ -22,17 +22,22 @@ def run_json(capsys, *argv):
     return code, (json.loads(out) if out.strip() else None), err
 
 
-def gen_with_nan(tmp_path, *gen_args):
-    """Generate a fixture file, then set the real part of its first entry to NaN."""
-    path = tmp_path / "nan.json"
+def gen_with_entry(tmp_path, entry, *gen_args):
+    """Generate a fixture file, then set the real part of its first entry to ``entry``."""
+    path = tmp_path / "bad.json"
     assert main(["gen", *gen_args, "--output", str(path)]) == 0
     obj = json.loads(path.read_text())
-    entry = obj["blocks"] if "blocks" in obj else obj["R"]
-    while not isinstance(entry[0], float):
-        entry = entry[0]
-    entry[0] = float("nan")
+    row = obj["blocks"] if "blocks" in obj else obj["R"]
+    while not isinstance(row[0], float):
+        row = row[0]
+    row[0] = entry
     path.write_text(json.dumps(obj))
     return path
+
+
+def gen_with_nan(tmp_path, *gen_args):
+    """Generate a fixture file, then set the real part of its first entry to NaN."""
+    return gen_with_entry(tmp_path, float("nan"), *gen_args)
 
 
 def assert_rejected_without_nan(code, out, err):
@@ -218,6 +223,13 @@ class TestPhi:
         assert code == 2
         assert "sinkhorn" in err or "stochastic" in err
 
+    @pytest.mark.parametrize("entry", ["1.0", True, None, {"re": 1.0}])
+    def test_non_number_entry_is_precondition_error(self, capsys, tmp_path, entry):
+        path = gen_with_entry(tmp_path, entry, "kraus", "--rank", "2")
+        code, out, err = run(capsys, "phi", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert "JSON numbers" in err
+
     @pytest.mark.parametrize("method", ["direct", "all"])
     def test_nan_entry_is_precondition_error(self, capsys, tmp_path, method):
         path = gen_with_nan(tmp_path, "kraus", "--rank", "2")
@@ -317,6 +329,13 @@ class TestSchur:
                            "--partition", "1,2,0")
         assert code == 2
 
+    @pytest.mark.parametrize("entry", ["1.0", True, None, {"re": 1.0}])
+    def test_non_number_entry_is_precondition_error(self, capsys, tmp_path, entry):
+        path = gen_with_entry(tmp_path, entry, "curvature")
+        code, out, err = run(capsys, "schur", "--input", str(path), "--partition", "1,0,0")
+        assert (code, out) == (2, "")
+        assert "JSON numbers" in err
+
     def test_nan_entry_is_precondition_error(self, capsys, tmp_path):
         path = gen_with_nan(tmp_path, "curvature")
         assert_rejected_without_nan(*run(
@@ -344,6 +363,14 @@ class TestVerify:
         assert len(obj["criteria"]) == 11
         assert elapsed < 10.0
         assert err.count("[PASS]") == 11
+
+    def test_report_file_has_json_booleans(self, capsys, tmp_path):
+        path = tmp_path / "verify.json"
+        code, out, _ = run(capsys, "verify", "--trials", "1", "--output", str(path))
+        assert (code, out) == (0, "")
+        obj = json.loads(path.read_text())
+        assert obj["all_passed"] is True
+        assert [c["passed"] for c in obj["criteria"]] == [True] * 11
 
     def test_weak_positivity_criterion_counts_exact_targets(self):
         # one tensor per (rank, dim): c3 at four shapes plus six Schur forms at

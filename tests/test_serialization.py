@@ -53,9 +53,8 @@ def test_form_roundtrip_uses_one_based_indices():
     assert obj["p"] == 1
     assert all(min(e["I"]) >= 1 for e in obj["entries"])
     back = ser.form_from_json(obj)
-    keys = set(back.coeffs) | set(c1.coeffs)
-    assert all(abs(back.coeffs.get(k, 0j) - c1.coeffs.get(k, 0j)) == 0.0
-               for k in keys)
+    assert (back.p, back.q) == (1, 1)
+    assert max_coeff_diff(back, c1) == 0.0
 
 
 @pytest.mark.parametrize("bad", [None, [3], 3.0, 0, -1, False])
@@ -84,17 +83,15 @@ def test_form_load_rejects_entries_off_declared_p(i, j):
         ser.form_from_json({"n": 2, "p": 1, "entries": [entry]})
 
 
-@pytest.mark.parametrize("degs", [[(1, 0)], [(0, 2)], [(1, 1), (2, 2)]])
+@pytest.mark.parametrize("degs", [(1, 0), (0, 2), (2, 1)])
 def test_form_save_refuses_non_pure_bidegree(degs):
-    n = 2
-    coeffs = {(tuple(range(p)), tuple(range(q))): 1.0 + 0.0j for p, q in degs}
-    with pytest.raises(ValueError, match=r"only pure \(p, p\) forms"):
-        ser.form_to_json(Form(n, coeffs))
+    with pytest.raises(ValueError, match=r"only \(p, p\) forms"):
+        ser.form_to_json(Form.zero(2, *degs))
 
 
 def test_form_roundtrip_every_degree():
     t = random_griffiths_curvature(3, 3, 2, 0.1, seed=5)
-    for c in [*chern_forms(t), Form.zero(3)]:
+    for c in [*chern_forms(t), Form.zero(3, 2, 2)]:
         obj = ser.form_to_json(c)
         assert max_coeff_diff(ser.form_from_json(obj), c) == 0.0
 
@@ -132,3 +129,39 @@ def test_dump_is_deterministic(tmp_path):
     ser.dump(ser.block_map_to_json(h), str(p1))
     ser.dump(ser.block_map_to_json(h), str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def form_file(**entry):
+    return {"n": 2, "p": 1, "entries": [{"I": [1], "J": [2], "val": [1.0, 0.0], **entry}]}
+
+
+@pytest.mark.parametrize("index", [[1.5], ["1"], [True], [1.0], 1])
+def test_form_load_requires_integer_multi_indices(index):
+    for key in ("I", "J"):
+        with pytest.raises(ValueError, match="lists of JSON integers"):
+            ser.form_from_json(form_file(**{key: index}))
+
+
+@pytest.mark.parametrize("val", [["1", "2"], [True, 0.0], [1.0, None], [[1.0], 0.0]])
+def test_loaders_require_number_values(val):
+    with pytest.raises(ValueError, match="JSON numbers"):
+        ser.complex_from_json(val)
+    with pytest.raises(ValueError, match="JSON numbers"):
+        ser.form_from_json(form_file(val=val))
+
+
+def test_form_load_sums_duplicate_entries():
+    obj = form_file()
+    obj["entries"] += [{"I": [1], "J": [2], "val": [2, -1]}]
+    assert ser.form_from_json(obj).coeffs.tolist() == [[0, 3 - 1j], [0, 0]]
+
+
+@pytest.mark.parametrize("bad", ["1.0", True, None, {"re": 1.0}])
+def test_array_loaders_require_numbers(bad):
+    bm = ser.block_map_to_json(random_kraus_map(2, 2, 0.1, seed=6))
+    curv = ser.curvature_to_json(random_griffiths_curvature(2, 2, 1, 0.1, seed=6))
+    for load, obj, key in ((ser.block_map_from_json, bm, "blocks"),
+                           (ser.curvature_from_json, curv, "R")):
+        obj[key][1][0][1][0][1] = bad
+        with pytest.raises(ValueError, match="JSON numbers"):
+            load(obj)
