@@ -49,7 +49,6 @@ Everything is pointwise linear algebra: no d, no global structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import combinations
 
@@ -57,10 +56,7 @@ import numpy as np
 
 from .discriminants import (mixed_discriminant, permutation_table,
                             sample_unit_sphere, signed_permutations)
-
-#: Hermitian pair symmetry R[i,j,a,b] = conj(R[j,i,b,a]) must hold within this
-#: multiple of the largest entry.
-CURVATURE_SYMMETRY_TOL = 1e-12
+from .posmap import BlockMap
 
 TWO_PI = 2.0 * math.pi
 
@@ -184,32 +180,24 @@ def is_real_pp(u: Form, tol: float = 1e-12) -> bool:
 # Curvature input data
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CurvatureTensor:
-    """Pointwise Chern curvature R[i, j, a, b] = R_{i jbar a bbar}.
+class CurvatureTensor(BlockMap):
+    """Pointwise Chern curvature R[i, j, a, b] = R_{i jbar a bbar} as the block
+    map B_ij[a, b] = R[i, j, a, b], which is positive on rank-one inputs
+    exactly when R is Griffiths positive.
 
-    rank indexes the fiber (i, j), dim the base (a, b).  Hermitian symmetry
-    R[i, j, a, b] = conj(R[j, i, b, a]) is required at construction.
+    ``rank`` (fiber i, j), ``dim`` (base a, b) and ``entries`` read ``r``,
+    ``w`` and ``blocks``; the block symmetry is required at construction.
     """
 
-    rank: int
-    dim: int
-    entries: np.ndarray
+    def __init__(self, rank: int, dim: int, entries):
+        super().__init__(entries)
+        if self.blocks.shape != (rank, rank, dim, dim):
+            raise ValueError(f"entries shape {self.blocks.shape} != {(rank, rank, dim, dim)}")
+        self.require_symmetry()
 
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=complex)
-        expected = (self.rank, self.rank, self.dim, self.dim)
-        if self.rank < 1 or self.dim < 1:
-            raise ValueError(f"rank and dim must be at least 1, got {expected}")
-        if e.shape != expected:
-            raise ValueError(f"entries shape {e.shape} != {expected}")
-        if not np.isfinite(e).all():
-            raise ValueError("curvature entries are non-finite")
-        defect = float(np.max(np.abs(e - np.conj(np.transpose(e, (1, 0, 3, 2))))))
-        if defect > CURVATURE_SYMMETRY_TOL * np.max(np.abs(e)):
-            raise ValueError(f"curvature symmetry defect {defect:.3e} beyond "
-                             f"{CURVATURE_SYMMETRY_TOL:.0e} x largest entry")
-        self.entries = e
+    rank = property(lambda self: self.r)
+    dim = property(lambda self: self.w)
+    entries = property(lambda self: self.blocks)
 
 
 def random_griffiths_curvature(rank: int, dim: int, terms: int, eps: float,
@@ -416,8 +404,13 @@ def weak_positivity_min(u: Form, samples: int = WEAK_POSITIVITY_SAMPLES,
     margin len(ks) 1e-14 max|lambda|, with b = conj(its eigenvector).  For
     2 <= q <= n - 2 it is the least Rayleigh quotient b^T M conj(b) / |b|^2
     over ``samples`` seeded Gaussian unit covectors, in blocks of
-    WEAK_POSITIVITY_BLOCK seeded by seed + block index.  A negative minimum
-    disproves weak positivity; a positive one proves it on the exact path.
+    WEAK_POSITIVITY_BLOCK seeded by seed + block index.
+
+    On the exact path the value is lambda_min - margin: a positive value
+    proves weak positivity, a value below -2 x margin disproves it (then
+    lambda_min < -margin, beyond roundoff), and a value in between is
+    inconclusive.  A sampled value is evidence only; a clearly negative one
+    disproves weak positivity through its witness.
     """
     n, q = u.n, u.n - u.p
     exact = weak_positivity_is_exact(u)

@@ -57,12 +57,6 @@ def herm_eigvals(a) -> np.ndarray:
     return np.linalg.eigvalsh(ensure_hermitian(a))
 
 
-def is_positive_definite(a) -> tuple[bool, float]:
-    """(min eigenvalue > 1e-12, min eigenvalue) for a Hermitian matrix."""
-    lo = float(herm_eigvals(a)[0])
-    return lo > 1e-12, lo
-
-
 def inv_sqrt_hermitian(a) -> np.ndarray:
     """Inverse square root of a Hermitian positive definite matrix.
 

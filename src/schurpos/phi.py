@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .discriminants import mixed_discriminant, moment_exact, permutation_table
-from .posmap import BlockMap, normalization_residual
+from .posmap import SIDE_SWAP, BlockMap, normalization_residual
 
 #: Integral routes demand this much normalization before they make sense.
 NORMALIZATION_RESIDUAL_TOL = 1e-8
@@ -105,7 +105,7 @@ def phi_dual(h: BlockMap) -> PhiReport:
     axis-swapped tensor, and agreement with phi_direct checks that symmetry.
     """
     _require_rank(h, range(1, 5), "phi_dual")
-    rep = phi_direct(BlockMap(h.blocks.transpose(2, 3, 0, 1)))
+    rep = phi_direct(BlockMap(h.blocks.transpose(SIDE_SWAP)))
     return replace(rep, method="dual")
 
 
@@ -193,11 +193,11 @@ def schur_delta(l1, l2, l3):
     """(sum)^3 + 9 l1 l2 l3 - 4 (sum)(sum of pair products); >= 0 on the
     nonnegative octant, vanishing iff all equal or two equal and one zero.
 
-    Accepts scalars or numpy arrays elementwise.
+    Accepts finite scalars or numpy arrays elementwise.
     """
     a1, a2, a3 = (np.asarray(x, dtype=float) for x in (l1, l2, l3))
-    if np.any(a1 < 0) or np.any(a2 < 0) or np.any(a3 < 0):
-        raise ValueError("schur_delta needs nonnegative arguments")
+    if not all((np.isfinite(a) & (a >= 0)).all() for a in (a1, a2, a3)):
+        raise ValueError("schur_delta needs finite nonnegative arguments")
     s = a1 + a2 + a3
     out = s ** 3 + 9.0 * a1 * a2 * a3 - 4.0 * s * (a1 * a2 + a1 * a3 + a2 * a3)
     return float(out) if out.ndim == 0 else out

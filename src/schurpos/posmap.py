@@ -9,10 +9,11 @@ rank-one inputs reads
 
 and forces the block symmetry B_ij* = B_ji.
 
-``sinkhorn_normalize`` alternately rescales output and input sides until
-the doubly stochastic normalization  sum_i B_ii = r I,  tr B_ij = r d_ij
-holds up to a residual.  Exact scaling matrices exist for positive maps;
-we use the constructive alternation and certify the residual instead.
+``sinkhorn_normalize`` balances the output side, swaps the sides
+(``SIDE_SWAP``) and repeats, until the doubly stochastic normalization
+sum_i B_ii = r I,  tr B_ij = r d_ij  holds up to a residual.  Exact
+scaling matrices exist for positive maps; we use the constructive
+alternation and certify the residual instead.
 
 ``positivity_certificate`` is sampling evidence, not proof: it reports the
 smallest output eigenvalue over seeded unit vectors, refined by batched
@@ -32,12 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discriminants import sample_unit_sphere
-from .forms import CurvatureTensor
 from .hermitian import as_matrix, inv_sqrt_hermitian
 
 #: Block symmetry B_ij* = B_ji must hold within this entrywise defect relative
 #: to the largest entry.
-BLOCK_SYMMETRY_TOL = 1e-10
+BLOCK_SYMMETRY_TOL = 1e-12
+
+#: Axis permutation exchanging the input pair (i, j) and the output pair (a, b).
+SIDE_SWAP = (2, 3, 0, 1)
 
 _CERT_SEED = 0x5EED
 
@@ -157,16 +160,6 @@ def random_kraus_map(r: int, terms: int, eps: float, seed: int) -> BlockMap:
     return from_kraus(cs, eps)
 
 
-def from_curvature(tensor: CurvatureTensor) -> BlockMap:
-    """Block map B_ij[a, b] = R_{i jbar a bbar}.
-
-    Griffiths positivity of the tensor is the same condition as strict
-    positivity of this map on rank-one inputs (quantifying over conjugate
-    base vectors swaps nothing).
-    """
-    return BlockMap(np.array(tensor.entries, dtype=complex))
-
-
 def choi_fixture() -> BlockMap:
     """The rank-3 Choi-type positive, non-decomposable map.
 
@@ -252,21 +245,17 @@ def positivity_certificate(h: BlockMap, grid: int, seed: int,
     return best_val, best_xi
 
 
-def _congruence_output(blocks: np.ndarray, c1: np.ndarray) -> np.ndarray:
-    """B_ij -> C1 B_ij C1*."""
-    return np.einsum("xa,klab,yb->klxy", c1, blocks, c1.conj())
-
-
-def _congruence_input(blocks: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """B_ij -> sum_kl conj(C2_ik) C2_jl B_kl."""
-    return np.einsum("ik,jl,klxy->ijxy", c2.conj(), c2, blocks)
+def _congruence_swapped(blocks: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """B_ij -> C B_ij C*, returned with the sides swapped by SIDE_SWAP."""
+    return np.einsum("xa,klab,yb->xykl", c, blocks, c.conj())
 
 
 def scale(h: BlockMap, c1, c2) -> BlockMap:
     """Operator scaling S_{C1,C2}(H)(X) = C1 H(C2* X C2) C1* on blocks.
 
-    C1 and C2 must be invertible: the smallest singular value of each must
-    exceed 1e-12 times its largest (a scale-invariant test).
+    On the swapped blocks the input side is scaled like the output side, by
+    conj(C2).  C1 and C2 must be invertible: the smallest singular value of
+    each must exceed 1e-12 times its largest (a scale-invariant test).
     """
     m1, m2 = as_matrix(c1), as_matrix(c2)
     if m1.shape[0] != h.w:
@@ -278,7 +267,7 @@ def scale(h: BlockMap, c1, c2) -> BlockMap:
         if not sv[-1] > 1e-12 * sv[0]:
             raise ValueError("scaling matrices must be invertible "
                              "(smallest singular value > 1e-12 x largest)")
-    return BlockMap(_congruence_input(_congruence_output(h.blocks, m1), m2))
+    return BlockMap(_congruence_swapped(_congruence_swapped(h.blocks, m1), m2.conj()))
 
 
 def trace_matrix(h: BlockMap) -> np.ndarray:
@@ -301,12 +290,13 @@ def sinkhorn_normalize(h: BlockMap, tol: float = 1e-10, max_iter: int = 500,
                        check_positive: bool = True) -> ScalingResult:
     """Alternately rescale H until doubly stochastic within ``tol``.
 
-    Left step: with L = H(I)/r, congruence by L^{-1/2} makes H(I) = rI
-    exactly.  Right step: the input-side update transforms the trace matrix
-    as T -> conj(C2) T C2^T, so C2 = sqrt(r) conj(T^{-1/2}) makes T = rI
-    exactly.  Singular L or T aborts: the map is not strictly positive.
-    With ``check_positive`` a 256-sample positivity certificate must first
-    exceed 1e-12 lambda_max(H(I)) (scale-invariant: H(xi xi*) <= H(I)).
+    One half-step, applied to each side in turn: congruence by
+    C = (sum_i B_ii / r)^{-1/2} makes sum_i B_ii = rI exactly, then the sides
+    swap (SIDE_SWAP), so the next half-step makes T = rI.  C2 is the
+    conjugate of the accumulated input-side steps, as ``scale`` expects.  A
+    singular marginal aborts: the map is not strictly positive.  With
+    ``check_positive`` a 256-sample positivity certificate must first exceed
+    1e-12 lambda_max(H(I)) (scale-invariant: H(xi xi*) <= H(I)).
 
     Returns the scaled map with cumulative C1, C2; ``converged`` is False
     when max_iter is exhausted with residual still above ``tol``.
@@ -324,32 +314,23 @@ def sinkhorn_normalize(h: BlockMap, tol: float = 1e-10, max_iter: int = 500,
             raise NotStrictlyPositiveError(
                 f"certificate min_eig {min_eig:.3e}: map is not strictly positive")
     current = BlockMap(h.blocks.copy())
-    c1_total = np.eye(r, dtype=complex)
-    c2_total = np.eye(r, dtype=complex)
-    sqrt_r = np.sqrt(float(r))
+    totals = [np.eye(r, dtype=complex), np.eye(r, dtype=complex)]
     residual = normalization_residual(current)
     iterations = 0
     while residual >= tol and iterations < max_iter:
-        left = np.einsum("iiab->ab", current.blocks) / r
-        try:
-            c1_step = inv_sqrt_hermitian(left)
-        except RuntimeError as exc:
-            raise NotStrictlyPositiveError(f"left marginal is singular: {exc}") from exc
-        # step matrices are invertible by construction (inv_sqrt_hermitian
-        # refuses near-singular input), so scale's check is skipped
-        current = BlockMap(_congruence_output(current.blocks, c1_step))
-        c1_total = c1_step @ c1_total
-
-        t = trace_matrix(current)
-        try:
-            c2_step = sqrt_r * np.conj(inv_sqrt_hermitian(t))
-        except RuntimeError as exc:
-            raise NotStrictlyPositiveError(f"trace matrix is singular: {exc}") from exc
-        current = BlockMap(_congruence_input(current.blocks, c2_step))
-        c2_total = c2_step @ c2_total
-
+        blocks = current.blocks
+        for side, name in enumerate(("output", "input")):
+            try:
+                step = inv_sqrt_hermitian(np.einsum("iiab->ab", blocks) / r)
+            except RuntimeError as exc:
+                raise NotStrictlyPositiveError(f"{name} marginal is singular: {exc}") from exc
+            blocks = _congruence_swapped(blocks, step)
+            # exact block symmetry: roundoff of ill-conditioned steps breaks it
+            blocks = (blocks + blocks.transpose(1, 0, 3, 2).conj()) / 2
+            totals[side] = step @ totals[side]
+        current = BlockMap(blocks)
         iterations += 1
         residual = normalization_residual(current)
-    return ScalingResult(scaled=current, c1=c1_total, c2=c2_total,
+    return ScalingResult(scaled=current, c1=totals[0], c2=totals[1].conj(),
                          iterations=iterations, residual=residual,
                          converged=residual < tol)

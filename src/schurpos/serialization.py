@@ -97,7 +97,10 @@ def form_from_json(obj: dict) -> Form:
         raise ValueError(f"'p' must be an integer in [0, n], got {p!r}")
     ks = list(combinations(range(n), p))
     coeffs = np.zeros((len(ks), len(ks)), dtype=complex)
-    for e in obj["entries"]:
+    entries = obj["entries"]
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError(f"'entries' must be a list of JSON objects, got {entries!r}")
+    for e in entries:
         if not all(isinstance(e[k], list) and all(type(x) is int for x in e[k])
                    for k in ("I", "J")):
             raise ValueError(f"multi-indices must be lists of JSON integers in {e!r}")

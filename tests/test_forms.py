@@ -18,7 +18,7 @@ from schurpos.forms import (CurvatureTensor, Form, _batched_minors,
                             weak_positivity_is_exact, weak_positivity_min,
                             wedge)
 from schurpos.phi import phi_direct
-from schurpos.posmap import from_curvature, positivity_certificate
+from schurpos.posmap import positivity_certificate
 
 TWO_PI = 2.0 * math.pi
 
@@ -407,7 +407,7 @@ class TestRestrictFiber:
     def test_restriction_stays_positive(self):
         t = random_griffiths_curvature(4, 3, 3, eps=0.3, seed=16)
         sub = restrict_fiber(t, (0, 2, 3))
-        min_eig, _ = positivity_certificate(from_curvature(sub), grid=200, seed=4)
+        min_eig, _ = positivity_certificate(sub, grid=200, seed=4)
         assert min_eig >= 0.3 - 1e-10
 
     def test_invalid_subset(self):
@@ -492,7 +492,7 @@ class TestWeakPositivity:
         for seed in (23, 24, 25):
             t = random_griffiths_curvature(k, k, 2, 0.3, seed=seed)
             tau, _ = weak_positivity_min(chern_forms(t)[k], samples=1, seed=0)
-            phi = phi_direct(from_curvature(t)).value
+            phi = phi_direct(t).value
             assert phi > 0.0
             assert abs(tau - math.factorial(k) / TWO_PI ** k * phi) < 1e-10 * abs(phi)
 
@@ -729,6 +729,12 @@ class TestGriffithsGenerator:
             random_griffiths_curvature(3, 3, 2, eps=float("nan"), seed=0)
 
 
+@pytest.mark.parametrize("rank,dim", [(2, 3), (3, 2), (2, 2)])
+def test_curvature_declared_sizes_must_match_entries(rank, dim):
+    with pytest.raises(ValueError, match="entries shape"):
+        CurvatureTensor(rank=rank, dim=dim, entries=np.zeros((3, 3, 3, 3)))
+
+
 def test_curvature_rejects_non_finite():
     entries = np.zeros((2, 2, 2, 2), dtype=complex)
     entries[0, 0, 0, 0] = np.inf
@@ -771,5 +777,5 @@ def test_curvature_symmetry_check_is_relative(c):
     assert CurvatureTensor(rank=3, dim=3, entries=wobble).rank == 3
     bad = entries.copy()
     bad[0, 1, 0, 1] += 1e-6 * c
-    with pytest.raises(ValueError, match="curvature symmetry defect"):
+    with pytest.raises(ValueError, match="block symmetry defect"):
         CurvatureTensor(rank=3, dim=3, entries=bad)

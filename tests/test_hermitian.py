@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from schurpos.hermitian import (det, ensure_hermitian, herm_eig, herm_eigvals,
-                                inv_sqrt_hermitian, is_positive_definite)
+                                inv_sqrt_hermitian)
 
 
 def random_complex(rng, n):
@@ -120,20 +120,6 @@ class TestEigvals:
         a = np.array([[1.0, 0.5 + 1e-12j], [0.5 - 2e-12j, 2.0]])
         vals = herm_eigvals(a)
         assert vals.shape == (2,)
-
-
-class TestPositiveDefinite:
-    def test_identity(self):
-        ok, lo = is_positive_definite(np.eye(3))
-        assert ok and abs(lo - 1.0) < 1e-14
-
-    def test_semidefinite_boundary(self):
-        ok, lo = is_positive_definite(np.diag([1.0, 0.0]))
-        assert not ok and abs(lo) < 1e-14
-
-    def test_indefinite(self):
-        ok, lo = is_positive_definite(np.diag([2.0, -1.0]))
-        assert not ok and abs(lo + 1.0) < 1e-14
 
 
 class TestInvSqrt:

@@ -173,6 +173,10 @@ class TestSchurDelta:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             schur_delta(1.0, -0.1, 0.0)
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            for args in ((bad, 1.0, 1.0), (1.0, np.array([0.5, bad]), 1.0)):
+                with pytest.raises(ValueError, match="finite nonnegative"):
+                    schur_delta(*args)
 
     def test_factored_form(self):
         rng = np.random.default_rng(131)

@@ -5,8 +5,9 @@ import pytest
 
 from schurpos.discriminants import sample_unit_sphere
 from schurpos.forms import CurvatureTensor, random_griffiths_curvature
+from schurpos.phi import phi_direct
 from schurpos.posmap import (BlockMap, NotStrictlyPositiveError, apply_map,
-                             choi_fixture, from_curvature, from_kraus,
+                             choi_fixture, from_kraus,
                              identity_map, normalization_residual,
                              positivity_certificate, random_kraus_map, scale,
                              sinkhorn_normalize, trace_map, trace_matrix,
@@ -217,22 +218,35 @@ class TestChoiFixture:
         assert normalization_residual(scaled) < 1e-14
 
 
-class TestFromCurvature:
-    def test_zero_tensor(self):
-        t = CurvatureTensor(rank=3, dim=3, entries=np.zeros((3, 3, 3, 3)))
-        h = from_curvature(t)
-        assert np.max(np.abs(h.blocks)) == 0.0
-
-    def test_roundtrip_entries(self):
-        t = random_griffiths_curvature(3, 3, 2, 0.1, seed=17)
-        h = from_curvature(t)
-        assert np.array_equal(h.blocks, t.entries)
-
-    def test_griffiths_instance_passes_certificate(self):
+class TestCurvatureTensorIsBlockMap:
+    def test_griffiths_tensor_goes_straight_in(self):
+        # no conversion: the tensor is the block map B_ij[a, b] = R[i, j, a, b]
         t = random_griffiths_curvature(3, 3, 2, eps=0.25, seed=19)
-        h = from_curvature(t)
-        min_eig, _ = positivity_certificate(h, grid=300, seed=2)
+        assert isinstance(t, BlockMap) and t.blocks is t.entries
+        assert (t.r, t.w) == (t.rank, t.dim) == (3, 3)
+        min_eig, _ = positivity_certificate(t, grid=300, seed=2)
         assert min_eig >= 0.25 - 1e-10
+        phi = phi_direct(t).value
+        assert phi > 0.0
+        res = sinkhorn_normalize(t)
+        assert res.converged and res.scaled.symmetry_defect() < 1e-12
+        # scaling multiplies Phi by |det C1|^2 |det C2|^2
+        want = abs(np.linalg.det(res.c1) * np.linalg.det(res.c2)) ** 2 * phi
+        assert abs(phi_direct(res.scaled).value - want) < 1e-9 * want
+
+
+@pytest.mark.parametrize("defect,ok", [(1e-13, True), (1e-11, False)])
+def test_block_maps_and_curvature_share_one_symmetry_tolerance(defect, ok):
+    # BLOCK_SYMMETRY_TOL = 1e-12 relative to the largest entry, for both
+    blocks = 1e5 * random_griffiths_curvature(3, 3, 2, 0.2, seed=70).entries
+    blocks[0, 1, 0, 1] += defect * np.max(np.abs(blocks))
+    for build in (lambda: BlockMap(blocks).require_symmetry(),
+                  lambda: CurvatureTensor(rank=3, dim=3, entries=blocks)):
+        if ok:
+            build()
+        else:
+            with pytest.raises(ValueError, match="block symmetry defect"):
+                build()
 
 
 class TestScale:
@@ -246,13 +260,19 @@ class TestScale:
         out = scale(h, 2.0 * np.eye(3), np.eye(3))
         assert np.max(np.abs(out.blocks - 4.0 * h.blocks)) < 1e-14
 
-    def test_defining_identity(self):
+    @pytest.mark.parametrize("r,w", [(3, 3), (2, 3), (3, 2)])
+    def test_defining_identity(self, r, w):
         rng = np.random.default_rng(29)
-        h = random_kraus_map(3, 3, 0.2, seed=31)
-        c1 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        c2 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        if r == w:
+            h = random_kraus_map(3, 3, 0.2, seed=31)
+        else:
+            h = from_kraus([rng.standard_normal((w, r)) + 1j * rng.standard_normal((w, r))
+                            for _ in range(3)], eps=0.2)
+        assert (h.r, h.w) == (r, w)
+        c1 = rng.standard_normal((w, w)) + 1j * rng.standard_normal((w, w))
+        c2 = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
         s = scale(h, c1, c2)
-        x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        x = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
         want = c1 @ apply_map(h, c2.conj().T @ x @ c2) @ c1.conj().T
         assert np.max(np.abs(apply_map(s, x) - want)) < 1e-11
 
@@ -308,6 +328,21 @@ class TestSinkhorn:
         assert got.converged
         assert got.iterations == want.iterations
         assert np.max(np.abs(got.scaled.blocks - want.scaled.blocks)) < 1e-12
+
+    def test_ill_conditioned_output_side_is_absorbed(self):
+        # C H C* normalizes like H even for cond(C) ~ 1e4, whose first step
+        # loses block symmetry to roundoff unless every step restores it
+        h = random_kraus_map(3, 2, 1e-2, seed=0)
+        rng = np.random.default_rng(0)
+        c = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        want = sinkhorn_normalize(h)
+        got = sinkhorn_normalize(scale(h, c @ np.diag([1e-2, 1.0, 1e2]), np.eye(3)))
+        assert got.converged and got.iterations == want.iterations
+        assert got.scaled.symmetry_defect() == 0.0
+        # the normal form is unique up to unitary congruence, which fixes Phi;
+        # cond(C)^2 ~ 1e8 costs about eight digits of it
+        phi = phi_direct(want.scaled).value
+        assert abs(phi_direct(got.scaled).value - phi) < 1e-6 * phi
 
     @pytest.mark.parametrize("r,seed", [(2, 53), (3, 59), (4, 61)])
     def test_random_kraus_normalizes(self, r, seed):

@@ -110,6 +110,12 @@ def test_form_load_rejects_unsorted_multi_index(key, index):
         ser.form_from_json({"n": 2, "p": 2, "entries": [entry]})
 
 
+@pytest.mark.parametrize("entries", [5, [[1, 2]], {"I": [1]}, [None], "I"])
+def test_form_load_rejects_entries_not_a_list_of_objects(entries):
+    with pytest.raises(ValueError, match="list of JSON objects"):
+        ser.form_from_json({"n": 2, "p": 1, "entries": entries})
+
+
 def test_form_load_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite"):
         ser.form_from_json({"n": 2, "p": 1,
