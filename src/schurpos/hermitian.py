@@ -7,8 +7,9 @@ HERMITIAN_TOL of the largest entry) and hands the kernels to LAPACK through
 numpy.linalg:
 
 * ``det`` is ``np.linalg.det``,
-* ``herm_eig`` / ``herm_eigvals`` are ``np.linalg.eigh`` /
-  ``np.linalg.eigvalsh`` on the symmetrized input.
+* ``herm_eigvals`` is ``np.linalg.eigvalsh`` on the symmetrized input,
+* ``inv_sqrt_hermitian`` is ``np.linalg.eigh`` on an unchecked ndarray,
+  for the Sinkhorn loop, whose marginals are Hermitian by construction.
 """
 
 from __future__ import annotations
@@ -47,26 +48,23 @@ def det(a) -> complex:
     return complex(np.linalg.det(as_matrix(a)))
 
 
-def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix."""
-    return np.linalg.eigh(ensure_hermitian(a))
-
-
 def herm_eigvals(a) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix."""
     return np.linalg.eigvalsh(ensure_hermitian(a))
 
 
-def inv_sqrt_hermitian(a) -> np.ndarray:
-    """Inverse square root of a Hermitian positive definite matrix.
+def inv_sqrt_hermitian(m: np.ndarray) -> np.ndarray:
+    """Inverse square root of a Hermitian positive definite ndarray.
 
-    Eigenvalues below the floor 1e-14 x (largest eigenvalue) are clamped to
-    it before inversion, but the clamp may only absorb floating-point
-    wobble: if it moves an eigenvalue by more than 1e-8 of the floor
-    itself, or the largest eigenvalue is not positive, the matrix is
-    effectively singular and we refuse to continue.
+    The caller guarantees Hermitian input (eigh reads its lower triangle);
+    the Sinkhorn loop calls this once per half-step.  Eigenvalues below the
+    floor 1e-14 x (largest eigenvalue) are clamped to it before inversion,
+    but the clamp may only absorb floating-point wobble: if it moves an
+    eigenvalue by more than 1e-8 of the floor itself, or the largest
+    eigenvalue is not positive, the matrix is effectively singular and we
+    refuse to continue.
     """
-    vals, vecs = herm_eig(a)
+    vals, vecs = np.linalg.eigh(m)
     floor = 1e-14 * float(vals[-1])
     if not floor > 0 or floor - float(vals[0]) > 1e-8 * floor:
         raise RuntimeError(

@@ -16,11 +16,13 @@ scaling matrices exist for positive maps; we use the constructive
 alternation and certify the residual instead.
 
 ``positivity_certificate`` is sampling evidence, not proof: it reports the
-smallest output eigenvalue over seeded unit vectors, refined by batched
-coordinate descent: each round evaluates all 4r moves at once and halves
-the step when none improves, until it falls below 1e-12.  A clearly
-negative value (with its witness vector) disproves positivity; a positive
-value is only evidence.  Maps on the boundary of the positive cone
+smallest output eigenvalue over seeded unit vectors, refined by a seesaw
+of exact minimizations of u* H(xi xi*) u: u = bottom eigenvector of
+H(xi xi*), then xi = conj of the bottom eigenvector of K_ij = u* B_ij u
+(Hermitian by block symmetry), until a round lowers the value by at most
+1e-15 x max|B|.  A clearly negative value (with its witness vector)
+disproves positivity; a positive value is only evidence of a local
+minimum.  Maps on the boundary of the positive cone
 (rank-deficient outputs somewhere, e.g. the identity map or the Choi map)
 legitimately refine to zero up to floating-point noise.
 """
@@ -201,47 +203,54 @@ def _min_output_eigs(h: BlockMap, xis: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(mats)[:, 0]
 
 
+def _seesaw(blocks: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Seesaw from xi (see the module docstring): u* H(xi xi*) u =
+    conj(xi)* K conj(xi), minimized over u, then over xi."""
+    r, w = blocks.shape[0], blocks.shape[2]
+    tol = 1e-15 * float(abs(blocks).max())
+    best, val = xi, np.inf
+    for _ in range(2000):
+        out = xi.conj() @ (xi @ blocks.reshape(r, -1)).reshape(r, -1)
+        vals, vecs = np.linalg.eigh(out.reshape(w, w))
+        if vals[0] < val:
+            best = xi
+        if not vals[0] < val - tol:
+            break
+        val, u = vals[0], vecs[:, 0]
+        k = blocks.reshape(r * r, w, w) @ u @ u.conj()
+        xi = np.linalg.eigh(k.reshape(r, r))[1][:, 0].conj()
+    return best
+
+
 def positivity_certificate(h: BlockMap, grid: int, seed: int,
                            refine: bool = True) -> tuple[float, np.ndarray]:
     """Minimize the smallest eigenvalue of H(xi xi*) over sampled unit xi.
 
-    Runs ``grid`` seeded samples in chunks of 2^14, then (optionally)
-    refinement rounds from the best one.  Each chunk and each round is one
-    batch of unit vectors whose argmin is kept if it improves.  A round's
-    batch is the 4r renormalized moves xi +- step e_c, xi +- i step e_c; a
-    round without improvement halves step (from 0.5).  Stops once
-    step < 1e-12, or after 2000 rounds.
+    Runs ``grid`` seeded samples in chunks of 2^14, keeping the best one,
+    then (optionally) refines it by the seesaw for at most 2000 rounds.  A
+    block-asymmetric map raises ValueError (K would not be Hermitian).
 
-    Returns (min_eig, witness xi).  min_eig > 0 is evidence of positivity;
-    min_eig clearly below zero disproves it and the witness exhibits the
-    failure.
+    Returns (min_eig, witness xi) with min_eig = lambda_min(H(xi xi*)).
+    min_eig > 0 is evidence of positivity; min_eig clearly below zero
+    disproves it and the witness exhibits the failure.
     """
     if grid < 1:
         raise ValueError("grid must be at least 1")
+    h.require_symmetry()
     best_val, best_xi = np.inf, None
 
-    def improves(xis: np.ndarray) -> bool:
+    def keep_best(xis: np.ndarray) -> None:
         nonlocal best_val, best_xi
         eigs = _min_output_eigs(h, xis)
         k = int(np.argmin(eigs))
         if eigs[k] < best_val:
             best_val, best_xi = float(eigs[k]), xis[k].copy()
-            return True
-        return False
 
     rng = np.random.default_rng(seed)
     for done in range(0, grid, 1 << 14):
-        improves(sample_unit_sphere(rng, min(grid - done, 1 << 14), h.r))
+        keep_best(sample_unit_sphere(rng, min(grid - done, 1 << 14), h.r))
     if refine:
-        moves = np.concatenate([s * np.eye(h.r) for s in (1, -1, 1j, -1j)])
-        step = 0.5
-        for _ in range(2000):
-            cands = best_xi + step * moves
-            cands /= np.linalg.norm(cands, axis=1, keepdims=True)
-            if not improves(cands):
-                step *= 0.5
-                if step < 1e-12:
-                    break
+        keep_best(_seesaw(h.blocks, best_xi)[None])
     return best_val, best_xi
 
 
@@ -270,20 +279,18 @@ def scale(h: BlockMap, c1, c2) -> BlockMap:
     return BlockMap(_congruence_swapped(_congruence_swapped(h.blocks, m1), m2.conj()))
 
 
-def trace_matrix(h: BlockMap) -> np.ndarray:
-    """T with T_ij = tr(B_ij); Hermitian under block symmetry."""
-    return np.einsum("ijaa->ij", h.blocks)
+def _residual(blocks: np.ndarray) -> float:
+    """``normalization_residual`` of square blocks, T_ij = tr B_ij."""
+    eye = blocks.shape[0] * np.eye(blocks.shape[0])
+    return float(np.linalg.norm(np.einsum("iiab->ab", blocks) - eye)
+                 + np.linalg.norm(np.einsum("ijaa->ij", blocks) - eye))
 
 
 def normalization_residual(h: BlockMap) -> float:
     """||sum_i B_ii - rI||_F + ||T - rI||_F; zero iff doubly stochastic."""
-    r = h.r
-    if h.w != r:
+    if h.w != h.r:
         raise ValueError("normalization is defined for square maps (r = w)")
-    eye = r * np.eye(r)
-    left = np.einsum("iiab->ab", h.blocks) - eye
-    right = trace_matrix(h) - eye
-    return float(np.linalg.norm(left) + np.linalg.norm(right))
+    return _residual(h.blocks)
 
 
 def sinkhorn_normalize(h: BlockMap, tol: float = 1e-10, max_iter: int = 500,
@@ -296,7 +303,8 @@ def sinkhorn_normalize(h: BlockMap, tol: float = 1e-10, max_iter: int = 500,
     conjugate of the accumulated input-side steps, as ``scale`` expects.  A
     singular marginal aborts: the map is not strictly positive.  With
     ``check_positive`` a 256-sample positivity certificate must first exceed
-    1e-12 lambda_max(H(I)) (scale-invariant: H(xi xi*) <= H(I)).
+    1e-12 lambda_max(H(I)) (scale-invariant: H(xi xi*) <= H(I)).  A
+    block-asymmetric map raises ValueError.
 
     Returns the scaled map with cumulative C1, C2; ``converged`` is False
     when max_iter is exhausted with residual still above ``tol``.
@@ -308,17 +316,17 @@ def sinkhorn_normalize(h: BlockMap, tol: float = 1e-10, max_iter: int = 500,
         raise ValueError("tol must be positive")
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
+    h.require_symmetry()
     if check_positive:
         min_eig, _ = positivity_certificate(h, grid=256, seed=_CERT_SEED)
         if min_eig <= 1e-12 * np.linalg.eigvalsh(np.einsum("iiab->ab", h.blocks))[-1]:
             raise NotStrictlyPositiveError(
                 f"certificate min_eig {min_eig:.3e}: map is not strictly positive")
-    current = BlockMap(h.blocks.copy())
+    blocks = h.blocks.copy()
     totals = [np.eye(r, dtype=complex), np.eye(r, dtype=complex)]
-    residual = normalization_residual(current)
+    residual = _residual(blocks)
     iterations = 0
     while residual >= tol and iterations < max_iter:
-        blocks = current.blocks
         for side, name in enumerate(("output", "input")):
             try:
                 step = inv_sqrt_hermitian(np.einsum("iiab->ab", blocks) / r)
@@ -328,9 +336,8 @@ def sinkhorn_normalize(h: BlockMap, tol: float = 1e-10, max_iter: int = 500,
             # exact block symmetry: roundoff of ill-conditioned steps breaks it
             blocks = (blocks + blocks.transpose(1, 0, 3, 2).conj()) / 2
             totals[side] = step @ totals[side]
-        current = BlockMap(blocks)
         iterations += 1
-        residual = normalization_residual(current)
-    return ScalingResult(scaled=current, c1=totals[0], c2=totals[1].conj(),
+        residual = _residual(blocks)
+    return ScalingResult(scaled=BlockMap(blocks), c1=totals[0], c2=totals[1].conj(),
                          iterations=iterations, residual=residual,
                          converged=residual < tol)

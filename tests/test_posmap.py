@@ -10,8 +10,7 @@ from schurpos.posmap import (BlockMap, NotStrictlyPositiveError, apply_map,
                              choi_fixture, from_kraus,
                              identity_map, normalization_residual,
                              positivity_certificate, random_kraus_map, scale,
-                             sinkhorn_normalize, trace_map, trace_matrix,
-                             transpose_map)
+                             sinkhorn_normalize, trace_map, transpose_map)
 
 
 def random_unit(rng, r):
@@ -59,11 +58,32 @@ def sequential_certificate(h, grid, seed, refine=True):
     return best_val, best_xi
 
 
+def trace_matrix(blocks):
+    return np.einsum("ijaa->ij", blocks)
+
+
 def choi_mixture(seed):
     rng = np.random.default_rng(seed)
     t = float(rng.uniform(0.2, 0.9))
     kraus = random_kraus_map(3, 3, 0.2, seed=1000 + seed)
     return BlockMap(t * choi_fixture().blocks + (1.0 - t) * kraus.blocks)
+
+
+def cho_kye_lee(a, b, c):
+    """Phi[a,b,c](X) = diag(a x11 + b x22 + c x33, c x11 + a x22 + b x33,
+    b x11 + c x22 + a x33) - X: positive iff a >= 1, a + b + c >= 3 and
+    (a <= 2 => bc >= (2 - a)^2)."""
+    coeffs = np.array([[a, b, c], [c, a, b], [b, c, a]], dtype=float)
+    e = np.eye(3)
+    return BlockMap(np.einsum("ij,ai,ab->ijab", e, coeffs, e)
+                    - np.einsum("ia,jb->ijab", e, e))
+
+
+def asymmetric_kraus_map():
+    """A Kraus map with B_01 += 0.3 I: symmetry defect 0.3, marginal untouched."""
+    blocks = random_kraus_map(3, 3, 0.2, seed=1).blocks.copy()
+    blocks[0, 1] += 0.3 * np.eye(3)
+    return BlockMap(blocks)
 
 
 class TestApply:
@@ -144,6 +164,23 @@ class TestCertificate:
         mat = apply_map(h, np.outer(xi, xi.conj()))
         assert np.min(np.linalg.eigvalsh((mat + mat.conj().T) / 2)) < -0.5
 
+    def test_rejects_block_asymmetric_map(self):
+        with pytest.raises(ValueError, match="block symmetry defect"):
+            positivity_certificate(asymmetric_kraus_map(), grid=50, seed=0)
+
+
+class TestChoKyeLee:
+    def test_negative_control(self):
+        h = cho_kye_lee(1.5, 0.5, 0.5)
+        val, xi = positivity_certificate(h, grid=256, seed=0)
+        assert abs(val + 1.0 / 6.0) < 1e-12
+        assert abs(min_output_eig(h, xi) - val) < 1e-14
+
+    @pytest.mark.parametrize("abc", [(1.0, 1.0, 1.0), (3.0, 0.0, 0.0)])
+    def test_boundary_zeros(self, abc):
+        val, _ = positivity_certificate(cho_kye_lee(*abc), grid=256, seed=0)
+        assert abs(val) < 1e-12
+
 
 class TestBatchedRefinement:
     @pytest.mark.parametrize("r", [2, 3, 4])
@@ -153,6 +190,13 @@ class TestBatchedRefinement:
             got, _ = positivity_certificate(h, grid=256, seed=seed)
             want, _ = sequential_certificate(h, grid=256, seed=seed)
             assert abs(got - want) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_never_worse_than_coordinate_descent_on_choi_mixtures(self, seed):
+        h = choi_mixture(seed)
+        got, _ = positivity_certificate(h, grid=256, seed=seed)
+        want, _ = sequential_certificate(h, grid=256, seed=seed)
+        assert got <= want + 1e-12
 
     @pytest.mark.parametrize("make", [lambda s: random_kraus_map(3, 3, 0.2, seed=s),
                                       choi_mixture, lambda s: choi_fixture()],
@@ -187,12 +231,12 @@ class TestChoiFixture:
         assert h.symmetry_defect() == 0.0
         diag_sum = sum(h.block(i, i) for i in range(3))
         assert np.array_equal(diag_sum, 2.0 * np.eye(3))
-        t = trace_matrix(h)
+        t = trace_matrix(h.blocks)
         assert np.array_equal(t, 2.0 * np.eye(3))
 
     def test_returns_fresh_copy(self):
         choi_fixture().blocks[:] = 0.0
-        assert np.array_equal(trace_matrix(choi_fixture()), 2.0 * np.eye(3))
+        assert np.array_equal(trace_matrix(choi_fixture().blocks), 2.0 * np.eye(3))
 
     def test_certificate_documented_thresholds(self):
         h = choi_fixture()
@@ -353,7 +397,7 @@ class TestSinkhorn:
         eye = r * np.eye(r)
         left = np.einsum("iiab->ab", scaled.blocks)
         assert np.linalg.norm(left - eye) < 1e-10
-        assert np.linalg.norm(trace_matrix(scaled) - eye) < 1e-10
+        assert np.linalg.norm(trace_matrix(scaled.blocks) - eye) < 1e-10
         assert scaled.symmetry_defect() < 1e-10
 
     def test_cumulative_scalings_reproduce_result(self):
@@ -374,6 +418,13 @@ class TestSinkhorn:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             sinkhorn_normalize(trace_map(3, 4))
+
+    @pytest.mark.parametrize("check_positive", [True, False])
+    def test_rejects_block_asymmetric_map(self, check_positive):
+        # the loop re-symmetrizes every step, which would silently replace
+        # the input by its symmetric part
+        with pytest.raises(ValueError, match="block symmetry defect"):
+            sinkhorn_normalize(asymmetric_kraus_map(), check_positive=check_positive)
 
     def test_negative_max_iter_rejected(self):
         with pytest.raises(ValueError, match="max_iter must be nonnegative"):
