@@ -12,18 +12,25 @@ oracle for the others.
 Spherical integrals of products of quadratic forms xi* U xi over the unit
 sphere of C^r reduce to signed-free sums of cycle trace products:
 
-    int prod_i (xi* U_i xi) dmu = (1/(r)_n) sum_{pi in S_n} tr_pi(U_1..U_n)
+    int prod_k (xi* U_k xi) dmu = (1/(r)_n) sum_{pi in S_n} tr_pi(U_1..U_n)
 
 with (r)_n = r(r+1)...(r+n-1) and tr_pi the product over cycles of pi of
-the trace of the word read along the cycle.  Cycles are read from their
-smallest element following pi forward; the full sum over S_n is invariant
-under reversing that orientation (pi <-> pi^{-1} is a bijection), which the
-tests confirm by Monte Carlo.
+the trace of the word read along the cycle.  The sum is symmetric and
+multilinear in the U_k, and on the diagonal it is n! h_n(X), h_n the
+complete homogeneous symmetric polynomial of the eigenvalues of X.
+``moment_exact`` evaluates the full polarization of that diagonal,
 
-``mixed_discriminant``, ``trace_word`` and ``moment_exact`` map one word
-(k, r, r) to a complex and a stack of words (..., k, r, r) to an array (...),
-so the Leibniz terms of ``phi`` go through one call; ``_check_stack`` is the
-one validator of matrix words.
+    (1/(r)_n) sum_{S subset [n]} (-1)^(n-|S|) h_n(sum_{k in S} U_k),
+
+on the 2^n subset sums of ``subset_table`` (which also drives
+``mixed_discriminant_polarized``).  The identity is algebraic, so it holds
+for non-Hermitian words as well; the tests check it against the literal
+cycle-trace sum.
+
+``mixed_discriminant`` and ``moment_exact`` map one word (k, r, r) to a
+complex and a stack of words (..., k, r, r) to an array (...), so the
+Leibniz terms of ``phi`` go through one call; ``_check_stack`` is the one
+validator of matrix words.
 
 The Monte Carlo route ``moment_mc`` runs in real arithmetic.  With
 xi = x + iy, v = (x, y) in R^{2r} and U = A + iB,
@@ -42,13 +49,13 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 
-from .hermitian import det
-
-#: Longest supported moment word; (r)_n stays exactly representable and the
-#: S_n sum stays desk-sized.
+#: Longest supported moment word.  The kernel sums 2^n subset sums, not S_n;
+#: the cap is the longest word the tests check against the literal
+#: cycle-trace sum, and (r)_n stays exactly representable.
 MAX_WORD_LEN = 6
 
 #: Largest tuple size for the permutation-sum mixed discriminant.
@@ -58,66 +65,30 @@ MAX_RANK = 8
 MC_BLOCK = 1 << 16
 
 
-@lru_cache(maxsize=None)
-def signed_permutations(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """All permutations of range(n) with signs, in Heap's order.
-
-    Heap's algorithm emits each successive permutation by a single
-    transposition, so the sign simply alternates; the order is fixed, which
-    makes every signed sum over S_n reproducible bit for bit.
-    """
-    if n == 0:
-        return (((), 1),)
-    perm = list(range(n))
-    out = [(tuple(perm), 1)]
-    sign = 1
-    counters = [0] * n
-    i = 0
-    while i < n:
-        if counters[i] < i:
-            if i % 2 == 0:
-                perm[0], perm[i] = perm[i], perm[0]
-            else:
-                perm[counters[i]], perm[i] = perm[i], perm[counters[i]]
-            sign = -sign
-            out.append((tuple(perm), sign))
-            counters[i] += 1
-            i = 0
-        else:
-            counters[i] = 0
-            i += 1
-    return tuple(out)
-
-
 def rising_factorial(r: int, n: int) -> int:
     """(r)_n = r (r+1) ... (r+n-1), as an exact integer."""
     return math.prod(range(r, r + n))
 
 
-def cycle_decomposition(perm: tuple[int, ...]) -> list[list[int]]:
-    """Cycles of a permutation, each starting at its smallest element."""
-    seen = [False] * len(perm)
-    cycles = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cyc = [start]
-        seen[start] = True
-        nxt = perm[start]
-        while nxt != start:
-            cyc.append(nxt)
-            seen[nxt] = True
-            nxt = perm[nxt]
-        cycles.append(cyc)
-    return cycles
+@lru_cache(maxsize=None)
+def permutation_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All permutations of range(n) in lexicographic order, with their signs
+    (inversion parity), as read-only arrays: perms (n!, n), signs (n!,)."""
+    perms = np.array(list(permutations(range(n))), dtype=np.intp)
+    inversions = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum((1, 2))
+    signs = 1 - 2 * (inversions % 2)
+    perms.flags.writeable = signs.flags.writeable = False
+    return perms, signs
 
 
 @lru_cache(maxsize=None)
-def permutation_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``signed_permutations(n)`` as read-only arrays: perms (n!, n), signs (n!,)."""
-    perms, signs = (np.array(col) for col in zip(*signed_permutations(n)))
-    perms.flags.writeable = signs.flags.writeable = False
-    return perms, signs
+def subset_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All subsets S of range(n) as read-only arrays: indicator rows (2^n, n),
+    row m holding the bits of m, and signs (-1)^(n - |S|) (2^n,)."""
+    rows = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    signs = (-1) ** (n - rows.sum(1))
+    rows.flags.writeable = signs.flags.writeable = False
+    return rows, signs
 
 
 def _check_stack(mats, what: str) -> np.ndarray:
@@ -159,11 +130,8 @@ def mixed_discriminant_polarized(mats) -> complex:
     r = len(ms)
     if ms.shape != (r, r, r) or r > 6:
         raise ValueError(f"polarized route needs r <= 6 matrices of dim r, got shape {ms.shape}")
-    total = 0.0 + 0.0j
-    for mask in range(1, 1 << r):
-        pick = [k for k in range(r) if mask >> k & 1]
-        total += (-1) ** (r - len(pick)) * det(ms[pick].sum(0))
-    return total / math.factorial(r)
+    rows, signs = subset_table(r)
+    return signs @ np.linalg.det(np.tensordot(rows, ms, 1)) / math.factorial(r)
 
 
 def trace_expansion_r2(x, y) -> complex:
@@ -191,26 +159,28 @@ def trace_expansion_r3(u, v, w) -> complex:
     return six_d / 6.0
 
 
-def trace_word(perm: tuple[int, ...], mats) -> complex | np.ndarray:
-    """tr_pi: product over cycles of pi of tr(matrix word along the cycle), per word."""
-    u = np.asarray(mats, dtype=complex)
-    val = 1.0
-    for cyc in cycle_decomposition(perm):
-        word = u[..., cyc[0], :, :]
-        for i in cyc[1:]:
-            word = word @ u[..., i, :, :]
-        val = val * np.trace(word, axis1=-2, axis2=-1)
-    return val
-
-
 def moment_exact(mats) -> complex | np.ndarray:
-    """Exact spherical moment int prod_i (xi* U_i xi) dmu over S^{2r-1}, per word."""
+    """Exact spherical moment int prod_k (xi* U_k xi) dmu over S^{2r-1}, per word.
+
+    The polarization of the diagonal n! h_n (module docstring): Newton's
+    identity m h_m = sum_{j=1..m} p_j h_{m-j} turns the power sums
+    p_j = tr X^j of the 2^n subset sums X of the word into h_n.
+    """
     a = _check_stack(mats, "moment word")
     n, r = a.shape[-3], a.shape[-1]
     if n > MAX_WORD_LEN:
         raise ValueError(f"moment word length {n} exceeds maximum {MAX_WORD_LEN}")
-    total = sum(trace_word(perm, a) for perm, _ in signed_permutations(n))
-    return total / rising_factorial(r, n)
+    rows, signs = subset_table(n)
+    x = (rows @ a.reshape(*a.shape[:-2], r * r)).reshape(*a.shape[:-3], -1, r, r)
+    powers = [x]
+    while len(powers) < n - 1:
+        powers.append(powers[-1] @ x)
+    p = [np.einsum("...ii->...", x)] + [np.einsum("...ij,...ji->...", y, x)
+                                        for y in powers[:n - 1]]
+    h = [1.0]
+    for m in range(1, n + 1):
+        h.append(sum(p[j - 1] * h[m - j] for j in range(1, m + 1)) / m)
+    return h[n] @ signs / rising_factorial(r, n)
 
 
 def sample_unit_sphere(rng: np.random.Generator, shape, r: int) -> np.ndarray:

@@ -54,8 +54,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .discriminants import (mixed_discriminant, permutation_table,
-                            sample_unit_sphere, signed_permutations)
+from .discriminants import mixed_discriminant, permutation_table, sample_unit_sphere
 from .posmap import BlockMap
 
 TWO_PI = 2.0 * math.pi
@@ -241,8 +240,9 @@ def det_forms(entries: list[list[Form | None]]) -> Form | None:
     A None entry is a structural zero (as in Jacobi-Trudi): the terms that
     contain one are skipped, and None is returned when every term is.
     """
+    perms, signs = permutation_table(len(entries))
     terms = [sign * reduce(wedge, factors)
-             for perm, sign in signed_permutations(len(entries))
+             for perm, sign in zip(perms.tolist(), signs.tolist())
              if None not in (factors := [row[j] for row, j in zip(entries, perm)])]
     return reduce(Form.__add__, terms) if terms else None
 
@@ -364,7 +364,7 @@ def _batched_minors(g: np.ndarray, ks: list[tuple]) -> np.ndarray:
     """Pluecker coordinates det(g[:, :, K]) for each K; g has shape (m, q, n).
 
     One Leibniz gather: g[s, m, K[perms[p, m]]] multiplied over m and summed
-    with the signs of the Heap-ordered ``permutation_table``.
+    with the signs of ``permutation_table``.
     """
     q = g.shape[1]
     perms, signs = permutation_table(q)

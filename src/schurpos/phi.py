@@ -115,7 +115,7 @@ def c_matrix(h: BlockMap, xi) -> np.ndarray:
     if v.shape[0] != h.r:
         raise ValueError(f"xi has dim {v.shape[0]}, map has r={h.r}; note w={h.w}")
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:
         raise ValueError(f"xi must be a unit vector (|xi| = {norm})")
     return np.einsum("a,ijab,b->ij", v.conj(), h.blocks, v)
 
@@ -206,11 +206,11 @@ def schur_delta(l1, l2, l3):
 def rank2_norm_identity(h: BlockMap) -> tuple[float, float, float]:
     """Phi = D(B_11, B_22) + ||B_12||^2 / 2 for normalized rank-2 maps.
 
-    Returns (phi, d_term, norm_term); needs tr(B_12) = 0 within 1e-9.
+    Returns (phi, d_term, norm_term); needs tr(B_12) = 0 within 1e-9 x max|B|.
     """
     _require_rank(h, range(2, 3), "rank2_norm_identity")
     off_trace = abs(complex(np.trace(h.block(0, 1))))
-    if off_trace > 1e-9:
+    if off_trace > 1e-9 * np.abs(h.blocks).max():
         raise ValueError(
             f"off-diagonal block trace {off_trace:.3e} != 0: map is not normalized")
     d_term = mixed_discriminant([h.block(0, 0), h.block(1, 1)])

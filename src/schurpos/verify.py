@@ -211,13 +211,13 @@ def criterion_6_moment_identities(seed: int, limit: int | None = None) -> Criter
             est, stderr = moment_mc(us, samples, _sub_seed(seed, 6, r, n, idx, 99))
             if stderr == 0.0:
                 continue
-            worst_sigma = max(worst_sigma, abs(est - exact) / stderr)
+            worst_sigma = max(worst_sigma, float(abs(est - exact) / stderr))
     worst_closed = 0.0
     for idx in range(words):
         rng = np.random.default_rng(_sub_seed(seed, 6, 32, idx))
         u, v = _random_hermitian(3, rng), _random_hermitian(3, rng)
         closed = (np.trace(u) * np.trace(v) + np.trace(u @ v)) / 12.0
-        worst_closed = max(worst_closed, abs(moment_exact([u, v]) - closed))
+        worst_closed = max(worst_closed, float(abs(moment_exact([u, v]) - closed)))
     passed = worst_sigma < 5.0 and worst_closed < 1e-12
     return CriterionResult("6 moment identities", passed,
                            {"max_mc_sigmas": f"{worst_sigma:.2f}",

@@ -18,4 +18,5 @@ SEED = verify.DEFAULT_SEED
 def test_criterion(criterion):
     result = criterion(SEED, limit=None)
     print(result.line())
+    assert type(result.passed) is bool, type(result.passed)
     assert result.passed, result.line()

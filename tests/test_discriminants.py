@@ -8,11 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from schurpos.discriminants import (cycle_decomposition, mixed_discriminant,
+from schurpos.discriminants import (mixed_discriminant,
                                     mixed_discriminant_polarized, moment_exact,
                                     moment_mc, permutation_table,
                                     rising_factorial, sample_unit_sphere,
-                                    signed_permutations, trace_expansion_r2,
+                                    subset_table, trace_expansion_r2,
                                     trace_expansion_r3)
 from schurpos.hermitian import det
 
@@ -38,27 +38,82 @@ def brute_force_mixed(mats):
     return total / math.factorial(r)
 
 
+def cycle_decomposition(perm):
+    """Cycles of a permutation, each starting at its smallest element."""
+    seen = [False] * len(perm)
+    cycles = []
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        cyc = [start]
+        seen[start] = True
+        nxt = perm[start]
+        while nxt != start:
+            cyc.append(nxt)
+            seen[nxt] = True
+            nxt = perm[nxt]
+        cycles.append(cyc)
+    return cycles
+
+
+def cycle_trace_moment(mats, reverse=False):
+    """The definition: (1/(r)_n) sum over S_n of tr_pi, each cycle's word read
+    from its smallest element forward (or backward with ``reverse``)."""
+    us = [np.asarray(m, dtype=complex) for m in mats]
+    total = 0j
+    for perm in itertools.permutations(range(len(us))):
+        term = 1.0 + 0j
+        for cyc in cycle_decomposition(perm):
+            word = us[cyc[0]]
+            for i in (reversed(cyc[1:]) if reverse else cyc[1:]):
+                word = word @ us[i]
+            term *= np.trace(word)
+        total += term
+    return total / rising_factorial(us[0].shape[0], len(us))
+
+
+def inversion_sign(perm):
+    inv = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
+              if perm[i] > perm[j])
+    return -1 if inv % 2 else 1
+
+
 class TestSignedPermutations:
+    """``permutation_table``: every permutation once, lexicographic, signed."""
+
     def test_order_is_stable(self):
-        assert signed_permutations(3) == signed_permutations(3)
-        assert signed_permutations(3)[0] == ((0, 1, 2), 1)
+        perms, signs = permutation_table(3)
+        assert permutation_table(3) is permutation_table(3)
+        assert (tuple(perms[0]), signs[0]) == ((0, 1, 2), 1)
+        assert not perms.flags.writeable and not signs.flags.writeable
 
     def test_signs_match_inversion_parity(self):
-        for perm, sign in signed_permutations(5):
-            inv = sum(1 for i in range(5) for j in range(i + 1, 5)
-                      if perm[i] > perm[j])
-            assert sign == (-1 if inv % 2 else 1)
+        perms, signs = permutation_table(5)
+        for perm, sign in zip(perms.tolist(), signs.tolist()):
+            assert sign == inversion_sign(perm)
 
     def test_counts(self):
-        assert len(signed_permutations(4)) == 24
-        assert len({p for p, _ in signed_permutations(4)}) == 24
+        perms, signs = permutation_table(4)
+        assert perms.shape == (24, 4) and signs.shape == (24,)
+        assert len({tuple(p) for p in perms.tolist()}) == 24
 
-    @pytest.mark.parametrize("n", [1, 3, 5])
+    @pytest.mark.parametrize("n", [0, 1, 3, 5])
     def test_table_matches_tuples(self, n):
         perms, signs = permutation_table(n)
         assert perms.shape == (math.factorial(n), n)
-        assert [(tuple(p), s) for p, s in zip(perms.tolist(), signs)] == \
-            list(signed_permutations(n))
+        assert [(tuple(p), s) for p, s in zip(perms.tolist(), signs.tolist())] == \
+            [(p, inversion_sign(p)) for p in itertools.permutations(range(n))]
+
+
+class TestSubsetTable:
+    @pytest.mark.parametrize("n", [0, 1, 3, 4])
+    def test_rows_are_the_bits_of_the_index(self, n):
+        rows, signs = subset_table(n)
+        assert rows.shape == (1 << n, n) and signs.shape == (1 << n,)
+        for m, (row, sign) in enumerate(zip(rows.tolist(), signs.tolist())):
+            assert row == [m >> k & 1 for k in range(n)]
+            assert sign == (-1) ** (n - sum(row))
+        assert not rows.flags.writeable and not signs.flags.writeable
 
 
 class TestMixedDiscriminant:
@@ -202,28 +257,21 @@ class TestMomentExact:
 
     def test_orientation_independence(self):
         # summing tr_pi over all of S_n is invariant under reading cycles
-        # backwards (pi <-> pi^{-1}); check via explicit reversed evaluation
+        # backwards (pi <-> pi^{-1}); the kernel matches both readings
         rng = np.random.default_rng(47)
         us = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
               for _ in range(3)]
-        total_fwd = 0j
-        total_rev = 0j
-        for perm, _ in signed_permutations(3):
-            fwd = 1.0 + 0j
-            rev = 1.0 + 0j
-            for cyc in cycle_decomposition(perm):
-                word_f = us[cyc[0]]
-                for i in cyc[1:]:
-                    word_f = word_f @ us[i]
-                word_r = us[cyc[0]]
-                for i in reversed(cyc[1:]):
-                    word_r = word_r @ us[i]
-                fwd *= np.trace(word_f)
-                rev *= np.trace(word_r)
-            total_fwd += fwd
-            total_rev += rev
-        assert abs(total_fwd - total_rev) < 1e-10
-        assert abs(total_fwd / rising_factorial(3, 3) - moment_exact(us)) < 1e-12
+        fwd, rev = cycle_trace_moment(us), cycle_trace_moment(us, reverse=True)
+        assert abs(fwd - rev) < 1e-12
+        assert abs(fwd - moment_exact(us)) < 1e-12
+
+    @pytest.mark.parametrize("r,n", [(1, 3), (2, 2), (2, 5), (3, 4), (4, 3), (5, 6)])
+    def test_matches_cycle_trace_sum(self, r, n):
+        rng = np.random.default_rng(200 + 10 * r + n)
+        us = rng.standard_normal((n, r, r)) + 1j * rng.standard_normal((n, r, r))
+        want = cycle_trace_moment(us)
+        scale = math.prod(np.linalg.norm(u, 2) for u in us)
+        assert abs(moment_exact(us) - want) <= 1e-13 * scale
 
     def test_longest_word_boundary(self):
         # sum over S_6 of r^cycles equals (r)_6, so the identity word stays 1

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from schurpos.discriminants import (mixed_discriminant, moment_exact,
-                                    permutation_table, signed_permutations)
+                                    permutation_table)
 from schurpos.hermitian import det
 from schurpos.phi import (c_matrix, four_cycle_trace_sum, integral_det_c,
                           integral_sigma2_c, leibniz_stack, phi_direct,
@@ -102,6 +102,11 @@ class TestCMatrix:
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
             c_matrix(trace_map(3), np.array([1.0, 1.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="unit vector"):
+            c_matrix(trace_map(3), np.array([bad, 0.0, 0.0]))
 
 
 class TestIntegralR2:
@@ -202,6 +207,20 @@ class TestRankTwoIdentity:
         with pytest.raises(ValueError):
             rank2_norm_identity(random_kraus_map(2, 2, 0.2, seed=139))
 
+    def test_trace_threshold_is_relative(self):
+        # a tiny map whose off-diagonal trace is 2e-10 against max|B| = 1e-10
+        b = 1e-12 * trace_map(2).blocks
+        b[0, 1] += 1e-10 * np.eye(2)
+        b[1, 0] += 1e-10 * np.eye(2)
+        with pytest.raises(ValueError, match="not normalized"):
+            rank2_norm_identity(BlockMap(b))
+
+    def test_accepts_scaled_normalized_map(self):
+        h = BlockMap(1e8 * normalized_map(2, seed=137).blocks)
+        total, _, _ = rank2_norm_identity(h)
+        want = phi_direct(h).value
+        assert abs(total - want) <= 1e-12 * abs(want)
+
 
 class TestScalingCovariance:
     @pytest.mark.parametrize("r", [2, 3])
@@ -228,16 +247,23 @@ class TestScalingCovariance:
 # Reference loops: one kernel call per Leibniz term, as the routes were first
 # written.  The stacked routes must reproduce them to roundoff.
 
+def signed_perms(n):
+    """Permutations of range(n) from itertools, with inversion-parity signs."""
+    for perm in itertools.permutations(range(n)):
+        inv = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        yield perm, (-1) ** inv
+
+
 def loop_phi_direct(h):
     total = 0j
-    for perm, sign in signed_permutations(h.r):
+    for perm, sign in signed_perms(h.r):
         total += sign * mixed_discriminant([h.block(i, perm[i]) for i in range(h.r)])
     return total
 
 
 def loop_integral_det_c(h):
     total = 0j
-    for perm, sign in signed_permutations(h.r):
+    for perm, sign in signed_perms(h.r):
         total += sign * moment_exact([h.block(i, perm[i]) for i in range(h.r)])
     return total
 
@@ -259,7 +285,7 @@ def loop_four_cycle_trace_sum(mats):
 
 def loop_q_sum(h):
     total = 0j
-    for perm, sign in signed_permutations(4):
+    for perm, sign in signed_perms(4):
         total += sign * loop_four_cycle_trace_sum([h.block(i, perm[i]) for i in range(4)])
     return total
 
