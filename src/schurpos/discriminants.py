@@ -48,6 +48,7 @@ first standard normal draw is x and its second y.
 from __future__ import annotations
 
 import math
+import numbers
 from functools import lru_cache
 from itertools import permutations
 
@@ -192,6 +193,15 @@ def sample_unit_sphere(rng: np.random.Generator, shape, r: int) -> np.ndarray:
     return z / np.linalg.norm(z, axis=-1)[..., None]
 
 
+def require_count(value, name: str) -> None:
+    """Reject a sample count that is not an integer >= 1: a NaN count would
+    return NaN, an infinite one never return, and a fractional one reach
+    numpy as a shape."""
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"need at least one sample: {name} must be an integer "
+                         f">= 1, got {value!r}")
+
+
 def _real_forms(u: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Real symmetric M, N with xi* U xi = v^T M v + i v^T N v, v = (Re xi, Im xi).
 
@@ -221,8 +231,7 @@ def moment_mc(mats, samples: int, seed: int) -> tuple[complex, float]:
     ms = _check_stack(mats, "moment word")
     if ms.ndim != 3:
         raise ValueError(f"moment_mc takes one word (n, r, r), got shape {ms.shape}")
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    require_count(samples, "samples")
     r = ms.shape[-1]
     forms = [_real_forms(m) for m in ms]
     real = all(n is None for _, n in forms)

@@ -54,7 +54,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .discriminants import mixed_discriminant, permutation_table, sample_unit_sphere
+from .discriminants import (mixed_discriminant, permutation_table, require_count,
+                            sample_unit_sphere)
 from .posmap import BlockMap
 
 TWO_PI = 2.0 * math.pi
@@ -416,8 +417,7 @@ def weak_positivity_min(u: Form, samples: int = WEAK_POSITIVITY_SAMPLES,
     exact = weak_positivity_is_exact(u)
     if q < 0:
         raise ValueError(f"bidegree ({u.p},{u.p}) exceeds ambient dimension {n}")
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    require_count(samples, "samples")
     if q == 0:
         return float(volume_coefficient(u).real), []
     ks, m = _pairing_matrix(u, q)

@@ -15,26 +15,26 @@ sum_i B_ii = r I,  tr B_ij = r d_ij  holds up to a residual.  Exact
 scaling matrices exist for positive maps; we use the constructive
 alternation and certify the residual instead.
 
-``positivity_certificate`` is sampling evidence, not proof: it reports the
-smallest output eigenvalue over seeded unit vectors, refined by a seesaw
-of exact minimizations of u* H(xi xi*) u: u = bottom eigenvector of
-H(xi xi*), then xi = conj of the bottom eigenvector of K_ij = u* B_ij u
-(Hermitian by block symmetry), until a round lowers the value by at most
-1e-15 x max|B|.  A clearly negative value (with its witness vector)
-disproves positivity; a positive value is only evidence of a local
-minimum.  Maps on the boundary of the positive cone
+``positivity_certificate`` is sampling evidence, not proof: it takes the
+smallest output eigenvalue over seeded unit vectors and refines the best
+one by a seesaw of exact minimizations of u* H(xi xi*) u: u = bottom
+eigenvector of H(xi xi*), then xi = conj of the bottom eigenvector of
+K_ij = u* B_ij u (Hermitian by block symmetry), until a round lowers the
+value by at most 1e-15 x max|B|.  It reports whichever of the grid and
+the seesaw value is lower.  A clearly negative value (with its witness
+vector) disproves positivity; a positive value is only evidence of a
+local minimum.  Maps on the boundary of the positive cone
 (rank-deficient outputs somewhere, e.g. the identity map or the Choi map)
 legitimately refine to zero up to floating-point noise.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .discriminants import sample_unit_sphere
+from .discriminants import require_count, sample_unit_sphere
 from .hermitian import as_matrix, inv_sqrt_hermitian
 
 #: Block symmetry B_ij* = B_ji must hold within this entrywise defect relative
@@ -166,33 +166,13 @@ def choi_fixture() -> BlockMap:
     """The rank-3 Choi-type positive, non-decomposable map.
 
     Diagonal blocks E_ii + E_{i-1,i-1} (indices mod 3), off-diagonal blocks
-    -E_ij.  Validated once per process: exact structural identities, and a
-    grid certificate that must come back strictly positive (the grid never
-    hits the map's boundary zero locus, a measure-zero torus; refinement
-    would, so the gate uses the raw grid minimum).  Each call returns a
-    fresh copy that the caller may mutate.
+    -E_ij: the Cho-Kye-Lee map Phi[2, 1, 0].  Each call builds a fresh array
+    that the caller may mutate.
     """
-    return BlockMap(_validated_choi_blocks().copy())
-
-
-@functools.cache
-def _validated_choi_blocks() -> np.ndarray:
     e = np.eye(3)
     # diag(2 e_i + e_{i-1}) on the diagonal blocks, minus E_ij in every block
-    blocks = (np.einsum("ij,ia,ab->ijab", e, 2 * e + np.roll(e, -1, 1), e)
-              - np.einsum("ia,jb->ijab", e, e)).astype(complex)
-    fixture = BlockMap(blocks)
-    if fixture.symmetry_defect() != 0.0:
-        raise NotStrictlyPositiveError("Choi fixture lost Hermitian block symmetry")
-    diag_sum = sum(fixture.block(i, i) for i in range(3))
-    if np.max(np.abs(diag_sum - 2.0 * np.eye(3))) != 0.0:
-        raise NotStrictlyPositiveError("Choi fixture diagonal blocks do not sum to 2I")
-    min_eig, _ = positivity_certificate(fixture, grid=2000, seed=_CERT_SEED,
-                                        refine=False)
-    if min_eig <= 0.0:
-        raise NotStrictlyPositiveError(
-            f"Choi fixture failed the positivity certificate: min_eig {min_eig:.3e}")
-    return blocks
+    return BlockMap(np.einsum("ij,ia,ab->ijab", e, 2 * e + np.roll(e, -1, 1), e)
+                    - np.einsum("ia,jb->ijab", e, e))
 
 
 def _min_output_eigs(h: BlockMap, xis: np.ndarray) -> np.ndarray:
@@ -222,36 +202,40 @@ def _seesaw(blocks: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return best
 
 
-def positivity_certificate(h: BlockMap, grid: int, seed: int,
-                           refine: bool = True) -> tuple[float, np.ndarray]:
+def _grid_minimum(h: BlockMap, grid: int, seed: int) -> tuple[float, np.ndarray]:
+    """Smallest output eigenvalue over ``grid`` seeded unit samples, drawn in
+    chunks of 2^14 from one generator, and the sample that attains it."""
+    best_val, best_xi = np.inf, None
+    rng = np.random.default_rng(seed)
+    for done in range(0, grid, 1 << 14):
+        xis = sample_unit_sphere(rng, min(grid - done, 1 << 14), h.r)
+        eigs = _min_output_eigs(h, xis)
+        k = int(np.argmin(eigs))
+        if eigs[k] < best_val:
+            # a copy, so that the best row does not keep its chunk alive
+            best_val, best_xi = float(eigs[k]), xis[k].copy()
+    return best_val, best_xi
+
+
+def positivity_certificate(h: BlockMap, grid: int, seed: int) -> tuple[float, np.ndarray]:
     """Minimize the smallest eigenvalue of H(xi xi*) over sampled unit xi.
 
     Runs ``grid`` seeded samples in chunks of 2^14, keeping the best one,
-    then (optionally) refines it by the seesaw for at most 2000 rounds.  A
-    block-asymmetric map raises ValueError (K would not be Hermitian).
+    then refines it by the seesaw for at most 2000 rounds and keeps the
+    refined vector when it reads strictly lower.  ``grid`` must be an
+    integer >= 1.  A block-asymmetric map raises ValueError (K would not be
+    Hermitian).
 
     Returns (min_eig, witness xi) with min_eig = lambda_min(H(xi xi*)).
     min_eig > 0 is evidence of positivity; min_eig clearly below zero
     disproves it and the witness exhibits the failure.
     """
-    if grid < 1:
-        raise ValueError("grid must be at least 1")
+    require_count(grid, "grid")
     h.require_symmetry()
-    best_val, best_xi = np.inf, None
-
-    def keep_best(xis: np.ndarray) -> None:
-        nonlocal best_val, best_xi
-        eigs = _min_output_eigs(h, xis)
-        k = int(np.argmin(eigs))
-        if eigs[k] < best_val:
-            best_val, best_xi = float(eigs[k]), xis[k].copy()
-
-    rng = np.random.default_rng(seed)
-    for done in range(0, grid, 1 << 14):
-        keep_best(sample_unit_sphere(rng, min(grid - done, 1 << 14), h.r))
-    if refine:
-        keep_best(_seesaw(h.blocks, best_xi)[None])
-    return best_val, best_xi
+    best_val, best_xi = _grid_minimum(h, grid, seed)
+    refined = _seesaw(h.blocks, best_xi)
+    val = float(_min_output_eigs(h, refined[None])[0])
+    return (val, refined) if val < best_val else (best_val, best_xi)
 
 
 def _congruence_swapped(blocks: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -312,8 +296,8 @@ def sinkhorn_normalize(h: BlockMap, tol: float = 1e-10, max_iter: int = 500,
     r = h.r
     if h.w != r:
         raise ValueError("sinkhorn_normalize needs a square map (r = w)")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
     h.require_symmetry()

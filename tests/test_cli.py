@@ -178,6 +178,13 @@ class TestScale:
         assert_rejected_without_nan(*run(capsys, "scale", "--input", str(path),
                                          "--tol", "nan"))
 
+    def test_infinite_tol_is_precondition_error(self, capsys, tmp_path):
+        path = tmp_path / "k.json"
+        assert main(["gen", "kraus", "--rank", "3", "--output", str(path)]) == 0
+        code, out, err = run(capsys, "scale", "--input", str(path), "--tol", "inf")
+        assert code == 2
+        assert "tol" in err and not out
+
     def test_negative_max_iter_is_precondition_error(self, capsys, tmp_path):
         path = tmp_path / "k.json"
         assert main(["gen", "kraus", "--rank", "2", "--output", str(path)]) == 0

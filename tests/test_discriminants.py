@@ -339,6 +339,11 @@ class TestMomentMonteCarlo:
         with pytest.raises(ValueError):
             moment_mc([np.eye(2)], samples=0, seed=0)
 
+    @pytest.mark.parametrize("samples", [float("nan"), 2.5])
+    def test_rejects_non_integer_samples(self, samples):
+        with pytest.raises(ValueError, match="samples must be an integer >= 1"):
+            moment_mc([np.eye(2), np.eye(2)], samples=samples, seed=0)
+
     def test_rejects_empty_word(self):
         with pytest.raises(ValueError, match="empty moment word"):
             moment_mc([], samples=10, seed=0)

@@ -626,7 +626,9 @@ class TestExactWeakPositivity:
 
     @pytest.mark.parametrize("p,q,samples,match", [(1, 2, 1, "not \\(p,p\\)"),
                                                   (4, 4, 1, "exceeds ambient"),
-                                                  (1, 1, 0, "at least one sample")])
+                                                  (1, 1, 0, "at least one sample"),
+                                                  (1, 1, float("nan"), "an integer >= 1"),
+                                                  (1, 1, 2.5, "an integer >= 1")])
     def test_rejects_invalid_input(self, p, q, samples, match):
         with pytest.raises(ValueError, match=match):
             weak_positivity_min(Form.zero(3, p, q), samples=samples, seed=0)

@@ -6,11 +6,11 @@ import pytest
 from schurpos.discriminants import sample_unit_sphere
 from schurpos.forms import CurvatureTensor, random_griffiths_curvature
 from schurpos.phi import phi_direct
-from schurpos.posmap import (BlockMap, NotStrictlyPositiveError, apply_map,
-                             choi_fixture, from_kraus,
-                             identity_map, normalization_residual,
-                             positivity_certificate, random_kraus_map, scale,
-                             sinkhorn_normalize, trace_map, transpose_map)
+from schurpos.posmap import (BlockMap, NotStrictlyPositiveError, _grid_minimum,
+                             apply_map, choi_fixture, from_kraus, identity_map,
+                             normalization_residual, positivity_certificate,
+                             random_kraus_map, scale, sinkhorn_normalize,
+                             trace_map, transpose_map)
 
 
 def random_unit(rng, r):
@@ -168,6 +168,11 @@ class TestCertificate:
         with pytest.raises(ValueError, match="block symmetry defect"):
             positivity_certificate(asymmetric_kraus_map(), grid=50, seed=0)
 
+    @pytest.mark.parametrize("grid", [float("nan"), 2.5])
+    def test_rejects_non_integer_grid(self, grid):
+        with pytest.raises(ValueError, match="grid must be an integer >= 1"):
+            positivity_certificate(trace_map(3), grid=grid, seed=0)
+
 
 class TestChoKyeLee:
     def test_negative_control(self):
@@ -205,7 +210,7 @@ class TestBatchedRefinement:
         for seed in range(10):
             h = make(seed)
             refined, _ = positivity_certificate(h, grid=256, seed=seed)
-            grid_min, _ = positivity_certificate(h, grid=256, seed=seed, refine=False)
+            grid_min, _ = _grid_minimum(h, grid=256, seed=seed)
             assert refined <= grid_min
 
     @pytest.mark.parametrize("seed", range(5))
@@ -219,7 +224,7 @@ class TestBatchedRefinement:
     def test_grid_phase_is_the_sequential_loop(self, grid):
         # 40_000 spans three chunks of 2^14 samples
         for h in (random_kraus_map(3, 3, 0.2, seed=7), choi_fixture()):
-            got_val, got_xi = positivity_certificate(h, grid=grid, seed=11, refine=False)
+            got_val, got_xi = _grid_minimum(h, grid=grid, seed=11)
             want_val, want_xi = sequential_certificate(h, grid=grid, seed=11, refine=False)
             assert got_val == want_val
             assert np.array_equal(got_xi, want_xi)
@@ -234,6 +239,9 @@ class TestChoiFixture:
         t = trace_matrix(h.blocks)
         assert np.array_equal(t, 2.0 * np.eye(3))
 
+    def test_is_cho_kye_lee_2_1_0(self):
+        assert np.array_equal(choi_fixture().blocks, cho_kye_lee(2, 1, 0).blocks)
+
     def test_returns_fresh_copy(self):
         choi_fixture().blocks[:] = 0.0
         assert np.array_equal(trace_matrix(choi_fixture().blocks), 2.0 * np.eye(3))
@@ -242,8 +250,7 @@ class TestChoiFixture:
         h = choi_fixture()
         # Grid phase stays strictly positive: the zero locus of the map's
         # output spectrum is a measure-zero torus the grid never hits.
-        grid_min, _ = positivity_certificate(h, grid=100_000, seed=12345,
-                                             refine=False)
+        grid_min, _ = _grid_minimum(h, grid=100_000, seed=12345)
         assert grid_min > 0.0
         # Local refinement walks to the boundary: zero up to eigensolver noise.
         refined_min, _ = positivity_certificate(h, grid=2_000, seed=12345)
@@ -429,6 +436,11 @@ class TestSinkhorn:
     def test_negative_max_iter_rejected(self):
         with pytest.raises(ValueError, match="max_iter must be nonnegative"):
             sinkhorn_normalize(trace_map(3), max_iter=-1)
+
+    def test_infinite_tol_rejected(self):
+        # residual < inf would hold vacuously and report convergence
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            sinkhorn_normalize(random_kraus_map(3, 3, 0.2, seed=0), tol=np.inf)
 
 
 def test_transpose_map_blocks():

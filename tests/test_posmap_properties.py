@@ -11,8 +11,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from schurpos.posmap import (BlockMap, apply_map, positivity_certificate,  # noqa: E402
-                             random_kraus_map, scale, sinkhorn_normalize)
+from schurpos.posmap import (BlockMap, _grid_minimum, apply_map,  # noqa: E402
+                             positivity_certificate, random_kraus_map, scale,
+                             sinkhorn_normalize)
 
 maps = st.builds(
     lambda r, seed, c: BlockMap(c * random_kraus_map(r, 3, 0.2, seed).blocks),
@@ -40,5 +41,5 @@ def test_certificate_witness_and_grid_bound(h, seed):
     out = apply_map(h, np.outer(xi, xi.conj()))
     attained = np.linalg.eigvalsh((out + out.conj().T) / 2)[0]
     assert abs(attained - val) < 1e-14 * np.max(np.abs(h.blocks))
-    grid_min, _ = positivity_certificate(h, grid=128, seed=seed, refine=False)
+    grid_min, _ = _grid_minimum(h, grid=128, seed=seed)
     assert val <= grid_min
