@@ -42,13 +42,19 @@ where sym(X) = (X + X^T)/2; N = 0 exactly when U is Hermitian.  The forms
 are homogeneous of degree 2, so each sample divides the product of the
 forms by |v|^{2n} rather than normalizing v.  Its sample stream is the one
 ``sample_unit_sphere`` draws: block b is seeded by seed + b, and a block's
-first standard normal draw is x and its second y.
+first standard normal fill is x and its second y.  The blocks are
+independent, so they run on every available core: each worker thread owns
+one block of x and of weights plus the scratch of one row tile, fills x,
+then draws y and evaluates the forms tile by tile, and returns its blocks'
+partial sums.  These are added in block order, so the result is the same
+float for any number of cores.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
 from functools import lru_cache
 from itertools import permutations
 
@@ -64,6 +70,12 @@ MAX_RANK = 8
 
 #: Samples per seeded block of ``moment_mc``.
 MC_BLOCK = 1 << 16
+
+#: Rows of one tile within a ``moment_mc`` block, so that a tile's forms stay
+#: in cache.  Much larger tiles (16384 rows) made r = 4 words slower than the
+#: serial loop on two cores: their matmuls start BLAS threads of their own,
+#: which compete with the block workers.
+MC_TILE = 4096
 
 
 def rising_factorial(r: int, n: int) -> int:
@@ -202,6 +214,12 @@ def require_count(value, name: str) -> None:
                          f">= 1, got {value!r}")
 
 
+def require_seed(value) -> None:
+    """Reject a seed that is not an integer >= 0, before numpy sees it."""
+    if not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {value!r}")
+
+
 def _real_forms(u: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Real symmetric M, N with xi* U xi = v^T M v + i v^T N v, v = (Re xi, Im xi).
 
@@ -215,61 +233,108 @@ def _real_forms(u: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     return (m + m.T) / 2.0, (n if n.any() else None)
 
 
+def _available_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the platform
+    reports one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _mc_block(forms, n: int, rng: np.random.Generator, buffers) -> tuple[complex, float]:
+    """(sum w, sum |w|^2) over one block of ``moment_mc`` samples.
+
+    ``buffers`` = (x, w, y, v, vm, q) are the block's rows Re xi (count, r),
+    its weights (count,), and the scratch of one row tile (MC_TILE rows): Im xi,
+    v = (x, y), v M and the forms.  x is one fill, then y is drawn tile by
+    tile, which continues the same sequential stream.
+    """
+    x, w, y, v, vm, q = buffers
+    count, r = x.shape
+    rng.standard_normal(out=x)
+    for start in range(0, count, MC_TILE):
+        rows = min(MC_TILE, count - start)
+        yt, vt, vmt, wt = y[:rows], v[:rows], vm[:rows], w[start:start + rows]
+        q_re, q_im = q[0, :rows], q[1, :rows]
+        rng.standard_normal(out=yt)
+        vt[:, :r] = x[start:start + rows]
+        vt[:, r:] = yt
+        np.einsum("sj,sj->s", vt, vt, out=q_re)
+        np.power(q_re, -n, out=wt)
+        for m, im in forms:
+            np.matmul(vt, m, out=vmt)
+            np.einsum("sj,sj->s", vmt, vt, out=q_re)
+            if im is None:
+                wt *= q_re
+            else:
+                np.matmul(vt, im, out=vmt)
+                np.einsum("sj,sj->s", vmt, vt, out=q_im)
+                wt *= q_re + 1j * q_im
+    # einsum, not BLAS vdot: a threaded BLAS dot sums in an order that
+    # depends on its thread count
+    return w.sum(), float(np.einsum("s,s->", w.conj(), w).real)
+
+
 def moment_mc(mats, samples: int, seed: int) -> tuple[complex, float]:
     """Monte Carlo spherical moment with standard error.
 
     Samples are drawn in blocks of MC_BLOCK, block b seeded by seed + b, so
-    the result depends only on (seed, samples) and a parallel reduction over
-    blocks would reproduce the serial one exactly.
+    the result depends only on (seed, samples).  The blocks run on every
+    available core, worker i of W taking the blocks b = i (mod W), and
+    their partial sums are added in block order: the result is the same
+    float for any worker count.  A single worker runs inline; otherwise
+    the threads of one pool live only as long as the call.
 
     The stream is unchanged from ``sample_unit_sphere``: a block's first
-    standard normal draw is Re xi and its second Im xi.  The arithmetic is
-    real: with v = (Re xi, Im xi), xi* U xi = v^T M v + i v^T N v, and each
-    sample is prod_i (v^T M_i v + i v^T N_i v) / |v|^{2n}, so v is never
-    normalized.  Hermitian factors (N = 0) keep the product real.
+    standard normal fill is Re xi and its second Im xi, drawn here in row
+    tiles of MC_TILE so that each matmul and einsum works in cache.  Each
+    worker holds one block of Re xi and of weights (2.6 MB at r = 4 for a
+    Hermitian word) and 0.7 MB of tile scratch, allocated before the pool
+    starts.  The arithmetic is real: with v = (Re xi, Im xi),
+    xi* U xi = v^T M v + i v^T N v, and each sample is
+    prod_i (v^T M_i v + i v^T N_i v) / |v|^{2n}, so v is never normalized.
+    Hermitian factors (N = 0) keep the product real.
     """
     ms = _check_stack(mats, "moment word")
     if ms.ndim != 3:
         raise ValueError(f"moment_mc takes one word (n, r, r), got shape {ms.shape}")
     require_count(samples, "samples")
+    require_seed(seed)
     r = ms.shape[-1]
     forms = [_real_forms(m) for m in ms]
-    real = all(n is None for _, n in forms)
-    # buffers of one full block, reused by every block as views [:count]
-    size = min(MC_BLOCK, samples)
-    half = np.empty((size, r))
-    v = np.empty((size, 2 * r))
-    vm = np.empty((size, 2 * r))
-    q = np.empty((2, size))
-    w = np.empty(size, dtype=float if real else complex)
+    dtype = float if all(im is None for _, im in forms) else complex
+    n_blocks = -(-samples // MC_BLOCK)
+    workers = min(_available_cores(), n_blocks)
+    size, tile = min(MC_BLOCK, samples), min(MC_TILE, samples)
+    # one set of buffers per worker, allocated here rather than in the threads
+    buffers = [(np.empty((size, r)), np.empty(size, dtype=dtype), np.empty((tile, r)),
+                np.empty((tile, 2 * r)), np.empty((tile, 2 * r)), np.empty((2, tile)))
+               for _ in range(workers)]
+
+    def run(i: int) -> list[tuple[complex, float]]:
+        x, w, *tiles = buffers[i]
+        partial = []
+        for b in range(i, n_blocks, workers):
+            count = min(MC_BLOCK, samples - b * MC_BLOCK)
+            partial.append(_mc_block(forms, len(ms), np.random.default_rng(seed + b),
+                                     (x[:count], w[:count], *tiles)))
+        return partial
+
+    if workers == 1:
+        per_worker = [run(0)]
+    else:
+        # imported here: concurrent.futures loads logging, about 0.5 MB of
+        # resident memory that callers without Monte Carlo need not pay
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers) as pool:
+            per_worker = list(pool.map(run, range(workers)))
     sum_w = 0.0
     sum_abs2 = 0.0
-    done = 0
-    block = 0
-    while done < samples:
-        count = min(MC_BLOCK, samples - done)
-        rng = np.random.default_rng(seed + block)
-        hb, vb, vmb, wb = half[:count], v[:count], vm[:count], w[:count]
-        q_re, q_im = q[0, :count], q[1, :count]
-        rng.standard_normal(out=hb)
-        vb[:, :r] = hb
-        rng.standard_normal(out=hb)
-        vb[:, r:] = hb
-        np.einsum("sj,sj->s", vb, vb, out=q_re)
-        np.power(q_re, -len(ms), out=wb)
-        for m, n in forms:
-            np.matmul(vb, m, out=vmb)
-            np.einsum("sj,sj->s", vmb, vb, out=q_re)
-            if n is None:
-                wb *= q_re
-            else:
-                np.matmul(vb, n, out=vmb)
-                np.einsum("sj,sj->s", vmb, vb, out=q_im)
-                wb *= q_re + 1j * q_im
-        sum_w += wb.sum()
-        sum_abs2 += float(np.vdot(wb, wb).real)
-        done += count
-        block += 1
+    for b in range(n_blocks):
+        block_w, block_abs2 = per_worker[b % workers][b // workers]
+        sum_w += block_w
+        sum_abs2 += block_abs2
     mean = complex(sum_w) / samples
     if samples == 1:
         return mean, 0.0

@@ -55,7 +55,7 @@ from itertools import combinations
 import numpy as np
 
 from .discriminants import (mixed_discriminant, permutation_table, require_count,
-                            sample_unit_sphere)
+                            require_seed, sample_unit_sphere)
 from .posmap import BlockMap
 
 TWO_PI = 2.0 * math.pi
@@ -418,6 +418,7 @@ def weak_positivity_min(u: Form, samples: int = WEAK_POSITIVITY_SAMPLES,
     if q < 0:
         raise ValueError(f"bidegree ({u.p},{u.p}) exceeds ambient dimension {n}")
     require_count(samples, "samples")
+    require_seed(seed)
     if q == 0:
         return float(volume_coefficient(u).real), []
     ks, m = _pairing_matrix(u, q)

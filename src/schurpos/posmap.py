@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discriminants import require_count, sample_unit_sphere
+from .discriminants import require_count, require_seed, sample_unit_sphere
 from .hermitian import as_matrix, inv_sqrt_hermitian
 
 #: Block symmetry B_ij* = B_ji must hold within this entrywise defect relative
@@ -223,14 +223,15 @@ def positivity_certificate(h: BlockMap, grid: int, seed: int) -> tuple[float, np
     Runs ``grid`` seeded samples in chunks of 2^14, keeping the best one,
     then refines it by the seesaw for at most 2000 rounds and keeps the
     refined vector when it reads strictly lower.  ``grid`` must be an
-    integer >= 1.  A block-asymmetric map raises ValueError (K would not be
-    Hermitian).
+    integer >= 1 and ``seed`` an integer >= 0.  A block-asymmetric map
+    raises ValueError (K would not be Hermitian).
 
     Returns (min_eig, witness xi) with min_eig = lambda_min(H(xi xi*)).
     min_eig > 0 is evidence of positivity; min_eig clearly below zero
     disproves it and the witness exhibits the failure.
     """
     require_count(grid, "grid")
+    require_seed(seed)
     h.require_symmetry()
     best_val, best_xi = _grid_minimum(h, grid, seed)
     refined = _seesaw(h.blocks, best_xi)

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import threading
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from schurpos import discriminants
 from schurpos.discriminants import (mixed_discriminant,
                                     mixed_discriminant_polarized, moment_exact,
                                     moment_mc, permutation_table,
@@ -348,6 +350,11 @@ class TestMomentMonteCarlo:
         with pytest.raises(ValueError, match="empty moment word"):
             moment_mc([], samples=10, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_rejects_invalid_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            moment_mc([np.eye(2), np.eye(2)], samples=10, seed=seed)
+
     def test_single_sample_has_zero_stderr(self):
         rng = np.random.default_rng(71)
         us = [random_hermitian(rng, 3) for _ in range(2)]
@@ -420,6 +427,36 @@ class TestMomentMonteCarloStream:
         assert stderr == pytest.approx(want_stderr, rel=1e-12)
         assert abs(est.imag) > 10 * stderr  # the complex path was taken
         assert abs(est - moment_exact(us)) < 5 * stderr
+
+
+class TestMomentMonteCarloWorkers:
+    """Blocks run on as many workers as there are cores and are summed in
+    block order, so the result is the same float for any worker count."""
+
+    @staticmethod
+    def hermitian_word():
+        rng = np.random.default_rng(89)
+        return [random_hermitian(rng, 3) for _ in range(3)]
+
+    @staticmethod
+    def non_hermitian_word():
+        rng = np.random.default_rng(97)
+        return [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
+                random_hermitian(rng, 3)]
+
+    @pytest.mark.parametrize("word", ["hermitian_word", "non_hermitian_word"])
+    @pytest.mark.parametrize("samples", [150_000, 40_000])
+    def test_same_result_for_any_worker_count(self, monkeypatch, word, samples):
+        # 150_000 samples are two full blocks and a partial one; 40_000 are
+        # one block, which runs inline whatever the core count
+        us = getattr(self, word)()
+        threads = threading.active_count()
+        results = []
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(discriminants, "_available_cores", lambda: cores)
+            results.append(moment_mc(us, samples, seed=23))
+            assert threading.active_count() == threads  # no worker outlives the call
+        assert results[0] == results[1] == results[2]
 
 
 def test_symmetric_projector_identity():

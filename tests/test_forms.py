@@ -633,6 +633,11 @@ class TestExactWeakPositivity:
         with pytest.raises(ValueError, match=match):
             weak_positivity_min(Form.zero(3, p, q), samples=samples, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_rejects_invalid_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            weak_positivity_min(Form.zero(3, 1, 1), samples=10, seed=seed)
+
     def test_zero_form_is_exact_zero(self):
         val, witness = weak_positivity_min(Form.zero(3, 0, 0), samples=1, seed=0)
         assert val == 0.0

@@ -173,6 +173,11 @@ class TestCertificate:
         with pytest.raises(ValueError, match="grid must be an integer >= 1"):
             positivity_certificate(trace_map(3), grid=grid, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_rejects_invalid_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            positivity_certificate(trace_map(3), grid=10, seed=seed)
+
 
 class TestChoKyeLee:
     def test_negative_control(self):
