@@ -9,9 +9,10 @@ shape (C(n, p), C(n, q)), representing
 where rows I and columns J run over the strictly increasing multi-indices
 (0-based) in ``itertools.combinations(range(n), .)`` order, and
 dz^I = dz^{i_1} ^ ... ^ dz^{i_p}.  Every Koszul sign comes from the memoized
-merge tensor ``merge_tensor(n, a, b)``, so ``wedge`` is two matmuls.  The
-algebra is total: C(n, p) = 0 for p > n, so a product beyond top degree is a
-form with an empty coefficient array, never an error.
+merge tensor ``merge_tensor(n, a, b)``, so a wedge is two matmuls, done by
+one kernel on coefficient arrays with leading batch axes.  The algebra is
+total: C(n, p) = 0 for p > n, so a product beyond top degree is a form with
+an empty coefficient array, never an error.
 
 Conventions fixed here and relied on everywhere:
 
@@ -36,7 +37,10 @@ a signed sum of mixed discriminants of the rank-k sub-blocks of the
 curvature: the same Leibniz sum as the double mixed discriminant Phi.  The
 principal-minor route ``c3_principal_minors``, ``twist_chern`` and the
 Schur determinants run on the form algebra (``wedge``, ``det_forms``)
-instead, so they check ``chern_forms`` without sharing its arithmetic.
+instead, so they check ``chern_forms`` without sharing its arithmetic; a
+determinant stacks its Leibniz terms per tuple of factor bidegrees ((0,0)
+factors are scalars in the term weights) and folds each stack with one
+batched wedge per factor.
 
 Weak positivity of a (p,p)-form u tests u ^ i^{q^2} beta ^ betabar, q = n - p,
 against decomposable (q,0)-forms beta: a Hermitian form in the Pluecker
@@ -49,7 +53,7 @@ Everything is pointwise linear algebra: no d, no global structure.
 from __future__ import annotations
 
 import math
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from itertools import combinations
 
 import numpy as np
@@ -140,21 +144,29 @@ def max_coeff_diff(u: Form, v: Form) -> float:
     return (u - v).max_abs()
 
 
+def _wedge_stack(n: int, u: tuple, v: tuple) -> tuple:
+    """Exterior product on C^n of stacked coefficient arrays: u = (p, q, a) with
+    a of shape (..., C(n, p), C(n, q)), v = (s, t, b) likewise, leading batch
+    axes broadcast.  Returns (p + s, q + t, coeffs), the kernel of ``wedge``."""
+    (p, q, a), (s, t, b) = u, v
+    ei, ej = (e.reshape(e.shape[0] * e.shape[1], e.shape[2])
+              for e in (merge_tensor(n, p, s), merge_tensor(n, q, t)))
+    kron = a[..., :, None, :, None] * b[..., None, :, None, :]
+    kron = kron.reshape(kron.shape[:-4] + (len(ei), len(ej)))
+    return p + s, q + t, (-1) ** (q * s) * (ei.T @ kron @ ej)
+
+
 def wedge(u: Form, v: Form) -> Form:
     """Exterior product.  Koszul sign: moving dzbar^{J1} past dz^{I2} gives
     (-1)^{q_u p_v}; the merges I1 + I2 and J1 + J2 contribute the signs of
     ``merge_tensor``, contracted against kron(u.coeffs, v.coeffs), whose rows
-    run over (I1, I2) and columns over (J1, J2).
+    run over (I1, I2) and columns over (J1, J2), in ``_wedge_stack``.
 
     A product beyond top degree is a form with an empty coefficient array.
     """
     if u.n != v.n:
         raise ValueError("ambient dimensions differ")
-    ei, ej = (e.reshape(e.shape[0] * e.shape[1], e.shape[2])
-              for e in (merge_tensor(u.n, u.p, v.p), merge_tensor(u.n, u.q, v.q)))
-    kron = (u.coeffs[:, None, :, None] * v.coeffs[None, :, None, :]).reshape(len(ei), len(ej))
-    coeffs = ei.T @ kron @ ej
-    return Form(u.n, u.p + v.p, u.q + v.q, (-1) ** (u.q * v.p) * coeffs)
+    return Form(u.n, *_wedge_stack(u.n, (u.p, u.q, u.coeffs), (v.p, v.q, v.coeffs)))
 
 
 def _volume_phase(n: int) -> complex:
@@ -211,6 +223,7 @@ def random_griffiths_curvature(rank: int, dim: int, terms: int, eps: float,
         raise ValueError("eps must be positive")
     if terms < 0:
         raise ValueError("terms must be nonnegative")
+    require_seed(seed)
     rng = np.random.default_rng(seed)
     entries = np.zeros((rank, rank, dim, dim), dtype=complex)
     for _ in range(terms):
@@ -229,23 +242,45 @@ def restrict_fiber(tensor: CurvatureTensor, subset) -> CurvatureTensor:
     return CurvatureTensor(rank=len(idx), dim=tensor.dim, entries=sub)
 
 
-def curvature_form_matrix(tensor: CurvatureTensor) -> list[list[Form]]:
-    """The rank x rank matrix of (1,1)-forms Theta[i][j] = sum R[i,j,a,b] dz^a ^ dzbar^b."""
-    return [[Form(tensor.dim, 1, 1, block) for block in row] for row in tensor.entries]
+def _leibniz_sum(n: int, factors: list[tuple], weights) -> Form:
+    """sum_t weights[t] factors[0][t] ^ factors[1][t] ^ ...: each factor a
+    (p, q, (T, ., .)) stack, folded by one batched ``_wedge_stack`` per factor
+    after the first."""
+    p, q, coeffs = reduce(partial(_wedge_stack, n), factors)
+    return Form(n, p, q, np.einsum("t,t...->...", weights, coeffs))
 
 
 def det_forms(entries: list[list[Form | None]]) -> Form | None:
     """Determinant of a matrix of commuting (even) forms as the Leibniz sum
     sum_sigma sgn(sigma) entries[0][sigma(0)] ^ ... ^ entries[r-1][sigma(r-1)].
 
+    (0,0) factors are scalars and go into the term's weight; terms with
+    equal bidegrees of the other factors are stacked into one ``_leibniz_sum``.
     A None entry is a structural zero (as in Jacobi-Trudi): the terms that
     contain one are skipped, and None is returned when every term is.
     """
-    perms, signs = permutation_table(len(entries))
-    terms = [sign * reduce(wedge, factors)
-             for perm, sign in zip(perms.tolist(), signs.tolist())
-             if None not in (factors := [row[j] for row, j in zip(entries, perm)])]
-    return reduce(Form.__add__, terms) if terms else None
+    r = len(entries)
+    if r == 0 or any(len(row) != r for row in entries):
+        raise ValueError("det_forms needs a nonempty square matrix")
+    dims = {f.n for row in entries for f in row if f is not None}
+    if len(dims) > 1:
+        raise ValueError("ambient dimensions differ")
+    n = next(iter(dims), None)
+    perms, signs = permutation_table(r)
+    groups: dict[tuple, list] = {}
+    for perm, sign in zip(perms.tolist(), signs.tolist()):
+        factors = [row[j] for row, j in zip(entries, perm)]
+        if None in factors:
+            continue
+        weight = sign * math.prod(f.coeffs[0, 0] for f in factors if f.p == f.q == 0)
+        factors = [f for f in factors if f.p or f.q] or [Form.one(n)]
+        groups.setdefault(tuple((f.p, f.q) for f in factors), []).append([weight, *factors])
+    sums = []
+    for degrees, terms in groups.items():
+        weights, *columns = zip(*terms)
+        stacks = [(p, q, np.array([f.coeffs for f in col])) for (p, q), col in zip(degrees, columns)]
+        sums.append(_leibniz_sum(n, stacks, np.array(weights)))
+    return reduce(Form.__add__, sums) if sums else None
 
 
 def chern_forms(tensor: CurvatureTensor) -> list[Form]:
@@ -307,13 +342,17 @@ def schur_form(cs: list[Form], parts) -> Form:
 
 
 def c3_principal_minors(tensor: CurvatureTensor) -> Form:
-    """c_3 as (i/2pi)^3 times the sum of 3x3 principal minors of the curvature matrix."""
+    """c_3 as (i/2pi)^3 times the sum of 3x3 principal minors of the curvature
+    matrix: the Leibniz terms of every fiber 3-subset, one ``_leibniz_sum``."""
     if tensor.rank < 3:
         raise ValueError("c3 needs rank >= 3")
-    theta = curvature_form_matrix(tensor)
-    total = sum((det_forms([[theta[i][j] for j in sub] for i in sub])
-                 for sub in combinations(range(tensor.rank), 3)), Form.zero(tensor.dim, 3, 3))
-    return ((1j / TWO_PI) ** 3) * total
+    n = tensor.dim
+    perms, signs = permutation_table(3)
+    fiber = np.array(list(combinations(range(tensor.rank), 3)))
+    # blocks[S, p, m] = R[S_m, S_perms[p, m]]
+    blocks = tensor.entries[fiber[:, None, :], fiber[:, perms]].reshape(-1, 3, n, n)
+    factors = [(1, 1, blocks[:, m]) for m in range(3)]
+    return _leibniz_sum(n, factors, (1j / TWO_PI) ** 3 * np.tile(signs, len(fiber)))
 
 
 def standard_omega(n: int) -> Form:

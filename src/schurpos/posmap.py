@@ -155,6 +155,7 @@ def random_kraus_map(r: int, terms: int, eps: float, seed: int) -> BlockMap:
     """Seeded random Kraus-plus-eps map with r = w (strictly positive for eps > 0)."""
     if r < 1:
         raise ValueError("rank must be at least 1")
+    require_seed(seed)
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(2.0 * r * max(terms, 1))
     cs = [scale * (rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))

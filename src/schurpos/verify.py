@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import forms, phi
-from .discriminants import moment_exact, moment_mc, sample_unit_sphere
+from .discriminants import moment_exact, moment_mc, require_seed, sample_unit_sphere
 from .hermitian import det, herm_eigvals
 from .posmap import (BlockMap, choi_fixture, random_kraus_map,
                      sinkhorn_normalize, trace_map)
@@ -374,4 +374,5 @@ DEFAULT_SEED = 20240808
 
 
 def run_all(seed: int = DEFAULT_SEED, limit: int | None = None) -> list[CriterionResult]:
+    require_seed(seed)
     return [crit(seed, limit) for crit in ALL_CRITERIA]

@@ -88,6 +88,14 @@ class TestGen:
         assert not path.exists()
 
 
+    @pytest.mark.parametrize("kind", ["kraus", "curvature"])
+    def test_negative_seed_is_precondition_error(self, capsys, tmp_path, kind):
+        path = tmp_path / "h.json"
+        code, _, err = run(capsys, "gen", kind, "--seed", "-1", "--output", str(path))
+        assert code == 2
+        assert "seed must be an integer >= 0" in err
+        assert not path.exists()
+
     @pytest.mark.parametrize("kind, size", [("trace", "--rank"), ("kraus", "--rank"),
                                             ("curvature", "--rank"),
                                             ("curvature", "--dim")])
@@ -386,6 +394,12 @@ class TestVerify:
         assert res.passed
         assert (res.details["exact_targets"], res.details["sampled_targets"]) == (10, 0)
         assert "exact_targets=10, sampled_targets=0" in res.line()
+
+    def test_negative_seed_is_precondition_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--seed", "-5")
+        assert (code, out) == (2, "")
+        assert "seed must be an integer >= 0" in err
+        assert "[PASS]" not in err
 
     def test_negative_trials_is_precondition_error(self, capsys):
         code, out, err = run(capsys, "verify", "--trials", "-1")

@@ -9,8 +9,8 @@ import pytest
 
 from schurpos.discriminants import sample_unit_sphere
 from schurpos.forms import (CurvatureTensor, Form, _batched_minors,
-                            _pairing_matrix, c3_principal_minors, chern_forms,
-                            curvature_form_matrix, det_forms, is_real_pp,
+                            _pairing_matrix, _wedge_stack, c3_principal_minors,
+                            chern_forms, det_forms, is_real_pp,
                             max_coeff_diff, merge_tensor,
                             random_griffiths_curvature, restrict_fiber,
                             schur_form, standard_omega, twist_chern,
@@ -45,6 +45,11 @@ def coeff(u, i, j):
 def covector(w):
     """The (1,0)-form sum_a w[a] dz^a."""
     return Form(len(w), 1, 0, np.asarray(w)[:, None])
+
+
+def curvature_form_matrix(t):
+    """The rank x rank matrix of (1,1)-forms Theta[i][j] = sum R[i,j,a,b] dz^a ^ dzbar^b."""
+    return [[Form(t.dim, 1, 1, block) for block in row] for row in t.entries]
 
 
 def random_11_form(rng, n):
@@ -140,6 +145,30 @@ class TestWedge:
         u = form_from_terms(2, {((0,), (1,)): 2.0 + 3.0j})
         c = u.conjugate()
         assert coeff(c, (1,), (0,)) == pytest.approx(-(2.0 - 3.0j))
+
+
+def random_coeffs(rng, *shape):
+    return rng.standard_normal(shape + (2,)).view(complex)[..., 0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_wedge_stack_matches_wedge(n):
+    # every pair of bidegrees, so also the empty products beyond top degree;
+    # the second operand is a stack and, broadcast, a single array
+    rng = np.random.default_rng(90 + n)
+    degrees = list(itertools.product(range(n + 1), repeat=2))
+    for (p, q), (s, t) in itertools.product(degrees, repeat=2):
+        a = random_coeffs(rng, 4, math.comb(n, p), math.comb(n, q))
+        b = random_coeffs(rng, 4, math.comb(n, s), math.comb(n, t))
+        for other in (b, b[0]):
+            got_p, got_q, got = _wedge_stack(n, (p, q, a), (s, t, other))
+            want = np.stack([wedge(Form(n, p, q, x), Form(n, s, t, y)).coeffs
+                             for x, y in zip(a, np.broadcast_to(other, b.shape))])
+            assert (got_p, got_q) == (p + s, q + t)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-15 * np.abs(want).max(initial=0.0)
+            if p + s > n or q + t > n:
+                assert got.size == 0
 
 
 class TestChernForms:
@@ -321,6 +350,44 @@ class TestChernMatchesFormAlgebra:
                 assert_forms_close(got, want, largest_leibniz_term(entries))
 
 
+class TestDetForms:
+    def test_degree_groups(self):
+        # entry (i, j) has bidegree (x_i + y_j, x_i + y_j) with y not constant,
+        # so the Leibniz terms fall into several tuples of factor bidegrees
+        rng = np.random.default_rng(77)
+        x, y, n = (0, 1, 0), (1, 0, 2), 5
+        entries = [[random_real_pp(rng, n, x[i] + y[j]) for j in range(3)] for i in range(3)]
+        groups = {tuple(x[m] + y[perm[m]] for m in range(3))
+                  for perm in itertools.permutations(range(3))}
+        assert len(groups) >= 2
+        assert_forms_close(det_forms(entries), laplace_det_forms(entries),
+                           largest_leibniz_term(entries))
+
+    def test_scalar_entries(self):
+        # (0,0)-forms are scalars: every factor goes into the term weights
+        entries = [[Form(2, 0, 0, [[v]]) for v in row] for row in ((2.0, 3.0), (5.0, 7.0))]
+        got = det_forms(entries)
+        assert (got.p, got.q) == (0, 0) and got.coeffs[0, 0] == -1.0
+        rng = np.random.default_rng(78)
+        entries[0][1], entries[1][1] = random_11_form(rng, 2), random_11_form(rng, 2)
+        assert_forms_close(det_forms(entries), laplace_det_forms(entries))
+
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(ValueError, match="nonempty square"):
+            det_forms([])
+
+    @pytest.mark.parametrize("row_lengths", [(2, 1), (1, 2), (2, 2, 2), (2,)])
+    def test_rejects_ragged_or_non_square(self, row_lengths):
+        with pytest.raises(ValueError, match="nonempty square"):
+            det_forms([[Form.one(3)] * k for k in row_lengths])
+
+    def test_rejects_mixed_ambient_dimensions(self):
+        # the n = 4 entry sits in a term that also has a None factor
+        entries = [[Form.one(3), None], [Form.one(4), Form.one(3)]]
+        with pytest.raises(ValueError, match="ambient dimensions differ"):
+            det_forms(entries)
+
+
 class TestSchurForm:
     def test_single_row_partitions(self):
         t = random_griffiths_curvature(3, 3, 2, 0.25, seed=8)
@@ -384,6 +451,19 @@ class TestC3PrincipalMinors:
             minors = c3_principal_minors(t)
             assert minors.coeffs.size == 0
             assert max_coeff_diff(minors, chern_forms(t)[3]) == 0.0
+
+    @pytest.mark.parametrize("rank,dim", [(5, 3), (3, 4), (5, 4)])
+    def test_benchmark_shapes(self, rank, dim):
+        # chern_forms and the Laplace expansion of every principal minor
+        for seed in (0, 1):
+            t = random_griffiths_curvature(rank, dim, rank, 0.2, seed=seed)
+            theta = curvature_form_matrix(t)
+            minors = [laplace_det_forms([[theta[i][j] for j in sub] for i in sub])
+                      for sub in itertools.combinations(range(rank), 3)]
+            want = (1j / TWO_PI) ** 3 * functools.reduce(Form.__add__, minors)
+            got = c3_principal_minors(t)
+            assert_forms_close(got, want)
+            assert_forms_close(got, chern_forms(t)[3], want.max_abs())
 
     def test_sum_over_restrictions(self):
         t = random_griffiths_curvature(4, 3, 2, 0.2, seed=14)
@@ -734,6 +814,11 @@ class TestGriffithsGenerator:
             random_griffiths_curvature(3, 3, -1, eps=0.1, seed=0)
         with pytest.raises(ValueError, match="eps must be positive"):
             random_griffiths_curvature(3, 3, 2, eps=float("nan"), seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_rejects_invalid_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            random_griffiths_curvature(3, 3, 2, eps=0.1, seed=seed)
 
 
 @pytest.mark.parametrize("rank,dim", [(2, 3), (3, 2), (2, 2)])

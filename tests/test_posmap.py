@@ -465,6 +465,12 @@ def test_random_kraus_map_rejects_zero_rank():
         random_kraus_map(0, 3, 0.1, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_random_kraus_map_rejects_invalid_seed(seed):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        random_kraus_map(3, 3, 0.1, seed=seed)
+
+
 @pytest.mark.parametrize("c", [1e-20, 1.0, 1e20])
 def test_block_symmetry_check_is_relative(c):
     blocks = c * random_kraus_map(3, 3, 0.2, seed=5).blocks
