@@ -69,39 +69,9 @@ def cmd_scale(args) -> int:
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
-def _integral_report(h) -> phi.PhiReport:
-    if h.r not in (2, 3):
-        raise ValueError(f"method 'integral' needs rank 2 or 3, map has rank {h.r}")
-    return (phi.phi_integral_r2 if h.r == 2 else phi.phi_integral_r3)(h)
-
-
-def _r4_report(h) -> phi.PhiReport:
-    decomp = phi.phi_r4_decomposition(h)
-    return phi.PhiReport(value=decomp.total, imaginary_residue=0.0,
-                         method="r4_decomposition")
-
-
-#: --method name -> (report function, ranks at which 'all' runs it).  The
-#: direct sum applies at every rank, so beyond its cap 'all' reports its error.
-_PHI_ROUTES = {
-    "direct": (phi.phi_direct, lambda r: True),
-    "dual": (phi.phi_dual, lambda r: r <= 4),
-    "integral": (_integral_report, lambda r: r in (2, 3)),
-    "r4": (_r4_report, lambda r: r == 4),
-}
-
-
-def _phi_reports(h, method: str) -> list[phi.PhiReport]:
-    if method == "all":
-        return [report(h) for report, applies in _PHI_ROUTES.values() if applies(h.r)]
-    if method not in _PHI_ROUTES:
-        raise ValueError(f"unknown method {method!r}")
-    return [_PHI_ROUTES[method][0](h)]
-
-
 def cmd_phi(args) -> int:
     h = _load_block_map(args.input)
-    reports = _phi_reports(h, args.method)
+    reports = phi.phi_reports(h, args.method)
     obj = {
         "reports": [ser.phi_report_to_json(r) for r in reports],
         "timestamp": _timestamp(),
@@ -184,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     phi_p = sub.add_parser("phi", help="evaluate the double mixed discriminant")
     phi_p.add_argument("--input", required=True)
     phi_p.add_argument("--method", default="all",
-                       choices=[*_PHI_ROUTES, "all"])
+                       choices=[*phi.ROUTES, "all"])
     phi_p.add_argument("--output")
     phi_p.set_defaults(func=cmd_phi)
 

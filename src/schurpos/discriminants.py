@@ -5,9 +5,8 @@ polarization of the determinant,
 
     D(A^1, ..., A^r) = (1/r!) sum_{sigma in S_r} det(row i of A^{sigma(i)}),
 
-computed here three independent ways (permutation sum, finite-difference
-polarization, trace expansions for r = 2, 3) so each route can serve as an
-oracle for the others.
+computed here by the permutation sum; the tests hold its independent
+oracles (finite-difference polarization, trace expansions for r = 2, 3).
 
 Spherical integrals of products of quadratic forms xi* U xi over the unit
 sphere of C^r reduce to signed-free sums of cycle trace products:
@@ -22,10 +21,12 @@ complete homogeneous symmetric polynomial of the eigenvalues of X.
 
     (1/(r)_n) sum_{S subset [n]} (-1)^(n-|S|) h_n(sum_{k in S} U_k),
 
-on the 2^n subset sums of ``subset_table`` (which also drives
-``mixed_discriminant_polarized``).  The identity is algebraic, so it holds
-for non-Hermitian words as well; the tests check it against the literal
-cycle-trace sum.
+on the 2^n subset sums of ``subset_table``.  The identity is algebraic, so
+it holds for non-Hermitian words as well; the tests check it against the
+literal cycle-trace sum.  The sum is multilinear, so each factor is first
+scaled to largest entry 1 and the scales multiplied back in afterwards: a
+factor much smaller than the others is then not lost to cancellation in
+the subset sums.
 
 ``mixed_discriminant`` and ``moment_exact`` map one word (k, r, r) to a
 complex and a stack of words (..., k, r, r) to an array (...), so the
@@ -132,68 +133,33 @@ def mixed_discriminant(mats) -> complex | np.ndarray:
     return np.linalg.det(rows).sum(-1) / math.factorial(r)
 
 
-def mixed_discriminant_polarized(mats) -> complex:
-    """Mixed discriminant via inclusion-exclusion polarization.
-
-    Extracts the coefficient of t^1...t^r in det(sum_k t^k A^k) from the 2^r
-    values det(sum_{k in S} A^k); an independent oracle for
-    ``mixed_discriminant``.
-    """
-    ms = _check_stack(mats, "matrix tuple")
-    r = len(ms)
-    if ms.shape != (r, r, r) or r > 6:
-        raise ValueError(f"polarized route needs r <= 6 matrices of dim r, got shape {ms.shape}")
-    rows, signs = subset_table(r)
-    return signs @ np.linalg.det(np.tensordot(rows, ms, 1)) / math.factorial(r)
-
-
-def trace_expansion_r2(x, y) -> complex:
-    """D(X, Y) for 2 x 2 matrices: (tr X tr Y - tr XY) / 2."""
-    mx, my = ms = _check_stack([x, y], "trace_expansion_r2")
-    if ms.shape != (2, 2, 2):
-        raise ValueError("trace_expansion_r2 needs 2x2 matrices")
-    return (np.trace(mx) * np.trace(my) - np.trace(mx @ my)) / 2.0
-
-
-def trace_expansion_r3(u, v, w) -> complex:
-    """D(U, V, W) for 3 x 3 matrices via the six-term trace formula."""
-    mu, mv, mw = ms = _check_stack([u, v, w], "trace_expansion_r3")
-    if ms.shape != (3, 3, 3):
-        raise ValueError("trace_expansion_r3 needs 3x3 matrices")
-    tu, tv, tw = np.trace(mu), np.trace(mv), np.trace(mw)
-    six_d = (
-        tu * tv * tw
-        - tu * np.trace(mv @ mw)
-        - tv * np.trace(mu @ mw)
-        - tw * np.trace(mu @ mv)
-        + np.trace(mu @ mv @ mw)
-        + np.trace(mu @ mw @ mv)
-    )
-    return six_d / 6.0
-
-
 def moment_exact(mats) -> complex | np.ndarray:
     """Exact spherical moment int prod_k (xi* U_k xi) dmu over S^{2r-1}, per word.
 
     The polarization of the diagonal n! h_n (module docstring): Newton's
     identity m h_m = sum_{j=1..m} p_j h_{m-j} turns the power sums
-    p_j = tr X^j of the 2^n subset sums X of the word into h_n.
+    p_j = tr X^j of the 2^n subset sums X of the word into h_n.  The subset
+    sums are of the factors scaled to largest entry 1 (a zero factor keeps
+    scale 1), and the result carries the product of the scales.
     """
     a = _check_stack(mats, "moment word")
     n, r = a.shape[-3], a.shape[-1]
     if n > MAX_WORD_LEN:
         raise ValueError(f"moment word length {n} exceeds maximum {MAX_WORD_LEN}")
     rows, signs = subset_table(n)
-    x = (rows @ a.reshape(*a.shape[:-2], r * r)).reshape(*a.shape[:-3], -1, r, r)
+    scales = abs(a).max((-2, -1))
+    scales[scales == 0.0] = 1.0
+    x = ((rows / scales[..., None, :]) @ a.reshape(*a.shape[:-2], r * r)).reshape(
+        *a.shape[:-3], -1, r, r)
     powers = [x]
     while len(powers) < n - 1:
         powers.append(powers[-1] @ x)
     p = [np.einsum("...ii->...", x)] + [np.einsum("...ij,...ji->...", y, x)
                                         for y in powers[:n - 1]]
-    h = [1.0]
-    for m in range(1, n + 1):
-        h.append(sum(p[j - 1] * h[m - j] for j in range(1, m + 1)) / m)
-    return h[n] @ signs / rising_factorial(r, n)
+    h = [1.0, p[0]]
+    for m in range(2, n + 1):
+        h.append((sum(p[j - 1] * h[m - j] for j in range(1, m)) + p[m - 1]) / m)
+    return h[n] @ signs * scales.prod(-1) / rising_factorial(r, n)
 
 
 def sample_unit_sphere(rng: np.random.Generator, shape, r: int) -> np.ndarray:
@@ -208,15 +174,16 @@ def sample_unit_sphere(rng: np.random.Generator, shape, r: int) -> np.ndarray:
 def require_count(value, name: str) -> None:
     """Reject a sample count that is not an integer >= 1: a NaN count would
     return NaN, an infinite one never return, and a fractional one reach
-    numpy as a shape."""
-    if not isinstance(value, numbers.Integral) or value < 1:
+    numpy as a shape.  A bool is not a count."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
         raise ValueError(f"need at least one sample: {name} must be an integer "
                          f">= 1, got {value!r}")
 
 
 def require_seed(value) -> None:
-    """Reject a seed that is not an integer >= 0, before numpy sees it."""
-    if not isinstance(value, numbers.Integral) or value < 0:
+    """Reject a seed that is not an integer >= 0, before numpy sees it; a
+    bool is not a seed."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
         raise ValueError(f"seed must be an integer >= 0, got {value!r}")
 
 

@@ -128,10 +128,6 @@ class Form:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "Form":
-        """Complex conjugate form: swaps I and J with the (-1)^{pq} reorder sign."""
-        return Form(self.n, self.q, self.p, (-1) ** (self.p * self.q) * self.coeffs.conj().T)
-
     def max_abs(self) -> float:
         return float(np.abs(self.coeffs).max(initial=0.0))
 
@@ -182,12 +178,6 @@ def volume_coefficient(u: Form) -> complex:
     return complex(u.coeffs[0, 0]) * _volume_phase(u.n)
 
 
-def is_real_pp(u: Form, tol: float = 1e-12) -> bool:
-    """Check the reality invariant u_{J,I} = (-1)^p conj(u_{I,J}), that is,
-    that u is a (p, p)-form equal to its conjugate."""
-    return u.p == u.q and max_coeff_diff(u, u.conjugate()) <= tol
-
-
 # ---------------------------------------------------------------------------
 # Curvature input data
 # ---------------------------------------------------------------------------
@@ -231,15 +221,6 @@ def random_griffiths_curvature(rank: int, dim: int, terms: int, eps: float,
         entries += np.einsum("ia,jb->ijab", t, t.conj())
     entries += eps * np.einsum("ij,ab->ijab", np.eye(rank), np.eye(dim))
     return CurvatureTensor(rank=rank, dim=dim, entries=entries)
-
-
-def restrict_fiber(tensor: CurvatureTensor, subset) -> CurvatureTensor:
-    """Sub-tensor on the chosen fiber indices (0-based, distinct)."""
-    idx = list(subset)
-    if len(set(idx)) != len(idx) or any(i < 0 or i >= tensor.rank for i in idx):
-        raise ValueError(f"invalid fiber subset {subset} for rank {tensor.rank}")
-    sub = tensor.entries[np.ix_(idx, idx)]
-    return CurvatureTensor(rank=len(idx), dim=tensor.dim, entries=sub)
 
 
 def _leibniz_sum(n: int, factors: list[tuple], weights) -> Form:

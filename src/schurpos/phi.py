@@ -36,6 +36,7 @@ or ``four_cycle_trace_sum`` (the rank-4 residue).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from itertools import permutations
 from typing import NamedTuple
@@ -110,14 +111,19 @@ def phi_dual(h: BlockMap) -> PhiReport:
 
 
 def c_matrix(h: BlockMap, xi) -> np.ndarray:
-    """C(xi) = (xi* B_ij xi): Hermitian, positive definite for positive maps."""
-    v = np.asarray(xi, dtype=complex).reshape(-1)
-    if v.shape[0] != h.r:
-        raise ValueError(f"xi has dim {v.shape[0]}, map has r={h.r}; note w={h.w}")
-    norm = float(np.linalg.norm(v))
-    if not abs(norm - 1.0) <= 1e-12:
-        raise ValueError(f"xi must be a unit vector (|xi| = {norm})")
-    return np.einsum("a,ijab,b->ij", v.conj(), h.blocks, v)
+    """C(xi) = (xi* B_ij xi): Hermitian, positive definite for positive maps.
+
+    xi is one unit vector (r,) or a stack of them (..., r), giving (..., r, r).
+    """
+    v = np.asarray(xi, dtype=complex)
+    if v.ndim == 0 or v.shape[-1] != h.r:
+        raise ValueError(f"xi has shape {v.shape}, map has r={h.r}; note w={h.w}")
+    mod = abs(v)
+    off = abs(np.sqrt(np.vecdot(mod, mod)) - 1.0)
+    # counted rather than .all(): the one-vector call stays as cheap as a norm
+    if np.count_nonzero(off <= 1e-12) < off.size:
+        raise ValueError(f"xi must be a unit vector (||xi| - 1| = {off.max():.3e})")
+    return np.einsum("...a,ijab,...b->...ij", v.conj(), h.blocks, v)
 
 
 def integral_det_c(h: BlockMap) -> complex:
@@ -187,6 +193,40 @@ def phi_r4_decomposition(h: BlockMap) -> R4Decomposition:
     return R4Decomposition(integral_part=float(integral.real),
                            q_part=float(q_part.real),
                            total=float((integral + q_part).real))
+
+
+def phi_integral(h: BlockMap) -> PhiReport:
+    """The exact spherical form at its rank: phi_integral_r2 or phi_integral_r3."""
+    if h.r not in (2, 3):
+        raise ValueError(f"method 'integral' needs rank 2 or 3, map has rank {h.r}")
+    return (phi_integral_r2 if h.r == 2 else phi_integral_r3)(h)
+
+
+def phi_r4(h: BlockMap) -> PhiReport:
+    """phi_r4_decomposition as a report: its total, the sum of both parts."""
+    return PhiReport(value=phi_r4_decomposition(h).total, imaginary_residue=0.0,
+                     method="r4_decomposition")
+
+
+#: Route name -> (report function, ranks at which method "all" runs it).
+#: "all" runs the direct sum at every rank, so that beyond its cap the error
+#: is phi_direct's; it comes first, the routes that are checked against it after.
+ROUTES = {
+    "direct": (phi_direct, range(1, sys.maxsize)),
+    "dual": (phi_dual, range(1, 5)),
+    "integral": (phi_integral, range(2, 4)),
+    "r4": (phi_r4, range(4, 5)),
+}
+
+
+def phi_reports(h: BlockMap, method: str = "all") -> list[PhiReport]:
+    """The report of one route of ROUTES, or with "all" the reports of every
+    route that runs at rank h.r, direct first."""
+    if method == "all":
+        return [report(h) for report, ranks in ROUTES.values() if h.r in ranks]
+    if method not in ROUTES:
+        raise ValueError(f"unknown method {method!r}")
+    return [ROUTES[method][0](h)]
 
 
 def schur_delta(l1, l2, l3):

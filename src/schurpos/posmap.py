@@ -114,19 +114,6 @@ def identity_map(r: int) -> BlockMap:
     return BlockMap(np.einsum("ia,jb->ijab", np.eye(r), np.eye(r)))
 
 
-def transpose_map(r: int) -> BlockMap:
-    """H(X) = X^T: blocks B_ij = E_ji."""
-    return BlockMap(np.einsum("ib,ja->ijab", np.eye(r), np.eye(r)))
-
-
-def apply_map(h: BlockMap, x) -> np.ndarray:
-    """H(x) = sum_ij x_ij B_ij."""
-    m = as_matrix(x)
-    if m.shape[0] != h.r:
-        raise ValueError(f"argument dim {m.shape[0]} != map input dim {h.r}")
-    return np.einsum("ij,ijab->ab", m, h.blocks)
-
-
 def from_kraus(cs, eps: float = 0.0) -> BlockMap:
     """Completely positive map B_ij = sum_k C_k E_ij C_k*, plus eps * trace map.
 

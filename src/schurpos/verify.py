@@ -14,7 +14,7 @@ import numpy as np
 
 from . import forms, phi
 from .discriminants import moment_exact, moment_mc, require_seed, sample_unit_sphere
-from .hermitian import det, herm_eigvals
+from .hermitian import det
 from .posmap import (BlockMap, choi_fixture, random_kraus_map,
                      sinkhorn_normalize, trace_map)
 
@@ -97,41 +97,30 @@ def _random_hermitian(r: int, rng: np.random.Generator) -> np.ndarray:
 # Criteria
 # ---------------------------------------------------------------------------
 
+def _route_gap(h: BlockMap) -> float:
+    """Largest distance of a Phi route of ``phi.phi_reports`` from the direct sum."""
+    direct, *others = phi.phi_reports(h)
+    return max(abs(rep.value - direct.value) for rep in others)
+
+
 def criterion_1_exact_fixed_point(seed: int, limit: int | None = None) -> CriterionResult:
     """Phi(trace map) = 1 for r in {2,3,4} by every applicable method, to 1e-12."""
-    worst = 0.0
-    for r in (2, 3, 4):
-        h = trace_map(r)
-        values = [phi.phi_direct(h).value, phi.phi_dual(h).value]
-        if r == 2:
-            values += [phi.phi_integral_r2(h).value, phi.rank2_norm_identity(h)[0]]
-        elif r == 3:
-            rep = phi.phi_integral_r3(h)
-            values += [rep.value, rep.lower_bound]
-        else:
-            values.append(phi.phi_r4_decomposition(h).total)
-        worst = max(worst, max(abs(v - 1.0) for v in values))
+    values = [v for r in (2, 3, 4) for rep in phi.phi_reports(trace_map(r))
+              for v in (rep.value, rep.lower_bound) if v is not None]
+    values.append(phi.rank2_norm_identity(trace_map(2))[0])
+    worst = max(abs(v - 1.0) for v in values)
     return CriterionResult("1 exact fixed point", worst < 1e-12,
                            {"max_abs_error": f"{worst:.2e}"})
 
 
 def criterion_2_method_agreement(seed: int, limit: int | None = None) -> CriterionResult:
-    """direct = dual = integral within 1e-9 (r=2,3); r=4 decomposition within 1e-8."""
-    worst23 = 0.0
-    for r in (2, 3):
-        for idx in range(_count(FULL_COUNTS["method_agreement_per_rank"], limit)):
-            h = _normalized_random_map(r, _sub_seed(seed, 2, r, idx))
-            direct = phi.phi_direct(h).value
-            dual = phi.phi_dual(h).value
-            integral = (phi.phi_integral_r2(h) if r == 2
-                        else phi.phi_integral_r3(h)).value
-            worst23 = max(worst23, abs(direct - dual), abs(direct - integral))
-    worst4 = 0.0
-    for idx in range(_count(FULL_COUNTS["method_agreement_r4"], limit)):
-        h = _normalized_random_map(4, _sub_seed(seed, 2, 4, idx))
-        direct = phi.phi_direct(h).value
-        decomp = phi.phi_r4_decomposition(h)
-        worst4 = max(worst4, abs(direct - decomp.total))
+    """Every route of ``phi.phi_reports`` agrees with the direct sum within 1e-9
+    at r=2,3 and within 1e-8 at r=4."""
+    worst23 = max(_route_gap(_normalized_random_map(r, _sub_seed(seed, 2, r, idx)))
+                  for r in (2, 3)
+                  for idx in range(_count(FULL_COUNTS["method_agreement_per_rank"], limit)))
+    worst4 = max(_route_gap(_normalized_random_map(4, _sub_seed(seed, 2, 4, idx)))
+                 for idx in range(_count(FULL_COUNTS["method_agreement_r4"], limit)))
     passed = worst23 < 1e-9 and worst4 < 1e-8
     return CriterionResult("2 method agreement", passed,
                            {"max_diff_r23": f"{worst23:.2e}",
@@ -313,16 +302,12 @@ def criterion_10_schur_inequality(seed: int, limit: int | None = None) -> Criter
     )
     h = _normalized_random_map(3, _sub_seed(seed, 10, 0))
     rng = np.random.default_rng(_sub_seed(seed, 10, 1))
-    xis = sample_unit_sphere(rng, _count(FULL_COUNTS["integrand_xis"], limit), 3)
-    worst_pointwise = 0.0
-    for xi in xis:
-        c = phi.c_matrix(h, xi)
-        det_c = float(det(c).real)
-        lam = np.maximum(herm_eigvals(c), 0.0)
-        sigma2 = float(lam[0] * lam[1] + lam[0] * lam[2] + lam[1] * lam[2])
-        integrand = 10.0 * det_c + 27.0 - 12.0 * sigma2
-        gap = integrand - det_c - phi.schur_delta(lam[0], lam[1], lam[2])
-        worst_pointwise = max(worst_pointwise, abs(gap))
+    c = phi.c_matrix(h, sample_unit_sphere(rng, _count(FULL_COUNTS["integrand_xis"], limit), 3))
+    det_c = np.linalg.det(c).real
+    lam = np.maximum(np.linalg.eigvalsh(c), 0.0).T
+    sigma2 = lam[0] * lam[1] + lam[0] * lam[2] + lam[1] * lam[2]
+    integrand = 10.0 * det_c + 27.0 - 12.0 * sigma2
+    worst_pointwise = float(np.max(abs(integrand - det_c - phi.schur_delta(*lam))))
     passed = grid_min >= -1e-12 and eq_worst < 1e-12 and worst_pointwise < 1e-9
     return CriterionResult("10 Schur inequality", passed,
                            {"grid_min": f"{grid_min:.2e}",

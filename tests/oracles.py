@@ -1,0 +1,92 @@
+"""Helpers that only the tests call: independent oracles of the library's
+kernels, and small constructions the tests check the library against.
+
+* ``mixed_discriminant_polarized``, ``trace_expansion_r2`` and
+  ``trace_expansion_r3`` compute ``mixed_discriminant`` by routes that share
+  none of its arithmetic;
+* ``apply_map`` and ``transpose_map`` evaluate and build block maps;
+* ``restrict_fiber``, ``conjugate`` and ``is_real_pp`` act on curvature
+  tensors and forms.
+"""
+
+import math
+
+import numpy as np
+
+from schurpos.discriminants import _check_stack, subset_table
+from schurpos.forms import CurvatureTensor, Form, max_coeff_diff
+from schurpos.hermitian import as_matrix
+from schurpos.posmap import BlockMap
+
+
+def mixed_discriminant_polarized(mats) -> complex:
+    """Mixed discriminant via inclusion-exclusion polarization.
+
+    Extracts the coefficient of t^1...t^r in det(sum_k t^k A^k) from the 2^r
+    values det(sum_{k in S} A^k); an independent oracle for
+    ``mixed_discriminant``.
+    """
+    ms = _check_stack(mats, "matrix tuple")
+    r = len(ms)
+    if ms.shape != (r, r, r) or r > 6:
+        raise ValueError(f"polarized route needs r <= 6 matrices of dim r, got shape {ms.shape}")
+    rows, signs = subset_table(r)
+    return signs @ np.linalg.det(np.tensordot(rows, ms, 1)) / math.factorial(r)
+
+
+def trace_expansion_r2(x, y) -> complex:
+    """D(X, Y) for 2 x 2 matrices: (tr X tr Y - tr XY) / 2."""
+    mx, my = ms = _check_stack([x, y], "trace_expansion_r2")
+    if ms.shape != (2, 2, 2):
+        raise ValueError("trace_expansion_r2 needs 2x2 matrices")
+    return (np.trace(mx) * np.trace(my) - np.trace(mx @ my)) / 2.0
+
+
+def trace_expansion_r3(u, v, w) -> complex:
+    """D(U, V, W) for 3 x 3 matrices via the six-term trace formula."""
+    mu, mv, mw = ms = _check_stack([u, v, w], "trace_expansion_r3")
+    if ms.shape != (3, 3, 3):
+        raise ValueError("trace_expansion_r3 needs 3x3 matrices")
+    tu, tv, tw = np.trace(mu), np.trace(mv), np.trace(mw)
+    six_d = (
+        tu * tv * tw
+        - tu * np.trace(mv @ mw)
+        - tv * np.trace(mu @ mw)
+        - tw * np.trace(mu @ mv)
+        + np.trace(mu @ mv @ mw)
+        + np.trace(mu @ mw @ mv)
+    )
+    return six_d / 6.0
+
+
+def transpose_map(r: int) -> BlockMap:
+    """H(X) = X^T: blocks B_ij = E_ji."""
+    return BlockMap(np.einsum("ib,ja->ijab", np.eye(r), np.eye(r)))
+
+
+def apply_map(h: BlockMap, x) -> np.ndarray:
+    """H(x) = sum_ij x_ij B_ij."""
+    m = as_matrix(x)
+    if m.shape[0] != h.r:
+        raise ValueError(f"argument dim {m.shape[0]} != map input dim {h.r}")
+    return np.einsum("ij,ijab->ab", m, h.blocks)
+
+
+def restrict_fiber(tensor: CurvatureTensor, subset) -> CurvatureTensor:
+    """Sub-tensor on the chosen fiber indices (0-based, distinct)."""
+    idx = list(subset)
+    if len(set(idx)) != len(idx) or any(i < 0 or i >= tensor.rank for i in idx):
+        raise ValueError(f"invalid fiber subset {subset} for rank {tensor.rank}")
+    sub = tensor.entries[np.ix_(idx, idx)]
+    return CurvatureTensor(rank=len(idx), dim=tensor.dim, entries=sub)
+
+
+def conjugate(u: Form) -> Form:
+    """Complex conjugate form: swaps I and J with the (-1)^{pq} reorder sign."""
+    return Form(u.n, u.q, u.p, (-1) ** (u.p * u.q) * u.coeffs.conj().T)
+
+
+def is_real_pp(u: Form, tol: float = 1e-12) -> bool:
+    """Check the reality invariant u_{J,I} = (-1)^p conj(u_{I,J}), that is,
+    that u is a (p, p)-form equal to its conjugate."""
+    return u.p == u.q and max_coeff_diff(u, conjugate(u)) <= tol

@@ -214,6 +214,27 @@ class TestPhi:
             assert abs(rep["value"] - 1.0) < 1e-12
         assert obj["max_spread"] < 1e-12
 
+    ROUTES_AT_RANK = {1: ["direct", "dual"],
+                      2: ["direct", "dual", "integral_r2"],
+                      3: ["direct", "dual", "integral_r3"],
+                      4: ["direct", "dual", "r4_decomposition"],
+                      5: ["direct"]}
+
+    @pytest.mark.parametrize("rank", sorted(ROUTES_AT_RANK))
+    def test_all_runs_the_routes_of_its_rank(self, capsys, tmp_path, rank):
+        path = tmp_path / "trace.json"
+        assert main(["gen", "trace", "--rank", str(rank), "--output", str(path)]) == 0
+        code, obj, _ = run_json(capsys, "phi", "--input", str(path), "--method", "all")
+        assert code == 0
+        assert [r["method"] for r in obj["reports"]] == self.ROUTES_AT_RANK[rank]
+
+    def test_all_beyond_direct_cap_is_precondition_error(self, capsys, tmp_path):
+        path = tmp_path / "trace.json"
+        assert main(["gen", "trace", "--rank", "6", "--output", str(path)]) == 0
+        code, out, err = run(capsys, "phi", "--input", str(path), "--method", "all")
+        assert (code, out) == (2, "")
+        assert "phi_direct supports rank <= 5" in err
+
     def test_normalized_random_agreement(self, capsys, tmp_path):
         raw, scaled = tmp_path / "raw.json", tmp_path / "scaled.json"
         main(["gen", "kraus", "--rank", "3", "--eps", "0.2", "--seed", "5",

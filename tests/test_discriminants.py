@@ -8,14 +8,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import (mixed_discriminant_polarized, trace_expansion_r2,
+                     trace_expansion_r3)
 
 from schurpos import discriminants
-from schurpos.discriminants import (mixed_discriminant,
-                                    mixed_discriminant_polarized, moment_exact,
-                                    moment_mc, permutation_table,
-                                    rising_factorial, sample_unit_sphere,
-                                    subset_table, trace_expansion_r2,
-                                    trace_expansion_r3)
+from schurpos.discriminants import (mixed_discriminant, moment_exact, moment_mc,
+                                    permutation_table, rising_factorial,
+                                    sample_unit_sphere, subset_table)
 from schurpos.hermitian import det
 
 
@@ -275,6 +274,22 @@ class TestMomentExact:
         scale = math.prod(np.linalg.norm(u, 2) for u in us)
         assert abs(moment_exact(us) - want) <= 1e-13 * scale
 
+    def test_factors_of_unequal_size(self):
+        # factors of 1.9e-5 and about 1e-3: polarizing them unscaled cancelled
+        # to an error of 5.2e-30 against a roundoff scale of 3.3e-30
+        rng = np.random.default_rng(164153841)
+        us = 1e-3 * (rng.standard_normal((5, 1, 1)) + 1j * rng.standard_normal((5, 1, 1)))
+        scale = math.prod(np.linalg.norm(u, 2) for u in us)
+        assert abs(moment_exact(us) - cycle_trace_moment(us)) <= 1e-13 * scale
+
+    def test_zero_factor(self):
+        rng = np.random.default_rng(83)
+        stack = rng.standard_normal((2, 3, 2, 2)) + 0j
+        stack[1, 1] = 0.0
+        got = moment_exact(stack)
+        assert abs(got[1]) <= 1e-15
+        assert abs(got[0] - cycle_trace_moment(stack[0])) < 1e-14
+
     def test_longest_word_boundary(self):
         # sum over S_6 of r^cycles equals (r)_6, so the identity word stays 1
         assert abs(moment_exact([np.eye(2)] * 6) - 1.0) < 1e-14
@@ -341,7 +356,7 @@ class TestMomentMonteCarlo:
         with pytest.raises(ValueError):
             moment_mc([np.eye(2)], samples=0, seed=0)
 
-    @pytest.mark.parametrize("samples", [float("nan"), 2.5])
+    @pytest.mark.parametrize("samples", [float("nan"), 2.5, True])
     def test_rejects_non_integer_samples(self, samples):
         with pytest.raises(ValueError, match="samples must be an integer >= 1"):
             moment_mc([np.eye(2), np.eye(2)], samples=samples, seed=0)
@@ -350,7 +365,7 @@ class TestMomentMonteCarlo:
         with pytest.raises(ValueError, match="empty moment word"):
             moment_mc([], samples=10, seed=0)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, False])
     def test_rejects_invalid_seed(self, seed):
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             moment_mc([np.eye(2), np.eye(2)], samples=10, seed=seed)

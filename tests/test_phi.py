@@ -5,18 +5,19 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from oracles import transpose_map
 
 from schurpos.discriminants import (mixed_discriminant, moment_exact,
-                                    permutation_table)
+                                    permutation_table, sample_unit_sphere)
 from schurpos.hermitian import det
-from schurpos.phi import (c_matrix, four_cycle_trace_sum, integral_det_c,
+from schurpos.phi import (ROUTES, c_matrix, four_cycle_trace_sum, integral_det_c,
                           integral_sigma2_c, leibniz_stack, phi_direct,
                           phi_dual, phi_integral_r2, phi_integral_r3,
-                          phi_r4_decomposition, rank2_norm_identity,
-                          schur_delta)
+                          phi_r4_decomposition, phi_reports,
+                          rank2_norm_identity, schur_delta)
 from schurpos.posmap import (BlockMap, choi_fixture, identity_map,
                              random_kraus_map, scale, sinkhorn_normalize,
-                             trace_map, transpose_map)
+                             trace_map)
 
 
 def normalized_map(r, seed, terms=3, eps=0.2):
@@ -78,6 +79,24 @@ class TestPhiDual:
         assert abs(phi_dual(h).value - phi_direct(h).value) < 1e-9
 
 
+class TestRoutes:
+    @pytest.mark.parametrize("method,rank", [("direct", 5), ("dual", 4), ("integral", 2),
+                                             ("integral", 3), ("r4", 4)])
+    def test_named_route_matches_direct(self, method, rank):
+        h = normalized_map(rank, seed=131 + rank)
+        (rep,) = phi_reports(h, method)
+        assert abs(rep.value - phi_direct(h).value) < 1e-9
+        assert rank in ROUTES[method][1]
+
+    def test_integral_outside_its_ranks(self):
+        with pytest.raises(ValueError, match="needs rank 2 or 3"):
+            phi_reports(trace_map(4), "integral")
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError, match="unknown method"):
+            phi_reports(trace_map(3), "hyperdeterminant")
+
+
 class TestCMatrix:
     def test_trace_map_gives_identity(self):
         rng = np.random.default_rng(97)
@@ -102,6 +121,20 @@ class TestCMatrix:
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
             c_matrix(trace_map(3), np.array([1.0, 1.0, 0.0]))
+
+    def test_stack_matches_per_vector(self):
+        h = normalized_map(3, seed=107)
+        xis = sample_unit_sphere(np.random.default_rng(109), (4, 5), 3)
+        got = c_matrix(h, xis)
+        assert got.shape == (4, 5, 3, 3)
+        want = [[c_matrix(h, xi) for xi in row] for row in xis]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    def test_stack_rejects_one_non_unit_row(self):
+        xis = sample_unit_sphere(np.random.default_rng(113), 6, 3)
+        xis[4] *= 1.0 + 1e-9
+        with pytest.raises(ValueError, match="unit vector"):
+            c_matrix(trace_map(3), xis)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):

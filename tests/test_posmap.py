@@ -2,15 +2,16 @@
 
 import numpy as np
 import pytest
+from oracles import apply_map, transpose_map
 
 from schurpos.discriminants import sample_unit_sphere
 from schurpos.forms import CurvatureTensor, random_griffiths_curvature
 from schurpos.phi import phi_direct
 from schurpos.posmap import (BlockMap, NotStrictlyPositiveError, _grid_minimum,
-                             apply_map, choi_fixture, from_kraus, identity_map,
+                             choi_fixture, from_kraus, identity_map,
                              normalization_residual, positivity_certificate,
                              random_kraus_map, scale, sinkhorn_normalize,
-                             trace_map, transpose_map)
+                             trace_map)
 
 
 def random_unit(rng, r):
@@ -168,12 +169,12 @@ class TestCertificate:
         with pytest.raises(ValueError, match="block symmetry defect"):
             positivity_certificate(asymmetric_kraus_map(), grid=50, seed=0)
 
-    @pytest.mark.parametrize("grid", [float("nan"), 2.5])
+    @pytest.mark.parametrize("grid", [float("nan"), 2.5, True])
     def test_rejects_non_integer_grid(self, grid):
         with pytest.raises(ValueError, match="grid must be an integer >= 1"):
             positivity_certificate(trace_map(3), grid=grid, seed=0)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, False])
     def test_rejects_invalid_seed(self, seed):
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             positivity_certificate(trace_map(3), grid=10, seed=seed)
@@ -465,7 +466,7 @@ def test_random_kraus_map_rejects_zero_rank():
         random_kraus_map(0, 3, 0.1, seed=0)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, False])
 def test_random_kraus_map_rejects_invalid_seed(seed):
     with pytest.raises(ValueError, match="seed must be an integer >= 0"):
         random_kraus_map(3, 3, 0.1, seed=seed)

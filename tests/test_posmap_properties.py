@@ -11,7 +11,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from schurpos.posmap import (BlockMap, _grid_minimum, apply_map,  # noqa: E402
+from oracles import apply_map  # noqa: E402
+from schurpos.posmap import (BlockMap, _grid_minimum,  # noqa: E402
                              positivity_certificate, random_kraus_map, scale,
                              sinkhorn_normalize)
 
