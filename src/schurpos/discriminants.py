@@ -41,14 +41,12 @@ xi = x + iy, v = (x, y) in R^{2r} and U = A + iB,
 
 where sym(X) = (X + X^T)/2; N = 0 exactly when U is Hermitian.  The forms
 are homogeneous of degree 2, so each sample divides the product of the
-forms by |v|^{2n} rather than normalizing v.  Its sample stream is the one
-``sample_unit_sphere`` draws: block b is seeded by seed + b, and a block's
-first standard normal fill is x and its second y.  The blocks are
-independent, so they run on every available core: each worker thread owns
-one block of x and of weights plus the scratch of one row tile, fills x,
-then draws y and evaluates the forms tile by tile, and returns its blocks'
-partial sums.  These are added in block order, so the result is the same
-float for any number of cores.
+forms by |v|^{2n} rather than normalizing v.  The samples come in blocks:
+block b is seeded by seed + b, and its v is the block's sequence of
+standard normals in row order, drawn and evaluated one row tile at a time.
+The blocks are independent, so they run on every available core, and
+their partial sums are added in block order: the result is the same float
+for any number of cores.
 """
 
 from __future__ import annotations
@@ -209,24 +207,23 @@ def _available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _mc_block(forms, n: int, rng: np.random.Generator, buffers) -> tuple[complex, float]:
+def _mc_block(forms, n: int, r: int, count: int, rng: np.random.Generator,
+              dtype) -> tuple[complex, float]:
     """(sum w, sum |w|^2) over one block of ``moment_mc`` samples.
 
-    ``buffers`` = (x, w, y, v, vm, q) are the block's rows Re xi (count, r),
-    its weights (count,), and the scratch of one row tile (MC_TILE rows): Im xi,
-    v = (x, y), v M and the forms.  x is one fill, then y is drawn tile by
-    tile, which continues the same sequential stream.
+    v = (Re xi, Im xi) is drawn one tile of MC_TILE rows at a time, so the
+    block's v is its (count, 2r) standard normal sequence in row order
+    whatever the tile size.  The scratch is four tile-sized arrays: v, v M,
+    the real and imaginary forms, and the weights w.
     """
-    x, w, y, v, vm, q = buffers
-    count, r = x.shape
-    rng.standard_normal(out=x)
-    for start in range(0, count, MC_TILE):
-        rows = min(MC_TILE, count - start)
-        yt, vt, vmt, wt = y[:rows], v[:rows], vm[:rows], w[start:start + rows]
-        q_re, q_im = q[0, :rows], q[1, :rows]
-        rng.standard_normal(out=yt)
-        vt[:, :r] = x[start:start + rows]
-        vt[:, r:] = yt
+    tile = min(MC_TILE, count)
+    v, vm = np.empty((tile, 2 * r)), np.empty((tile, 2 * r))
+    q, w = np.empty((2, tile)), np.empty(tile, dtype=dtype)
+    sum_w, sum_abs2 = 0.0, 0.0
+    for start in range(0, count, tile):
+        rows = min(tile, count - start)
+        vt, vmt, wt, q_re, q_im = v[:rows], vm[:rows], w[:rows], q[0, :rows], q[1, :rows]
+        rng.standard_normal(out=vt)
         np.einsum("sj,sj->s", vt, vt, out=q_re)
         np.power(q_re, -n, out=wt)
         for m, im in forms:
@@ -238,30 +235,27 @@ def _mc_block(forms, n: int, rng: np.random.Generator, buffers) -> tuple[complex
                 np.matmul(vt, im, out=vmt)
                 np.einsum("sj,sj->s", vmt, vt, out=q_im)
                 wt *= q_re + 1j * q_im
-    # einsum, not BLAS vdot: a threaded BLAS dot sums in an order that
-    # depends on its thread count
-    return w.sum(), float(np.einsum("s,s->", w.conj(), w).real)
+        sum_w += wt.sum()
+        # einsum, not BLAS vdot: a threaded BLAS dot sums in an order that
+        # depends on its thread count
+        sum_abs2 += np.einsum("s,s->", wt.conj(), wt).real
+    return sum_w, float(sum_abs2)
 
 
 def moment_mc(mats, samples: int, seed: int) -> tuple[complex, float]:
     """Monte Carlo spherical moment with standard error.
 
-    Samples are drawn in blocks of MC_BLOCK, block b seeded by seed + b, so
-    the result depends only on (seed, samples).  The blocks run on every
-    available core, worker i of W taking the blocks b = i (mod W), and
-    their partial sums are added in block order: the result is the same
-    float for any worker count.  A single worker runs inline; otherwise
-    the threads of one pool live only as long as the call.
+    Samples are drawn in blocks of MC_BLOCK, block b seeded by seed + b,
+    and a block's v = (Re xi, Im xi) is its (count, 2r) standard normal
+    sequence in row order: the samples depend only on (seed, samples), not
+    on MC_TILE or the number of cores.  A single worker runs the blocks
+    inline; otherwise a thread pool that lives only as long as the call
+    maps them over every available core, and their partial sums are added
+    in block order, so the result is the same float for any worker count.
 
-    The stream is unchanged from ``sample_unit_sphere``: a block's first
-    standard normal fill is Re xi and its second Im xi, drawn here in row
-    tiles of MC_TILE so that each matmul and einsum works in cache.  Each
-    worker holds one block of Re xi and of weights (2.6 MB at r = 4 for a
-    Hermitian word) and 0.7 MB of tile scratch, allocated before the pool
-    starts.  The arithmetic is real: with v = (Re xi, Im xi),
-    xi* U xi = v^T M v + i v^T N v, and each sample is
-    prod_i (v^T M_i v + i v^T N_i v) / |v|^{2n}, so v is never normalized.
-    Hermitian factors (N = 0) keep the product real.
+    The arithmetic is real: xi* U xi = v^T M v + i v^T N v, and each sample
+    is prod_i (v^T M_i v + i v^T N_i v) / |v|^{2n}, so v is never
+    normalized.  Hermitian factors (N = 0) keep the product real.
     """
     ms = _check_stack(mats, "moment word")
     if ms.ndim != 3:
@@ -273,35 +267,20 @@ def moment_mc(mats, samples: int, seed: int) -> tuple[complex, float]:
     dtype = float if all(im is None for _, im in forms) else complex
     n_blocks = -(-samples // MC_BLOCK)
     workers = min(_available_cores(), n_blocks)
-    size, tile = min(MC_BLOCK, samples), min(MC_TILE, samples)
-    # one set of buffers per worker, allocated here rather than in the threads
-    buffers = [(np.empty((size, r)), np.empty(size, dtype=dtype), np.empty((tile, r)),
-                np.empty((tile, 2 * r)), np.empty((tile, 2 * r)), np.empty((2, tile)))
-               for _ in range(workers)]
 
-    def run(i: int) -> list[tuple[complex, float]]:
-        x, w, *tiles = buffers[i]
-        partial = []
-        for b in range(i, n_blocks, workers):
-            count = min(MC_BLOCK, samples - b * MC_BLOCK)
-            partial.append(_mc_block(forms, len(ms), np.random.default_rng(seed + b),
-                                     (x[:count], w[:count], *tiles)))
-        return partial
+    def block(b: int) -> tuple[complex, float]:
+        count = min(MC_BLOCK, samples - b * MC_BLOCK)
+        return _mc_block(forms, len(ms), r, count, np.random.default_rng(seed + b), dtype)
 
     if workers == 1:
-        per_worker = [run(0)]
+        partial = list(map(block, range(n_blocks)))
     else:
         # imported here: concurrent.futures loads logging, about 0.5 MB of
         # resident memory that callers without Monte Carlo need not pay
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(workers) as pool:
-            per_worker = list(pool.map(run, range(workers)))
-    sum_w = 0.0
-    sum_abs2 = 0.0
-    for b in range(n_blocks):
-        block_w, block_abs2 = per_worker[b % workers][b // workers]
-        sum_w += block_w
-        sum_abs2 += block_abs2
+            partial = list(pool.map(block, range(n_blocks)))
+    sum_w, sum_abs2 = map(sum, zip(*partial))
     mean = complex(sum_w) / samples
     if samples == 1:
         return mean, 0.0

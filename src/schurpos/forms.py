@@ -60,7 +60,7 @@ import numpy as np
 
 from .discriminants import (mixed_discriminant, permutation_table, require_count,
                             require_seed, sample_unit_sphere)
-from .posmap import BlockMap
+from .posmap import BlockMap, trace_map
 
 TWO_PI = 2.0 * math.pi
 
@@ -219,7 +219,7 @@ def random_griffiths_curvature(rank: int, dim: int, terms: int, eps: float,
     for _ in range(terms):
         t = rng.standard_normal((rank, dim)) + 1j * rng.standard_normal((rank, dim))
         entries += np.einsum("ia,jb->ijab", t, t.conj())
-    entries += eps * np.einsum("ij,ab->ijab", np.eye(rank), np.eye(dim))
+    entries += eps * trace_map(rank, dim).blocks
     return CurvatureTensor(rank=rank, dim=dim, entries=entries)
 
 

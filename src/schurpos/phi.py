@@ -36,7 +36,6 @@ or ``four_cycle_trace_sum`` (the rank-4 residue).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, replace
 from itertools import permutations
 from typing import NamedTuple
@@ -90,7 +89,7 @@ def leibniz_stack(h: BlockMap) -> np.ndarray:
 
 def phi_direct(h: BlockMap) -> PhiReport:
     """The signed permutation sum over mixed discriminants of block rows."""
-    _require_rank(h, range(1, 6), "phi_direct")
+    _require_rank(h, ROUTES["direct"][1], "phi_direct")
     _, signs = permutation_table(h.r)
     # one term at a time: a whole (r!, r!, r, r) row stack costs memory at rank 5
     total = sum(s * mixed_discriminant(word) for s, word in zip(signs, leibniz_stack(h)))
@@ -105,7 +104,7 @@ def phi_dual(h: BlockMap) -> PhiReport:
     swapping the axis pairs (0, 1) and (2, 3); so this is phi_direct on the
     axis-swapped tensor, and agreement with phi_direct checks that symmetry.
     """
-    _require_rank(h, range(1, 5), "phi_dual")
+    _require_rank(h, ROUTES["dual"][1], "phi_dual")
     rep = phi_direct(BlockMap(h.blocks.transpose(SIDE_SWAP)))
     return replace(rep, method="dual")
 
@@ -143,7 +142,7 @@ def integral_sigma2_c(h: BlockMap) -> complex:
 
 def phi_integral_r2(h: BlockMap) -> PhiReport:
     """Exact spherical form for r = 2: Phi = int (4 - 3 det C(xi)) dmu >= 1."""
-    _require_rank(h, range(2, 3), "phi_integral_r2")
+    _require_rank(h, ROUTES["integral"][1][:1], "phi_integral_r2")
     _require_normalized(h, "phi_integral_r2")
     return _report(4.0 - 3.0 * integral_det_c(h), "integral_r2")
 
@@ -155,7 +154,7 @@ def phi_integral_r3(h: BlockMap) -> PhiReport:
     Phi >= int det C dmu > 0; the report carries that integral as
     lower_bound.
     """
-    _require_rank(h, range(3, 4), "phi_integral_r3")
+    _require_rank(h, ROUTES["integral"][1][1:], "phi_integral_r3")
     _require_normalized(h, "phi_integral_r3")
     idet = integral_det_c(h)
     value = 10.0 * idet + 27.0 - 12.0 * integral_sigma2_c(h)
@@ -185,7 +184,7 @@ def phi_r4_decomposition(h: BlockMap) -> R4Decomposition:
     q_part = -(1/12) sum_sigma sgn(sigma) Q(B_{1 sigma(1)}, ..., B_{4 sigma(4)});
     their sum equals phi_direct.
     """
-    _require_rank(h, range(4, 5), "phi_r4_decomposition")
+    _require_rank(h, ROUTES["r4"][1], "phi_r4_decomposition")
     _require_normalized(h, "phi_r4_decomposition")
     integral = 35.0 * integral_det_c(h) + 128.0 - (80.0 / 3.0) * integral_sigma2_c(h)
     _, signs = permutation_table(4)
@@ -197,7 +196,7 @@ def phi_r4_decomposition(h: BlockMap) -> R4Decomposition:
 
 def phi_integral(h: BlockMap) -> PhiReport:
     """The exact spherical form at its rank: phi_integral_r2 or phi_integral_r3."""
-    if h.r not in (2, 3):
+    if h.r not in ROUTES["integral"][1]:
         raise ValueError(f"method 'integral' needs rank 2 or 3, map has rank {h.r}")
     return (phi_integral_r2 if h.r == 2 else phi_integral_r3)(h)
 
@@ -208,11 +207,12 @@ def phi_r4(h: BlockMap) -> PhiReport:
                      method="r4_decomposition")
 
 
-#: Route name -> (report function, ranks at which method "all" runs it).
-#: "all" runs the direct sum at every rank, so that beyond its cap the error
-#: is phi_direct's; it comes first, the routes that are checked against it after.
+#: Route name -> (report function, ranks at which it applies): the one table
+#: that the rank guards of the route functions and ``phi_reports`` read.  The
+#: integral route is phi_integral_r2 at its first rank and phi_integral_r3 at
+#: its second.
 ROUTES = {
-    "direct": (phi_direct, range(1, sys.maxsize)),
+    "direct": (phi_direct, range(1, 6)),
     "dual": (phi_dual, range(1, 5)),
     "integral": (phi_integral, range(2, 4)),
     "r4": (phi_r4, range(4, 5)),
@@ -221,9 +221,12 @@ ROUTES = {
 
 def phi_reports(h: BlockMap, method: str = "all") -> list[PhiReport]:
     """The report of one route of ROUTES, or with "all" the reports of every
-    route that runs at rank h.r, direct first."""
+    route that applies at rank h.r.  "all" calls phi_direct first at every
+    rank, so that beyond its cap the error is phi_direct's, and the routes
+    that are checked against it follow."""
     if method == "all":
-        return [report(h) for report, ranks in ROUTES.values() if h.r in ranks]
+        return [phi_direct(h)] + [report(h) for name, (report, ranks) in ROUTES.items()
+                                  if name != "direct" and h.r in ranks]
     if method not in ROUTES:
         raise ValueError(f"unknown method {method!r}")
     return [ROUTES[method][0](h)]

@@ -132,10 +132,7 @@ def from_kraus(cs, eps: float = 0.0) -> BlockMap:
     # B_ij[a, b] = sum_k C_k[a, i] conj(C_k[b, j])
     stack = np.stack(mats)
     blocks = np.einsum("kai,kbj->ijab", stack, stack.conj())
-    if eps:
-        for i in range(r):
-            blocks[i, i] += eps * np.eye(w)
-    return BlockMap(blocks)
+    return BlockMap(blocks + eps * trace_map(r, w).blocks)
 
 
 def random_kraus_map(r: int, terms: int, eps: float, seed: int) -> BlockMap:
@@ -165,8 +162,10 @@ def choi_fixture() -> BlockMap:
 
 def _min_output_eigs(h: BlockMap, xis: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of H(xi xi*) for each row of xis."""
-    outer = np.einsum("si,sj->sij", xis, xis.conj())
-    mats = np.einsum("sij,ijab->sab", outer, h.blocks)
+    r, w = h.r, h.w
+    outer = np.einsum("si,sj->sij", xis, xis.conj()).reshape(-1, r * r)
+    # one matmul: the same contraction as an einsum costs ~20x more at 256 rows
+    mats = (outer @ h.blocks.reshape(r * r, w * w)).reshape(-1, w, w)
     mats = (mats + np.conj(np.transpose(mats, (0, 2, 1)))) / 2.0
     return np.linalg.eigvalsh(mats)[:, 0]
 

@@ -329,7 +329,7 @@ def criterion_11_twist_expansion(seed: int, limit: int | None = None) -> Criteri
         omega = scale_w * forms.standard_omega(3)
         twisted = forms.twist_chern(cs, eps, omega)
         # curvature-shift oracle: R -> R - eps (2pi/i) omega Id
-        shifted = tensor.entries - eps * scale_w * np.einsum("ij,ab->ijab", np.eye(3), np.eye(3))
+        shifted = tensor.entries - eps * scale_w * trace_map(3).blocks
         oracle = forms.chern_forms(
             forms.CurvatureTensor(rank=3, dim=3, entries=shifted))
         untouched = forms.twist_chern(cs, 0.0, omega)

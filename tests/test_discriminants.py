@@ -391,7 +391,8 @@ def test_sample_unit_sphere_leading_shape():
 
 def einsum_moment_mc(mats, samples, seed, block_size=1 << 16):
     """Oracle: the complex-einsum kernel on normalized sphere samples, with
-    the blocks, seeds and error estimate of ``moment_mc``."""
+    the blocks, seeds and error estimate of ``moment_mc``: block b draws
+    v = (Re xi, Im xi) as one (count, 2r) standard normal array."""
     ms = [np.asarray(m, dtype=complex) for m in mats]
     r = ms[0].shape[0]
     sum_w = 0.0 + 0.0j
@@ -400,8 +401,9 @@ def einsum_moment_mc(mats, samples, seed, block_size=1 << 16):
     block = 0
     while done < samples:
         count = min(block_size, samples - done)
-        rng = np.random.default_rng(seed + block)
-        xi = sample_unit_sphere(rng, count, r)
+        v = np.random.default_rng(seed + block).standard_normal((count, 2 * r))
+        xi = v[:, :r] + 1j * v[:, r:]
+        xi /= np.linalg.norm(xi, axis=1)[:, None]
         w = np.ones(count, dtype=complex)
         for m in ms:
             w *= np.einsum("si,ij,sj->s", xi.conj(), m, xi)
@@ -442,6 +444,17 @@ class TestMomentMonteCarloStream:
         assert stderr == pytest.approx(want_stderr, rel=1e-12)
         assert abs(est.imag) > 10 * stderr  # the complex path was taken
         assert abs(est - moment_exact(us)) < 5 * stderr
+
+    def test_tile_size_is_not_part_of_the_stream(self, monkeypatch):
+        rng = np.random.default_rng(101)
+        us = [random_hermitian(rng, 3) for _ in range(3)]
+        results = []
+        for tile in (4096, 1000):
+            monkeypatch.setattr(discriminants, "MC_TILE", tile)
+            results.append(moment_mc(us, self.SAMPLES, seed=29))
+        (est, stderr), (est_1000, stderr_1000) = results
+        assert est_1000 == pytest.approx(est, rel=1e-12)
+        assert stderr_1000 == pytest.approx(stderr, rel=1e-12)
 
 
 class TestMomentMonteCarloWorkers:

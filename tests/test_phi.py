@@ -88,6 +88,24 @@ class TestRoutes:
         assert abs(rep.value - phi_direct(h).value) < 1e-9
         assert rank in ROUTES[method][1]
 
+    @pytest.mark.parametrize("rank", range(1, 7))
+    def test_all_runs_a_route_exactly_where_it_applies(self, rank):
+        h = trace_map(rank)
+        try:
+            ran = [rep.method for rep in phi_reports(h)]
+        except ValueError:
+            ran = []
+        applies = []
+        for name, (_, ranks) in ROUTES.items():
+            try:
+                (rep,) = phi_reports(h, name)
+            except ValueError:
+                assert rank not in ranks
+            else:
+                assert rank in ranks
+                applies.append(rep.method)
+        assert ran == applies
+
     def test_integral_outside_its_ranks(self):
         with pytest.raises(ValueError, match="needs rank 2 or 3"):
             phi_reports(trace_map(4), "integral")

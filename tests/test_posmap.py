@@ -32,8 +32,10 @@ def sequential_certificate(h, grid, seed, refine=True):
     while remaining > 0:
         count = min(remaining, 1 << 14)
         xis = sample_unit_sphere(rng, count, h.r)
-        outer = np.einsum("si,sj->sij", xis, xis.conj())
-        mats = np.einsum("sij,ijab->sab", outer, h.blocks)
+        # the contraction of the library, as one matmul, so that the grid
+        # phase can be compared float for float
+        outer = np.einsum("si,sj->sij", xis, xis.conj()).reshape(count, -1)
+        mats = (outer @ h.blocks.reshape(h.r ** 2, -1)).reshape(count, h.w, h.w)
         eigs = np.linalg.eigvalsh((mats + np.conj(np.transpose(mats, (0, 2, 1)))) / 2.0)[:, 0]
         k = int(np.argmin(eigs))
         if eigs[k] < best_val:
