@@ -31,12 +31,16 @@ is involved.
 The Leibniz terms (B_{1 sigma(1)}, ..., B_{r sigma(r)}) are enumerated once,
 as the (r!, r, w, w) array ``leibniz_stack``; each route dots their signs
 with one stacked kernel: ``mixed_discriminant``, ``moment_exact`` (int det C)
-or ``four_cycle_trace_sum`` (the rank-4 residue).
+or ``four_cycle_trace_sum`` (the rank-4 residue).  ``phi_direct`` folds its
+terms in chunks whose row stacks stay within ``LEIBNIZ_CHUNK_BYTES``: one
+chunk up to r = 4, chunks of 5 terms at r = 5, where the whole (r!, r!, r, r)
+row stack would take 5.8 MB.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import permutations
 from typing import NamedTuple
 
@@ -47,6 +51,10 @@ from .posmap import SIDE_SWAP, BlockMap, normalization_residual
 
 #: Integral routes demand this much normalization before they make sense.
 NORMALIZATION_RESIDUAL_TOL = 1e-8
+
+#: Bytes of the complex row stack that one ``mixed_discriminant`` call of
+#: ``phi_direct`` builds: m terms of rank r take m r! r^2 16 bytes.
+LEIBNIZ_CHUNK_BYTES = 1 << 18
 
 
 @dataclass
@@ -91,8 +99,10 @@ def phi_direct(h: BlockMap) -> PhiReport:
     """The signed permutation sum over mixed discriminants of block rows."""
     _require_rank(h, ROUTES["direct"][1], "phi_direct")
     _, signs = permutation_table(h.r)
-    # one term at a time: a whole (r!, r!, r, r) row stack costs memory at rank 5
-    total = sum(s * mixed_discriminant(word) for s, word in zip(signs, leibniz_stack(h)))
+    stack = leibniz_stack(h)
+    m = max(1, LEIBNIZ_CHUNK_BYTES // (len(signs) * h.r ** 2 * 16))
+    total = sum(signs[k:k + m] @ mixed_discriminant(stack[k:k + m])
+                for k in range(0, len(signs), m))
     return _report(total, "direct")
 
 
@@ -131,12 +141,21 @@ def integral_det_c(h: BlockMap) -> complex:
     return signs @ moment_exact(leibniz_stack(h))
 
 
+@lru_cache(maxsize=None)
+def pair_table(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only block indices (rows, cols) of the sigma_2 pair words: for the
+    pairs p = (i, j), i < j, blocks[rows, cols] has word [0, p] = (B_ii, B_jj)
+    and word [1, p] = (B_ij, B_ji)."""
+    rows = np.stack(np.triu_indices(r, 1), -1)
+    cols = np.stack([rows, rows[:, ::-1]])
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def integral_sigma2_c(h: BlockMap) -> complex:
     """Exact int sigma_2(C(xi)) dmu via 2x2 principal minors of C."""
-    pairs = np.stack(np.triu_indices(h.r, 1), -1)
-    # words[0, p] = (B_ii, B_jj), words[1, p] = (B_ij, B_ji) for pair p = (i, j)
-    words = h.blocks[pairs, np.stack([pairs, pairs[:, ::-1]])]
-    diag, off = moment_exact(words).sum(-1)
+    rows, cols = pair_table(h.r)
+    diag, off = moment_exact(h.blocks[rows, cols]).sum(-1)
     return diag - off
 
 
@@ -238,9 +257,10 @@ def schur_delta(l1, l2, l3):
 
     Accepts finite scalars or numpy arrays elementwise.
     """
-    a1, a2, a3 = (np.asarray(x, dtype=float) for x in (l1, l2, l3))
-    if not all((np.isfinite(a) & (a >= 0)).all() for a in (a1, a2, a3)):
+    a = np.array(np.broadcast_arrays(l1, l2, l3), dtype=float)
+    if not (np.isfinite(a) & (a >= 0)).all():
         raise ValueError("schur_delta needs finite nonnegative arguments")
+    a1, a2, a3 = a
     s = a1 + a2 + a3
     out = s ** 3 + 9.0 * a1 * a2 * a3 - 4.0 * s * (a1 * a2 + a1 * a3 + a2 * a3)
     return float(out) if out.ndim == 0 else out

@@ -1,17 +1,20 @@
 """Every route to the double mixed discriminant, cross-checked."""
 
 import itertools
+import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
 from oracles import transpose_map
 
+from schurpos import phi
 from schurpos.discriminants import (mixed_discriminant, moment_exact,
                                     permutation_table, sample_unit_sphere)
 from schurpos.hermitian import det
 from schurpos.phi import (ROUTES, c_matrix, four_cycle_trace_sum, integral_det_c,
-                          integral_sigma2_c, leibniz_stack, phi_direct,
+                          integral_sigma2_c, leibniz_stack, pair_table, phi_direct,
                           phi_dual, phi_integral_r2, phi_integral_r3,
                           phi_r4_decomposition, phi_reports,
                           rank2_norm_identity, schur_delta)
@@ -234,6 +237,15 @@ class TestSchurDelta:
                 with pytest.raises(ValueError, match="finite nonnegative"):
                     schur_delta(*args)
 
+    def test_scalar_calls_match_one_array_call(self):
+        lam = np.random.default_rng(133).uniform(0.0, 3.0, size=(3, 50))
+        lam[:, :5] = [[1.0] * 5, [1.0, 2.0, 0.0, 0.5, 3.0], [1.0, 0.0, 2.0, 0.0, 0.0]]
+        batch = schur_delta(*lam)
+        for k, triple in enumerate(lam.T):
+            got = schur_delta(*triple)
+            assert type(got) is float
+            assert got == batch[k]
+
     def test_factored_form(self):
         rng = np.random.default_rng(131)
         for _ in range(200):
@@ -367,6 +379,39 @@ class TestStackedRoutesMatchLoops:
         rep = phi_direct(h)
         assert_close(rep.value, want.real)
         assert abs(rep.imaginary_residue - abs(want.imag)) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("terms", [1, 7], ids=["one_term", "seven_terms"])
+    def test_phi_direct_in_chunks(self, h, terms, monkeypatch):
+        # test_phi_direct covers the default chunk size
+        monkeypatch.setattr(phi, "LEIBNIZ_CHUNK_BYTES",
+                            terms * math.factorial(h.r) * h.r ** 2 * 16)
+        chunks = []
+        monkeypatch.setattr(phi, "mixed_discriminant",
+                            lambda words: chunks.append(len(words)) or mixed_discriminant(words))
+        self.test_phi_direct(h)
+        n = math.factorial(h.r)
+        assert chunks == [terms] * (n // terms) + [n % terms] * (n % terms > 0)
+
+    def test_phi_direct_memory_stays_bounded_at_rank_5(self):
+        # the whole (120, 120, 5, 5) row stack in one call would take 5.8 MB
+        h = ROUTE_MAPS["raw_r5"]
+        phi_direct(h)
+        tracemalloc.start()
+        try:
+            phi_direct(h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+    @pytest.mark.parametrize("r", range(2, 6))
+    def test_pair_table_is_read_only(self, r):
+        rows, cols = pair_table(r)
+        assert rows.shape == (r * (r - 1) // 2, 2) and cols.shape == (2,) + rows.shape
+        for a in (rows, cols):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
 
     def test_integral_det_c(self, h):
         assert_close(integral_det_c(h), loop_integral_det_c(h))
