@@ -35,12 +35,13 @@ A^k[I,J]).  Hence, over k-subsets S of the fiber and I, J of the base,
 
 a signed sum of mixed discriminants of the rank-k sub-blocks of the
 curvature: the same Leibniz sum as the double mixed discriminant Phi.  The
-principal-minor route ``c3_principal_minors``, ``twist_chern`` and the
-Schur determinants run on the form algebra (``wedge``, ``det_forms``)
-instead, so they check ``chern_forms`` without sharing its arithmetic; a
-determinant stacks its Leibniz terms per tuple of factor bidegrees ((0,0)
-factors are scalars in the term weights) and folds each stack with one
-batched wedge per factor.
+principal-minor route ``c3_principal_minors`` and ``twist_chern`` run on
+the form algebra (``wedge``) instead, so they check ``chern_forms`` without
+sharing its arithmetic; the principal minors stack their Leibniz terms and
+fold them with one batched wedge per factor.  A Schur form is an integer
+polynomial in the Chern forms: the Jacobi-Trudi determinant is expanded
+into Chern monomials with integer coefficients, cancelled monomials are
+dropped before any wedge, and each remaining one is one wedge chain.
 
 Weak positivity of a (p,p)-form u tests u ^ i^{q^2} beta ^ betabar, q = n - p,
 against decomposable (q,0)-forms beta: a Hermitian form in the Pluecker
@@ -53,6 +54,7 @@ Everything is pointwise linear algebra: no d, no global structure.
 from __future__ import annotations
 
 import math
+import numbers
 from functools import cache, partial, reduce
 from itertools import combinations
 
@@ -211,8 +213,8 @@ def random_griffiths_curvature(rank: int, dim: int, terms: int, eps: float,
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    if terms < 0:
-        raise ValueError("terms must be nonnegative")
+    if not isinstance(terms, numbers.Integral) or isinstance(terms, bool) or terms < 0:
+        raise ValueError(f"terms must be an integer >= 0, got {terms!r}")
     require_seed(seed)
     rng = np.random.default_rng(seed)
     entries = np.zeros((rank, rank, dim, dim), dtype=complex)
@@ -221,47 +223,6 @@ def random_griffiths_curvature(rank: int, dim: int, terms: int, eps: float,
         entries += np.einsum("ia,jb->ijab", t, t.conj())
     entries += eps * trace_map(rank, dim).blocks
     return CurvatureTensor(rank=rank, dim=dim, entries=entries)
-
-
-def _leibniz_sum(n: int, factors: list[tuple], weights) -> Form:
-    """sum_t weights[t] factors[0][t] ^ factors[1][t] ^ ...: each factor a
-    (p, q, (T, ., .)) stack, folded by one batched ``_wedge_stack`` per factor
-    after the first."""
-    p, q, coeffs = reduce(partial(_wedge_stack, n), factors)
-    return Form(n, p, q, np.einsum("t,t...->...", weights, coeffs))
-
-
-def det_forms(entries: list[list[Form | None]]) -> Form | None:
-    """Determinant of a matrix of commuting (even) forms as the Leibniz sum
-    sum_sigma sgn(sigma) entries[0][sigma(0)] ^ ... ^ entries[r-1][sigma(r-1)].
-
-    (0,0) factors are scalars and go into the term's weight; terms with
-    equal bidegrees of the other factors are stacked into one ``_leibniz_sum``.
-    A None entry is a structural zero (as in Jacobi-Trudi): the terms that
-    contain one are skipped, and None is returned when every term is.
-    """
-    r = len(entries)
-    if r == 0 or any(len(row) != r for row in entries):
-        raise ValueError("det_forms needs a nonempty square matrix")
-    dims = {f.n for row in entries for f in row if f is not None}
-    if len(dims) > 1:
-        raise ValueError("ambient dimensions differ")
-    n = next(iter(dims), None)
-    perms, signs = permutation_table(r)
-    groups: dict[tuple, list] = {}
-    for perm, sign in zip(perms.tolist(), signs.tolist()):
-        factors = [row[j] for row, j in zip(entries, perm)]
-        if None in factors:
-            continue
-        weight = sign * math.prod(f.coeffs[0, 0] for f in factors if f.p == f.q == 0)
-        factors = [f for f in factors if f.p or f.q] or [Form.one(n)]
-        groups.setdefault(tuple((f.p, f.q) for f in factors), []).append([weight, *factors])
-    sums = []
-    for degrees, terms in groups.items():
-        weights, *columns = zip(*terms)
-        stacks = [(p, q, np.array([f.coeffs for f in col])) for (p, q), col in zip(degrees, columns)]
-        sums.append(_leibniz_sum(n, stacks, np.array(weights)))
-    return reduce(Form.__add__, sums) if sums else None
 
 
 def chern_forms(tensor: CurvatureTensor) -> list[Form]:
@@ -294,8 +255,12 @@ def chern_forms(tensor: CurvatureTensor) -> list[Form]:
 
 
 def validate_partition(parts, rank: int, dim: int) -> tuple[int, ...]:
-    """Pad/validate a partition for Schur forms of a rank-``rank`` input."""
-    lam = [int(x) for x in parts]
+    """Pad/validate a partition for Schur forms of a rank-``rank`` input; a
+    part that is not an integer (or is a bool) is rejected, never truncated."""
+    lam = list(parts)
+    if any(not isinstance(x, numbers.Integral) or isinstance(x, bool) for x in lam):
+        raise ValueError(f"partition parts must be integers, got {lam!r}")
+    lam = [int(x) for x in lam]
     if any(x < 0 for x in lam):
         raise ValueError("partition parts must be nonnegative")
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
@@ -311,20 +276,32 @@ def validate_partition(parts, rank: int, dim: int) -> tuple[int, ...]:
 
 
 def schur_form(cs: list[Form], parts) -> Form:
-    """P_lambda = det(c_{lambda_i - i + j}) over the even-form ring.
+    """P_lambda = det(c_{lambda_i - i + j}) as an integer Chern polynomial.
 
-    ``cs`` is the full list c_0 .. c_r; out-of-range Chern indices are the
-    structural zeros of ``det_forms``.
+    ``cs`` is the full list c_0 .. c_r.  The Leibniz term of sigma is
+    sgn(sigma) c_{k_1} ^ ... ^ c_{k_r} with k_i = lambda_i - i + sigma(i): zero
+    when some k_i lies outside 0..r, and otherwise, since even forms commute,
+    the monomial named by its sorted nonzero indices.  Signs are summed per
+    monomial as integers, so cancelled monomials never reach ``wedge``.
     """
     rank = len(cs) - 1
     lam = validate_partition(parts, rank, cs[0].n)
-    return det_forms([[cs[k] if 0 <= (k := lam[i] - i + j) <= rank else None
-                       for j in range(rank)] for i in range(rank)])
+    perms, signs = permutation_table(rank)
+    monomials: dict[tuple, int] = {}
+    for perm, sign in zip(perms.tolist(), signs.tolist()):
+        ks = [lam[i] - i + j for i, j in enumerate(perm)]
+        if all(0 <= k <= rank for k in ks):
+            key = tuple(sorted(k for k in ks if k))
+            monomials[key] = monomials.get(key, 0) + sign
+    terms = (coeff * reduce(wedge, [cs[k] for k in key] or [cs[0]])
+             for key, coeff in monomials.items() if coeff)
+    return reduce(Form.__add__, terms)
 
 
 def c3_principal_minors(tensor: CurvatureTensor) -> Form:
     """c_3 as (i/2pi)^3 times the sum of 3x3 principal minors of the curvature
-    matrix: the Leibniz terms of every fiber 3-subset, one ``_leibniz_sum``."""
+    matrix: the Leibniz terms of every fiber 3-subset, stacked and folded by
+    one batched ``_wedge_stack`` per factor after the first."""
     if tensor.rank < 3:
         raise ValueError("c3 needs rank >= 3")
     n = tensor.dim
@@ -332,8 +309,9 @@ def c3_principal_minors(tensor: CurvatureTensor) -> Form:
     fiber = np.array(list(combinations(range(tensor.rank), 3)))
     # blocks[S, p, m] = R[S_m, S_perms[p, m]]
     blocks = tensor.entries[fiber[:, None, :], fiber[:, perms]].reshape(-1, 3, n, n)
-    factors = [(1, 1, blocks[:, m]) for m in range(3)]
-    return _leibniz_sum(n, factors, (1j / TWO_PI) ** 3 * np.tile(signs, len(fiber)))
+    p, q, coeffs = reduce(partial(_wedge_stack, n), [(1, 1, blocks[:, m]) for m in range(3)])
+    weights = (1j / TWO_PI) ** 3 * np.tile(signs, len(fiber))
+    return Form(n, p, q, np.einsum("t,t...->...", weights, coeffs))
 
 
 def standard_omega(n: int) -> Form:

@@ -30,6 +30,7 @@ legitimately refine to zero up to floating-point noise.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,6 +140,8 @@ def random_kraus_map(r: int, terms: int, eps: float, seed: int) -> BlockMap:
     """Seeded random Kraus-plus-eps map with r = w (strictly positive for eps > 0)."""
     if r < 1:
         raise ValueError("rank must be at least 1")
+    if not isinstance(terms, numbers.Integral) or isinstance(terms, bool):
+        raise ValueError(f"terms must be an integer, got {terms!r}")
     require_seed(seed)
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(2.0 * r * max(terms, 1))

@@ -11,7 +11,7 @@ from oracles import conjugate, is_real_pp, restrict_fiber
 from schurpos.discriminants import sample_unit_sphere
 from schurpos.forms import (CurvatureTensor, Form, _batched_minors,
                             _pairing_matrix, _wedge_stack, c3_principal_minors,
-                            chern_forms, det_forms, max_coeff_diff, merge_tensor,
+                            chern_forms, max_coeff_diff, merge_tensor,
                             random_griffiths_curvature, schur_form,
                             standard_omega, twist_chern,
                             validate_partition, volume_coefficient,
@@ -294,8 +294,8 @@ def jacobi_trudi(cs, lam):
 
 
 class TestChernMatchesFormAlgebra:
-    """The mixed-discriminant Chern route and the Leibniz det_forms against
-    the Laplace expansion over the form algebra."""
+    """The mixed-discriminant Chern route and the Chern-monomial Schur forms
+    against the Laplace expansion over the form algebra."""
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
     def test_every_rank_and_dim(self, rank):
@@ -316,76 +316,17 @@ class TestChernMatchesFormAlgebra:
             assert (cs[k].p, cs[k].q) == (k, k) and cs[k].max_abs() == 0.0
         assert cs[4].coeffs.size == 0
 
-    @pytest.mark.parametrize("rank", [3, 4, 5])
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
     def test_jacobi_trudi_determinants(self, rank):
         cs = chern_forms(random_griffiths_curvature(rank, rank, 2, 0.2, seed=rank))
         parts = [p for p in itertools.product(range(rank + 1), repeat=rank)
-                 if list(p) == sorted(p, reverse=True) and 0 < sum(p) <= rank]
+                 if list(p) == sorted(p, reverse=True) and sum(p) <= rank]
         for lam in parts:
             entries = jacobi_trudi(cs, lam)
             assert_forms_close(schur_form(cs, lam), laplace_det_forms(entries),
                                largest_leibniz_term(entries))
-
-    @pytest.mark.parametrize("r", [2, 3, 4])
-    def test_even_form_matrices_with_empty_entries(self, r):
-        # entry (i, j) has bidegree (x_i + y_j, x_i + y_j), as in Jacobi-Trudi,
-        # so every Leibniz term has the same bidegree; None is a structural zero
-        rng = np.random.default_rng(40 + r)
-
-        def entry(k):
-            if rng.random() < 0.3:
-                return None
-            m = math.comb(r, k)
-            return Form(r, k, k, rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
-
-        for _ in range(5):
-            x, y = rng.integers(0, 2, r), rng.integers(0, 2, r)
-            while x.sum() + y.sum() > r:
-                x, y = rng.integers(0, 2, r), rng.integers(0, 2, r)
-            entries = [[entry(x[i] + y[j]) for j in range(r)] for i in range(r)]
-            got, want = det_forms(entries), laplace_det_forms(entries)
-            if want is None:
-                assert got is None
-            else:
-                assert_forms_close(got, want, largest_leibniz_term(entries))
-
-
-class TestDetForms:
-    def test_degree_groups(self):
-        # entry (i, j) has bidegree (x_i + y_j, x_i + y_j) with y not constant,
-        # so the Leibniz terms fall into several tuples of factor bidegrees
-        rng = np.random.default_rng(77)
-        x, y, n = (0, 1, 0), (1, 0, 2), 5
-        entries = [[random_real_pp(rng, n, x[i] + y[j]) for j in range(3)] for i in range(3)]
-        groups = {tuple(x[m] + y[perm[m]] for m in range(3))
-                  for perm in itertools.permutations(range(3))}
-        assert len(groups) >= 2
-        assert_forms_close(det_forms(entries), laplace_det_forms(entries),
-                           largest_leibniz_term(entries))
-
-    def test_scalar_entries(self):
-        # (0,0)-forms are scalars: every factor goes into the term weights
-        entries = [[Form(2, 0, 0, [[v]]) for v in row] for row in ((2.0, 3.0), (5.0, 7.0))]
-        got = det_forms(entries)
-        assert (got.p, got.q) == (0, 0) and got.coeffs[0, 0] == -1.0
-        rng = np.random.default_rng(78)
-        entries[0][1], entries[1][1] = random_11_form(rng, 2), random_11_form(rng, 2)
-        assert_forms_close(det_forms(entries), laplace_det_forms(entries))
-
-    def test_rejects_empty_matrix(self):
-        with pytest.raises(ValueError, match="nonempty square"):
-            det_forms([])
-
-    @pytest.mark.parametrize("row_lengths", [(2, 1), (1, 2), (2, 2, 2), (2,)])
-    def test_rejects_ragged_or_non_square(self, row_lengths):
-        with pytest.raises(ValueError, match="nonempty square"):
-            det_forms([[Form.one(3)] * k for k in row_lengths])
-
-    def test_rejects_mixed_ambient_dimensions(self):
-        # the n = 4 entry sits in a term that also has a None factor
-        entries = [[Form.one(3), None], [Form.one(4), Form.one(3)]]
-        with pytest.raises(ValueError, match="ambient dimensions differ"):
-            det_forms(entries)
+        # the zero partition is the empty monomial: the unit form itself
+        assert max_coeff_diff(schur_form(cs, (0,) * rank), Form.one(rank)) == 0.0
 
 
 class TestSchurForm:
@@ -429,6 +370,10 @@ class TestSchurForm:
             schur_form(cs, (2, 2, 0))  # weight exceeds dimension
         with pytest.raises(ValueError):
             schur_form(cs, (-1,))
+        # a part that is not an integer is rejected, never truncated
+        for parts in ((1.5, 0, 0), (2.9,), (1.0,), (True,), (1, False), ("2",)):
+            with pytest.raises(ValueError, match="partition parts must be integers"):
+                schur_form(cs, parts)
 
 
 class TestC3PrincipalMinors:
@@ -812,6 +757,9 @@ class TestGriffithsGenerator:
             random_griffiths_curvature(3, 3, 2, eps=0.0, seed=0)
         with pytest.raises(ValueError):
             random_griffiths_curvature(3, 3, -1, eps=0.1, seed=0)
+        for terms in (2.5, True, "2", None):
+            with pytest.raises(ValueError, match="terms must be an integer >= 0"):
+                random_griffiths_curvature(3, 3, terms, eps=0.3, seed=1)
         with pytest.raises(ValueError, match="eps must be positive"):
             random_griffiths_curvature(3, 3, 2, eps=float("nan"), seed=0)
 

@@ -474,6 +474,18 @@ def test_random_kraus_map_rejects_invalid_seed(seed):
         random_kraus_map(3, 3, 0.1, seed=seed)
 
 
+@pytest.mark.parametrize("terms", [2.5, "3", None, True, False])
+def test_random_kraus_map_rejects_non_integer_terms(terms):
+    with pytest.raises(ValueError, match="terms must be an integer"):
+        random_kraus_map(3, terms, 0.1, seed=0)
+
+
+@pytest.mark.parametrize("terms", [0, -1])
+def test_random_kraus_map_needs_a_kraus_operator(terms):
+    with pytest.raises(ValueError, match="need at least one Kraus operator"):
+        random_kraus_map(3, terms, 0.1, seed=0)
+
+
 @pytest.mark.parametrize("c", [1e-20, 1.0, 1e20])
 def test_block_symmetry_check_is_relative(c):
     blocks = c * random_kraus_map(3, 3, 0.2, seed=5).blocks
