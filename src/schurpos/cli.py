@@ -89,12 +89,15 @@ def cmd_phi(args) -> int:
 
 def cmd_schur(args) -> int:
     tensor = ser.curvature_from_json(ser.load(args.input))
-    parts = tuple(int(x) for x in args.partition.split(","))
-    cs = forms.chern_forms(tensor)
-    form = forms.schur_form(cs, parts)
+    try:
+        parts = forms.validate_partition([int(x) for x in args.partition.split(",")],
+                                         tensor.rank, tensor.dim)
+    except ValueError as exc:
+        raise ValueError(f"--partition {args.partition!r}: {exc}") from None
+    form = forms.schur_form(forms.chern_forms(tensor), parts)
     min_coeff, witness = forms.weak_positivity_min(form, args.samples, args.seed)
     obj = {
-        "partition": list(forms.validate_partition(parts, tensor.rank, tensor.dim)),
+        "partition": list(parts),
         "schur_form": ser.form_to_json(form),
         "weak_positivity": {
             "samples": args.samples,

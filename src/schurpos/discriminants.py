@@ -29,9 +29,11 @@ factor much smaller than the others is then not lost to cancellation in
 the subset sums.
 
 ``mixed_discriminant`` and ``moment_exact`` map one word (k, r, r) to a
-complex and a stack of words (..., k, r, r) to an array (...), so the
-Leibniz terms of ``phi`` go through one call; ``_check_stack`` is the one
-validator of matrix words.
+complex and a stack of words (..., k, r, r) to an array (...);
+``_check_stack`` is the one validator of matrix words.  ``principal_sum``
+feeds such a kernel the Leibniz words of every principal k x k sub-map of a
+block array: with ``mixed_discriminant`` it is Phi and each Chern form
+coefficient, with ``moment_exact`` the integrals of det and sigma_2 of C(xi).
 
 The Monte Carlo route ``moment_mc`` runs in real arithmetic.  With
 xi = x + iy, v = (x, y) in R^{2r} and U = A + iB,
@@ -55,7 +57,7 @@ import math
 import numbers
 import os
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -76,6 +78,10 @@ MC_BLOCK = 1 << 16
 #: which compete with the block workers.
 MC_TILE = 4096
 
+#: Bytes of the row stack of one ``mixed_discriminant`` call in
+#: ``principal_sum``: m words of k w x w blocks, L leading entries, m L k! w^2 16.
+LEIBNIZ_CHUNK_BYTES = 1 << 18
+
 
 def rising_factorial(r: int, n: int) -> int:
     """(r)_n = r (r+1) ... (r+n-1), as an exact integer."""
@@ -91,6 +97,32 @@ def permutation_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     signs = 1 - 2 * (inversions % 2)
     perms.flags.writeable = signs.flags.writeable = False
     return perms, signs
+
+
+@lru_cache(maxsize=None)
+def leibniz_table(r: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only Leibniz terms (rows, cols, signs) of every principal k x k
+    sub-map of an r x r block array: term t is the word of blocks (rows[t, m],
+    cols[t, m]), m < k, with sign signs[t].  rows[t] = S runs over subsets in
+    ``combinations`` order, cols[t] = S[perm] over ``permutation_table(k)``."""
+    perms, signs = permutation_table(k)
+    subsets = np.array(list(combinations(range(r), k)), dtype=np.intp).reshape(-1, k)
+    rows = np.repeat(subsets, len(perms), axis=0)
+    cols = subsets[:, perms].reshape(-1, k)
+    signs = np.tile(signs, len(subsets))
+    rows.flags.writeable = cols.flags.writeable = signs.flags.writeable = False
+    return rows, cols, signs
+
+
+def principal_sum(blocks: np.ndarray, k: int, kernel) -> complex | np.ndarray:
+    """sum_{|S|=k} sum_sigma sgn(sigma) kernel(B_{S_1 S_sigma(1)}, .., B_{S_k S_sigma(k)})
+    per leading index of blocks (..., r, r, w, w); ``kernel`` maps words
+    (..., m, k, w, w) to (..., m), m terms per call within LEIBNIZ_CHUNK_BYTES."""
+    rows, cols, signs = leibniz_table(blocks.shape[-3], k)
+    term_bytes = math.prod(blocks.shape[:-4]) * math.factorial(k) * blocks.shape[-1] ** 2 * 16
+    m = max(1, LEIBNIZ_CHUNK_BYTES // term_bytes)
+    return sum(kernel(blocks[..., rows[t:t + m], cols[t:t + m], :, :]) @ signs[t:t + m]
+               for t in range(0, len(signs), m))
 
 
 @lru_cache(maxsize=None)

@@ -24,21 +24,21 @@ Conventions fixed here and relied on everywhere:
   raising or lowering and (R)^i_j is read off as R[j, i, :, :] up to the
   transpose-invariance of determinants.
 
-Chern forms go through the mixed-discriminant kernel of ``discriminants``.
-(1,1)-forms commute, so c_k = (i/2pi)^k sum_{|S|=k} det(Theta[S, S]), and
-expanding a wedge of k (1,1)-forms with coefficient matrices A^1 .. A^k gives
-the coefficient of dz^I ^ dzbar^J as (-1)^{k(k-1)/2} k! D(A^1[I,J], ..,
-A^k[I,J]).  Hence, over k-subsets S of the fiber and I, J of the base,
+Chern forms go through the kernel of Phi.  (1,1)-forms commute, so
+c_k = (i/2pi)^k sum_{|S|=k} det(Theta[S, S]), and expanding a wedge of k
+(1,1)-forms with coefficient matrices A^1 .. A^k gives the coefficient of
+dz^I ^ dzbar^J as (-1)^{k(k-1)/2} k! D(A^1[I,J], .., A^k[I,J]).  Hence,
+over k-subsets S of the fiber and I, J of the base,
 
     c_k[I, J] = (i/2pi)^k (-1)^{k(k-1)/2} k!
                 sum_S sum_{sigma in S_k} sgn(sigma) D((R[S_m, S_sigma(m)][I, J])_m),
 
-a signed sum of mixed discriminants of the rank-k sub-blocks of the
-curvature: the same Leibniz sum as the double mixed discriminant Phi.  The
-principal-minor route ``c3_principal_minors`` and ``twist_chern`` run on
-the form algebra (``wedge``) instead, so they check ``chern_forms`` without
-sharing its arithmetic; the principal minors stack their Leibniz terms and
-fold them with one batched wedge per factor.  A Schur form is an integer
+the ``principal_sum`` that defines Phi: each coefficient is a sum of Phi
+over the k x k sub-block maps R[S, S][:, :, I, J].  The principal-minor route
+``c3_principal_minors`` and ``twist_chern`` run on the form algebra
+(``wedge``) instead, so they check ``chern_forms`` without sharing its
+arithmetic; the principal minors gather their own Leibniz terms and fold
+them with one batched wedge per factor.  A Schur form is an integer
 polynomial in the Chern forms: the Jacobi-Trudi determinant is expanded
 into Chern monomials with integer coefficients, cancelled monomials are
 dropped before any wedge, and each remaining one is one wedge chain.
@@ -46,7 +46,8 @@ dropped before any wedge, and each remaining one is one wedge chain.
 Weak positivity of a (p,p)-form u tests u ^ i^{q^2} beta ^ betabar, q = n - p,
 against decomposable (q,0)-forms beta: a Hermitian form in the Pluecker
 vector of beta.  For q <= 1 and q >= n - 1 every (q,0)-form is decomposable,
-so the minimum is an eigenvalue; only 2 <= q <= n - 2 is sampled.
+so the minimum is an eigenvalue; only 2 <= q <= n - 2 is sampled, with
+Pluecker vectors from a batched ``wedge`` of the sampled covectors.
 
 Everything is pointwise linear algebra: no d, no global structure.
 """
@@ -60,8 +61,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .discriminants import (mixed_discriminant, permutation_table, require_count,
-                            require_seed, sample_unit_sphere)
+from .discriminants import (mixed_discriminant, permutation_table, principal_sum,
+                            require_count, require_seed, sample_unit_sphere)
 from .posmap import BlockMap, trace_map
 
 TWO_PI = 2.0 * math.pi
@@ -229,9 +230,9 @@ def chern_forms(tensor: CurvatureTensor) -> list[Form]:
     """Chern forms c_0 .. c_r of det(Id + (i/2pi) Theta).
 
     c_k[I, J] = (i/2pi)^k (-1)^{k(k-1)/2} k! sum_{|S|=k} sum_sigma sgn(sigma)
-    D((R[S_m, S_sigma(m)][I, J])_m): one ``mixed_discriminant`` call per k
-    over the words of every fiber subset S, base pair (I, J) and sigma.  c_k
-    is the (k, k) zero form for k > dim.
+    D((R[S_m, S_sigma(m)][I, J])_m): ``principal_sum`` of mixed
+    discriminants with the base pairs (I, J) leading.  c_k is the (k, k) zero
+    form for k > dim.
     """
     if tensor.rank > 5 or tensor.dim > 5:
         raise ValueError("chern_forms is desk-scale: rank <= 5 and dim <= 5")
@@ -241,16 +242,12 @@ def chern_forms(tensor: CurvatureTensor) -> list[Form]:
         if k > n:
             cs.append(Form.zero(n, k, k))
             continue
-        perms, signs = permutation_table(k)
-        fiber = np.array(list(combinations(range(r), k)))
         ij = np.array(list(combinations(range(n), k)))
-        # words[S, I, J, p, m] = R[S_m, S_perms[p, m]][I, J], a k x k matrix
-        words = tensor.entries[fiber[:, None, None, None, :, None, None],
-                               fiber[:, perms][:, None, None, :, :, None, None],
-                               ij[None, :, None, None, None, :, None],
-                               ij[None, None, :, None, None, None, :]]
+        # blocks[I, J, i, j] = R[i, j][I, J], the k x k minor of block (i, j)
+        blocks = tensor.entries[..., ij[:, None, :, None], ij[None, :, None, :]]
+        blocks = blocks.transpose(2, 3, 0, 1, 4, 5)
         scale = (1j / TWO_PI) ** k * (-1) ** (k * (k - 1) // 2) * math.factorial(k)
-        cs.append(Form(n, k, k, (mixed_discriminant(words) @ signs).sum(0) * scale))
+        cs.append(Form(n, k, k, scale * principal_sum(blocks, k, mixed_discriminant)))
     return cs
 
 
@@ -359,16 +356,11 @@ def _pairing_matrix(u: Form, q: int) -> tuple[list[tuple], np.ndarray]:
     return ks, phase * (e.T @ u.coeffs @ e)
 
 
-def _batched_minors(g: np.ndarray, ks: list[tuple]) -> np.ndarray:
-    """Pluecker coordinates det(g[:, :, K]) for each K; g has shape (m, q, n).
-
-    One Leibniz gather: g[s, m, K[perms[p, m]]] multiplied over m and summed
-    with the signs of ``permutation_table``.
-    """
-    q = g.shape[1]
-    perms, signs = permutation_table(q)
-    cols = np.array(ks)[:, perms]
-    return g[:, np.arange(q), cols].prod(-1) @ signs
+def _plucker(g: np.ndarray) -> np.ndarray:
+    """Pluecker coordinates det(g[..., :, K]) (..., C(n, q)) of covector stacks
+    g (..., q, n): one batched ``_wedge_stack`` fold of the rows as (1,0)-forms."""
+    factors = [(1, 0, g[..., m, :, None]) for m in range(g.shape[-2])]
+    return reduce(partial(_wedge_stack, g.shape[-1]), factors)[2][..., 0]
 
 
 def weak_positivity_is_exact(u: Form) -> bool:
@@ -428,7 +420,7 @@ def weak_positivity_min(u: Form, samples: int = WEAK_POSITIVITY_SAMPLES,
     for block, start in enumerate(range(0, samples, WEAK_POSITIVITY_BLOCK)):
         count = min(WEAK_POSITIVITY_BLOCK, samples - start)
         g = sample_unit_sphere(np.random.default_rng(seed + block), (count, q), n)
-        b = _batched_minors(g, ks)
+        b = _plucker(g)
         # Rayleigh quotients: the unit covectors of g give |b| <= 1, not |b| = 1
         taus = (np.einsum("sk,kl,sl->s", b, m, b.conj()).real
                 / np.einsum("sk,sk->s", b, b.conj()).real)

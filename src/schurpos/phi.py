@@ -28,33 +28,28 @@ integrals are evaluated exactly: each monomial in the entries of C(xi) is a
 product of quadratic forms and goes through ``moment_exact``; no quadrature
 is involved.
 
-The Leibniz terms (B_{1 sigma(1)}, ..., B_{r sigma(r)}) are enumerated once,
-as the (r!, r, w, w) array ``leibniz_stack``; each route dots their signs
-with one stacked kernel: ``mixed_discriminant``, ``moment_exact`` (int det C)
-or ``four_cycle_trace_sum`` (the rank-4 residue).  ``phi_direct`` folds its
-terms in chunks whose row stacks stay within ``LEIBNIZ_CHUNK_BYTES``: one
-chunk up to r = 4, chunks of 5 terms at r = 5, where the whole (r!, r!, r, r)
-row stack would take 5.8 MB.
+Every route is one ``principal_sum`` of ``discriminants``, the signed
+Leibniz sum over the principal k x k sub-maps, with one stacked kernel:
+``mixed_discriminant`` at k = r (Phi), ``moment_exact`` at k = r (int det C)
+and k = 2 (int sigma_2 C), or ``four_cycle_trace_sum`` at k = 4 (the rank-4
+residue).  Its chunks keep ``phi_direct`` to one kernel call up to r = 4 and
+to 5 terms per call at r = 5, where the whole (r!, r!, r, r) row stack
+would take 5.8 MB.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from itertools import permutations
 from typing import NamedTuple
 
 import numpy as np
 
-from .discriminants import mixed_discriminant, moment_exact, permutation_table
+from .discriminants import mixed_discriminant, moment_exact, principal_sum
 from .posmap import SIDE_SWAP, BlockMap, normalization_residual
 
 #: Integral routes demand this much normalization before they make sense.
 NORMALIZATION_RESIDUAL_TOL = 1e-8
-
-#: Bytes of the complex row stack that one ``mixed_discriminant`` call of
-#: ``phi_direct`` builds: m terms of rank r take m r! r^2 16 bytes.
-LEIBNIZ_CHUNK_BYTES = 1 << 18
 
 
 @dataclass
@@ -86,24 +81,10 @@ def _require_normalized(h: BlockMap, what: str) -> None:
             f"{NORMALIZATION_RESIDUAL_TOL:.0e} (run sinkhorn_normalize first)")
 
 
-def leibniz_stack(h: BlockMap) -> np.ndarray:
-    """The Leibniz terms of Phi: stack[k, i] = B_{i, perms[k, i]}, shape (r!, r, w, w).
-
-    Term k enters every route with sign ``permutation_table(r)[1][k]``.
-    """
-    perms, _ = permutation_table(h.r)
-    return h.blocks[np.arange(h.r), perms]
-
-
 def phi_direct(h: BlockMap) -> PhiReport:
     """The signed permutation sum over mixed discriminants of block rows."""
     _require_rank(h, ROUTES["direct"][1], "phi_direct")
-    _, signs = permutation_table(h.r)
-    stack = leibniz_stack(h)
-    m = max(1, LEIBNIZ_CHUNK_BYTES // (len(signs) * h.r ** 2 * 16))
-    total = sum(signs[k:k + m] @ mixed_discriminant(stack[k:k + m])
-                for k in range(0, len(signs), m))
-    return _report(total, "direct")
+    return _report(principal_sum(h.blocks, h.r, mixed_discriminant), "direct")
 
 
 def phi_dual(h: BlockMap) -> PhiReport:
@@ -137,26 +118,12 @@ def c_matrix(h: BlockMap, xi) -> np.ndarray:
 
 def integral_det_c(h: BlockMap) -> complex:
     """Exact int det C(xi) dmu: the Leibniz monomials of det C through moment_exact."""
-    _, signs = permutation_table(h.r)
-    return signs @ moment_exact(leibniz_stack(h))
-
-
-@lru_cache(maxsize=None)
-def pair_table(r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only block indices (rows, cols) of the sigma_2 pair words: for the
-    pairs p = (i, j), i < j, blocks[rows, cols] has word [0, p] = (B_ii, B_jj)
-    and word [1, p] = (B_ij, B_ji)."""
-    rows = np.stack(np.triu_indices(r, 1), -1)
-    cols = np.stack([rows, rows[:, ::-1]])
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
+    return principal_sum(h.blocks, h.r, moment_exact)
 
 
 def integral_sigma2_c(h: BlockMap) -> complex:
-    """Exact int sigma_2(C(xi)) dmu via 2x2 principal minors of C."""
-    rows, cols = pair_table(h.r)
-    diag, off = moment_exact(h.blocks[rows, cols]).sum(-1)
-    return diag - off
+    """Exact int sigma_2(C(xi)) dmu: the 2x2 principal minors of C through moment_exact."""
+    return principal_sum(h.blocks, 2, moment_exact)
 
 
 def phi_integral_r2(h: BlockMap) -> PhiReport:
@@ -206,8 +173,7 @@ def phi_r4_decomposition(h: BlockMap) -> R4Decomposition:
     _require_rank(h, ROUTES["r4"][1], "phi_r4_decomposition")
     _require_normalized(h, "phi_r4_decomposition")
     integral = 35.0 * integral_det_c(h) + 128.0 - (80.0 / 3.0) * integral_sigma2_c(h)
-    _, signs = permutation_table(4)
-    q_part = -(signs @ four_cycle_trace_sum(leibniz_stack(h))) / 12.0
+    q_part = -principal_sum(h.blocks, 4, four_cycle_trace_sum) / 12.0
     return R4Decomposition(integral_part=float(integral.real),
                            q_part=float(q_part.real),
                            total=float((integral + q_part).real))

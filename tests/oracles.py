@@ -4,16 +4,19 @@ kernels, and small constructions the tests check the library against.
 * ``mixed_discriminant_polarized``, ``trace_expansion_r2`` and
   ``trace_expansion_r3`` compute ``mixed_discriminant`` by routes that share
   none of its arithmetic;
+* ``loop_phi_direct`` is the double mixed discriminant Phi as a complex sum
+  with one ``mixed_discriminant`` call per permutation of ``signed_perms``;
 * ``apply_map`` and ``transpose_map`` evaluate and build block maps;
 * ``restrict_fiber``, ``conjugate`` and ``is_real_pp`` act on curvature
   tensors and forms.
 """
 
+import itertools
 import math
 
 import numpy as np
 
-from schurpos.discriminants import _check_stack, subset_table
+from schurpos.discriminants import _check_stack, mixed_discriminant, subset_table
 from schurpos.forms import CurvatureTensor, Form, max_coeff_diff
 from schurpos.hermitian import as_matrix
 from schurpos.posmap import BlockMap
@@ -57,6 +60,22 @@ def trace_expansion_r3(u, v, w) -> complex:
         + np.trace(mu @ mw @ mv)
     )
     return six_d / 6.0
+
+
+def signed_perms(n):
+    """Permutations of range(n) from itertools, with inversion-parity signs."""
+    for perm in itertools.permutations(range(n)):
+        inv = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        yield perm, (-1) ** inv
+
+
+def loop_phi_direct(h: BlockMap) -> complex:
+    """Phi = sum_sigma sgn(sigma) D(B_{1 sigma(1)}, ..., B_{r sigma(r)}), complex,
+    one ``mixed_discriminant`` call per permutation."""
+    total = 0j
+    for perm, sign in signed_perms(h.r):
+        total += sign * mixed_discriminant([h.block(i, perm[i]) for i in range(h.r)])
+    return total
 
 
 def transpose_map(r: int) -> BlockMap:

@@ -364,6 +364,12 @@ class TestSchur:
         code, _, err = run(capsys, "schur", "--input", str(path),
                            "--partition", "1,2,0")
         assert code == 2
+        # parts that are not integers: the error names the option, not int()
+        for partition in ("1.5,0,0", "a,b", ""):
+            code, out, err = run(capsys, "schur", "--input", str(path),
+                                 "--partition", partition)
+            assert (code, out) == (2, ""), partition
+            assert "--partition" in err, err
 
     @pytest.mark.parametrize("entry", ["1.0", True, None, {"re": 1.0}])
     def test_non_number_entry_is_precondition_error(self, capsys, tmp_path, entry):

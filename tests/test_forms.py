@@ -6,11 +6,11 @@ import math
 
 import numpy as np
 import pytest
-from oracles import conjugate, is_real_pp, restrict_fiber
+from oracles import conjugate, is_real_pp, loop_phi_direct, restrict_fiber
 
 from schurpos.discriminants import sample_unit_sphere
-from schurpos.forms import (CurvatureTensor, Form, _batched_minors,
-                            _pairing_matrix, _wedge_stack, c3_principal_minors,
+from schurpos.forms import (CurvatureTensor, Form, _pairing_matrix, _plucker,
+                            _wedge_stack, c3_principal_minors,
                             chern_forms, max_coeff_diff, merge_tensor,
                             random_griffiths_curvature, schur_form,
                             standard_omega, twist_chern,
@@ -18,7 +18,7 @@ from schurpos.forms import (CurvatureTensor, Form, _batched_minors,
                             weak_positivity_is_exact, weak_positivity_min,
                             wedge)
 from schurpos.phi import phi_direct
-from schurpos.posmap import positivity_certificate
+from schurpos.posmap import BlockMap, positivity_certificate
 
 TWO_PI = 2.0 * math.pi
 
@@ -520,6 +520,29 @@ class TestWeakPositivity:
             phi = phi_direct(t).value
             assert phi > 0.0
             assert abs(tau - math.factorial(k) / TWO_PI ** k * phi) < 1e-10 * abs(phi)
+        # at every (rank, dim), c_k[I, J] = scale sum_S Phi(R[S, S][:, :, I, J]),
+        # each Phi a complex permutation loop over one k x k sub-block map.  For
+        # I = J the map restricts a Griffiths positive tensor, so it is a
+        # positive map: Phi is real, and at k = 3 positive by the paper's theorem
+        scale = (1j / TWO_PI) ** k * (-1) ** (k * (k - 1) // 2) * math.factorial(k)
+        for rank, dim in [(3, 3), (4, 3), (5, 3), (3, 4), (4, 4)]:
+            if k > dim or k > rank:
+                continue
+            for seed in range(23, 28):
+                t = random_griffiths_curvature(rank, dim, 2, 0.3, seed=seed)
+                ck = chern_forms(t)[k].coeffs
+                for x, i in enumerate(subsets(dim, k)):
+                    for y, j in enumerate(subsets(dim, k)):
+                        maps = [BlockMap(t.entries[np.ix_(s, s, i, j)])
+                                for s in subsets(rank, k)]
+                        phis = [loop_phi_direct(h) for h in maps]
+                        assert abs(ck[x, y] - scale * sum(phis)) <= 1e-14 * np.abs(ck).max()
+                        if i != j:
+                            continue
+                        for h, phi in zip(maps, phis):
+                            assert abs(phi.imag) <= 1e-13 * abs(phi)
+                            assert abs(phi_direct(h).value - phi.real) <= 1e-13 * abs(phi)
+                            assert k != 3 or phi.real > 0.0
 
     def test_fast_path_matches_direct_wedge(self):
         rng = np.random.default_rng(26)
@@ -582,7 +605,8 @@ def pairing_spectrum(u, q):
 
 def rayleigh(m, ks, g):
     """b^T M conj(b) / |b|^2 for the Pluecker vectors b of covector stacks g (s, q, n)."""
-    b = _batched_minors(g, ks)
+    b = _plucker(g)
+    assert b.shape == (len(g), len(ks))
     return (np.einsum("sk,kl,sl->s", b, m, b.conj()).real
             / np.einsum("sk,sk->s", b, b.conj()).real)
 
@@ -610,7 +634,7 @@ class TestExactWeakPositivity:
             ks, _, lam = pairing_spectrum(u, q)
             margin = len(ks) * 1e-14 * np.max(np.abs(lam))
             assert len(witness) == q
-            b = _batched_minors(np.array(witness)[None], ks)[0]
+            b = _plucker(np.array(witness))
             assert abs(np.linalg.norm(b) - 1.0) < 1e-14
             beta = covector_wedge(n, witness)
             direct = volume_coefficient(wedge(u, (1j) ** (q * q) * wedge(beta, conjugate(beta))))
@@ -733,7 +757,7 @@ def test_batched_minors_match_recursion(q, tol):
     for n in range(q, 6):
         g = sample_unit_sphere(np.random.default_rng(10 * n + q), (300, q), n)
         ks = list(itertools.combinations(range(n), q))
-        got = _batched_minors(g, ks)
+        got = _plucker(g)
         assert got.shape == (300, len(ks))
         assert np.max(np.abs(got - recursive_minors(g, ks))) <= tol
 

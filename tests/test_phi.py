@@ -7,16 +7,15 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from oracles import transpose_map
+from oracles import loop_phi_direct, signed_perms, transpose_map
 
-from schurpos import phi
-from schurpos.discriminants import (mixed_discriminant, moment_exact,
-                                    permutation_table, sample_unit_sphere)
+from schurpos import discriminants, phi
+from schurpos.discriminants import (leibniz_table, mixed_discriminant, moment_exact,
+                                    principal_sum, sample_unit_sphere)
 from schurpos.hermitian import det
 from schurpos.phi import (ROUTES, c_matrix, four_cycle_trace_sum, integral_det_c,
-                          integral_sigma2_c, leibniz_stack, pair_table, phi_direct,
-                          phi_dual, phi_integral_r2, phi_integral_r3,
-                          phi_r4_decomposition, phi_reports,
+                          integral_sigma2_c, phi_direct, phi_dual, phi_integral_r2,
+                          phi_integral_r3, phi_r4_decomposition, phi_reports,
                           rank2_norm_identity, schur_delta)
 from schurpos.posmap import (BlockMap, choi_fixture, identity_map,
                              random_kraus_map, scale, sinkhorn_normalize,
@@ -308,21 +307,8 @@ class TestScalingCovariance:
 
 
 # Reference loops: one kernel call per Leibniz term, as the routes were first
-# written.  The stacked routes must reproduce them to roundoff.
-
-def signed_perms(n):
-    """Permutations of range(n) from itertools, with inversion-parity signs."""
-    for perm in itertools.permutations(range(n)):
-        inv = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        yield perm, (-1) ** inv
-
-
-def loop_phi_direct(h):
-    total = 0j
-    for perm, sign in signed_perms(h.r):
-        total += sign * mixed_discriminant([h.block(i, perm[i]) for i in range(h.r)])
-    return total
-
+# written (loop_phi_direct is in oracles).  The stacked routes must reproduce
+# them to roundoff.
 
 def loop_integral_det_c(h):
     total = 0j
@@ -369,10 +355,20 @@ class TestStackedRoutesMatchLoops:
         return ROUTE_MAPS[request.param]
 
     def test_leibniz_stack_terms(self, h):
-        perms, _ = permutation_table(h.r)
-        for word, perm in zip(leibniz_stack(h), perms):
-            for i in range(h.r):
-                assert np.array_equal(word[i], h.block(i, perm[i]))
+        # the words of leibniz_table(r, k): subsets S in combinations order,
+        # within each the permutations of S_k in itertools order
+        for k in range(1, h.r + 1):
+            rows, cols, signs = leibniz_table(h.r, k)
+            terms = [(s, perm, sign) for s in itertools.combinations(range(h.r), k)
+                     for perm, sign in signed_perms(k)]
+            assert len(signs) == len(terms)
+            words = h.blocks[rows, cols]
+            for t, (s, perm, sign) in enumerate(terms):
+                assert rows[t].tolist() == list(s)
+                assert cols[t].tolist() == [s[p] for p in perm]
+                assert signs[t] == sign
+                for m in range(k):
+                    assert np.array_equal(words[t, m], h.block(s[m], s[perm[m]]))
 
     def test_phi_direct(self, h):
         want = loop_phi_direct(h)
@@ -383,14 +379,37 @@ class TestStackedRoutesMatchLoops:
     @pytest.mark.parametrize("terms", [1, 7], ids=["one_term", "seven_terms"])
     def test_phi_direct_in_chunks(self, h, terms, monkeypatch):
         # test_phi_direct covers the default chunk size
-        monkeypatch.setattr(phi, "LEIBNIZ_CHUNK_BYTES",
-                            terms * math.factorial(h.r) * h.r ** 2 * 16)
+        n, term_bytes = math.factorial(h.r), math.factorial(h.r) * h.r ** 2 * 16
+        monkeypatch.setattr(discriminants, "LEIBNIZ_CHUNK_BYTES", terms * term_bytes)
         chunks = []
-        monkeypatch.setattr(phi, "mixed_discriminant",
-                            lambda words: chunks.append(len(words)) or mixed_discriminant(words))
+
+        def counted(kernel):
+            return lambda words: chunks.append(words.shape[-4]) or kernel(words)
+
+        monkeypatch.setattr(phi, "mixed_discriminant", counted(mixed_discriminant))
         self.test_phi_direct(h)
-        n = math.factorial(h.r)
-        assert chunks == [terms] * (n // terms) + [n % terms] * (n % terms > 0)
+        want_chunks = [terms] * (n // terms) + [n % terms] * (n % terms > 0)
+        assert chunks == want_chunks
+
+        # six maps on leading axes (2, 3): the bound counts them, so the words
+        # split at the same terms, and each map matches its one-map loop
+        monkeypatch.setattr(discriminants, "LEIBNIZ_CHUNK_BYTES", 6 * terms * term_bytes)
+        rng = np.random.default_rng(170 + h.r)
+        re, im = rng.standard_normal((2, 2, 3) + h.blocks.shape)
+        stack = h.blocks + 0.3 * np.abs(h.blocks).max() * (re + 1j * im)
+        kernels = [(h.r, mixed_discriminant, loop_phi_direct),
+                   (h.r, moment_exact, loop_integral_det_c),
+                   (2, moment_exact, loop_integral_sigma2_c)]
+        if h.r == 4:
+            kernels.append((4, four_cycle_trace_sum, loop_q_sum))
+        for k, kernel, loop in kernels:
+            chunks.clear()
+            got = principal_sum(stack, k, counted(kernel))
+            assert got.shape == (2, 3)
+            if k == h.r:
+                assert chunks == want_chunks
+            for a, b in np.ndindex(2, 3):
+                assert_close(got[a, b], loop(BlockMap(stack[a, b])))
 
     def test_phi_direct_memory_stays_bounded_at_rank_5(self):
         # the whole (120, 120, 5, 5) row stack in one call would take 5.8 MB
@@ -406,12 +425,18 @@ class TestStackedRoutesMatchLoops:
 
     @pytest.mark.parametrize("r", range(2, 6))
     def test_pair_table_is_read_only(self, r):
-        rows, cols = pair_table(r)
-        assert rows.shape == (r * (r - 1) // 2, 2) and cols.shape == (2,) + rows.shape
-        for a in (rows, cols):
-            assert not a.flags.writeable
-            with pytest.raises(ValueError):
-                a[0] = 0
+        # the sigma_2 pair words are leibniz_table(r, 2); every table is
+        # cached, and its arrays are read-only
+        for k in range(1, r + 1):
+            table = leibniz_table(r, k)
+            assert leibniz_table(r, k) is table
+            rows, cols, signs = table
+            n = math.comb(r, k) * math.factorial(k)
+            assert rows.shape == cols.shape == (n, k) and signs.shape == (n,)
+            for a in table:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 0
 
     def test_integral_det_c(self, h):
         assert_close(integral_det_c(h), loop_integral_det_c(h))
@@ -422,11 +447,11 @@ class TestStackedRoutesMatchLoops:
     @pytest.mark.parametrize("name", ["raw_r4", "normalized_r4"])
     def test_q_sum(self, name):
         h = ROUTE_MAPS[name]
-        stack = leibniz_stack(h)
+        rows, cols, signs = leibniz_table(4, 4)
+        stack = h.blocks[rows, cols]
         for word in stack:
             assert_close(four_cycle_trace_sum(word), loop_four_cycle_trace_sum(word))
-        _, signs = permutation_table(4)
-        assert_close(signs @ four_cycle_trace_sum(stack), loop_q_sum(h))
+        assert_close(four_cycle_trace_sum(stack) @ signs, loop_q_sum(h))
 
     def test_r4_q_part(self):
         h = ROUTE_MAPS["normalized_r4"]
