@@ -106,7 +106,7 @@ def leibniz_table(r: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cols[t, m]), m < k, with sign signs[t].  rows[t] = S runs over subsets in
     ``combinations`` order, cols[t] = S[perm] over ``permutation_table(k)``."""
     perms, signs = permutation_table(k)
-    subsets = np.array(list(combinations(range(r), k)), dtype=np.intp).reshape(-1, k)
+    subsets = np.array(list(combinations(range(r), k)), dtype=np.intp)
     rows = np.repeat(subsets, len(perms), axis=0)
     cols = subsets[:, perms].reshape(-1, k)
     signs = np.tile(signs, len(subsets))
