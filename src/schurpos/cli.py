@@ -79,7 +79,7 @@ def cmd_phi(args) -> int:
     if args.method == "all":
         spread = max(r.value for r in reports) - min(r.value for r in reports)
         obj["max_spread"] = spread
-        if spread >= 1e-8:
+        if spread >= phi.ROUTE_AGREEMENT_TOL[h.r]:
             _emit(obj, args.output)
             print(f"method disagreement: spread {spread:.3e}", file=sys.stderr)
             return EXIT_VERIFY_FAILED

@@ -15,25 +15,24 @@ sphere of C^r reduce to signed-free sums of cycle trace products:
 
 with (r)_n = r(r+1)...(r+n-1) and tr_pi the product over cycles of pi of
 the trace of the word read along the cycle.  The sum is symmetric and
-multilinear in the U_k, and on the diagonal it is n! h_n(X), h_n the
-complete homogeneous symmetric polynomial of the eigenvalues of X.
-``moment_exact`` evaluates the full polarization of that diagonal,
+multilinear in the U_k, and on the diagonal it is ``power_moment``,
+n! h_n(X) / (r)_n, h_n the complete homogeneous symmetric polynomial of the
+eigenvalues of X.  Both kernels are polarizations of their diagonal f,
 
-    (1/(r)_n) sum_{S subset [n]} (-1)^(n-|S|) h_n(sum_{k in S} U_k),
+    F(A_1, ..., A_k) = (1/k!) sum_{P subset [k]} (-1)^(k-|P|) f(sum_{m in P} A_m),
 
-on the 2^n subset sums of ``subset_table``.  The identity is algebraic, so
-it holds for non-Hermitian words as well; the tests check it against the
-literal cycle-trace sum.  The sum is multilinear, so each factor is first
-scaled to largest entry 1 and the scales multiplied back in afterwards: a
-factor much smaller than the others is then not lost to cancellation in
-the subset sums.
-
+and ``moment_exact`` evaluates it on the 2^n subset sums of
+``subset_table``.  The identity is algebraic, so it holds for non-Hermitian
+words as well; the tests check it against the literal cycle-trace sum.
 ``mixed_discriminant`` and ``moment_exact`` map one word (k, r, r) to a
 complex and a stack of words (..., k, r, r) to an array (...);
-``_check_stack`` is the one validator of matrix words.  ``principal_sum``
-feeds such a kernel the Leibniz words of every principal k x k sub-map of a
-block array: with ``mixed_discriminant`` it is Phi and each Chern form
-coefficient, with ``moment_exact`` the integrals of det and sigma_2 of C(xi).
+``_check_stack`` is the one validator of matrix words.
+
+``principal_sum`` takes f and sums F over the Leibniz terms of every
+principal k x k sub-map of a block array.  There every P that leaves out
+two positions or more cancels: the permutations that agree on P pair off,
+by swapping two left-out positions, with opposite signs and the same sum.
+So a term with blocks A_j and T = sum_j A_j needs f at T and T - A_j only.
 
 The Monte Carlo route ``moment_mc`` runs in real arithmetic.  With
 xi = x + iy, v = (x, y) in R^{2r} and U = A + iB,
@@ -78,8 +77,8 @@ MC_BLOCK = 1 << 16
 #: which compete with the block workers.
 MC_TILE = 4096
 
-#: Bytes of the row stack of one ``mixed_discriminant`` call in
-#: ``principal_sum``: m words of k w x w blocks, L leading entries, m L k! w^2 16.
+#: Bytes that one chunk of ``principal_sum`` allocates: m words of k w x w blocks
+#: and their k + 1 ``form`` arguments, L leading entries, m L (2k + 1) w^2 16.
 LEIBNIZ_CHUNK_BYTES = 1 << 18
 
 
@@ -114,15 +113,23 @@ def leibniz_table(r: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, signs
 
 
-def principal_sum(blocks: np.ndarray, k: int, kernel) -> complex | np.ndarray:
-    """sum_{|S|=k} sum_sigma sgn(sigma) kernel(B_{S_1 S_sigma(1)}, .., B_{S_k S_sigma(k)})
-    per leading index of blocks (..., r, r, w, w); ``kernel`` maps words
-    (..., m, k, w, w) to (..., m), m terms per call within LEIBNIZ_CHUNK_BYTES."""
+def principal_sum(blocks: np.ndarray, k: int, form) -> complex | np.ndarray:
+    """sum_{|S|=k} sum_sigma sgn(sigma) F(B_{S_1 S_sigma(1)}, .., B_{S_k S_sigma(k)})
+    per leading index of blocks (..., r, r, w, w), F the polarization of the
+    degree-k diagonal ``form`` (..., w, w) -> (...): (1/k!) sum_t sign_t (form(T)
+    - sum_j form(T - A_j)), one ``form`` call per chunk within LEIBNIZ_CHUNK_BYTES."""
     rows, cols, signs = leibniz_table(blocks.shape[-3], k)
-    term_bytes = math.prod(blocks.shape[:-4]) * math.factorial(k) * blocks.shape[-1] ** 2 * 16
+    term_bytes = math.prod(blocks.shape[:-4]) * (2 * k + 1) * blocks.shape[-1] ** 2 * 16
     m = max(1, LEIBNIZ_CHUNK_BYTES // term_bytes)
-    return sum(kernel(blocks[..., rows[t:t + m], cols[t:t + m], :, :]) @ signs[t:t + m]
-               for t in range(0, len(signs), m))
+    total = 0
+    for t in range(0, len(signs), m):
+        words = blocks[..., rows[t:t + m], cols[t:t + m], :, :]
+        args = np.empty_like(words, shape=(*words.shape[:-3], k + 1, *words.shape[-2:]))
+        words.sum(-3, out=args[..., 0, :, :])
+        np.subtract(args[..., :1, :, :], words, out=args[..., 1:, :, :])
+        values = form(args)
+        total = total + (values[..., 0] - values[..., 1:].sum(-1)) @ signs[t:t + m]
+    return total / math.factorial(k)
 
 
 @lru_cache(maxsize=None)
@@ -163,14 +170,27 @@ def mixed_discriminant(mats) -> complex | np.ndarray:
     return np.linalg.det(rows).sum(-1) / math.factorial(r)
 
 
+def power_moment(x: np.ndarray, n: int) -> complex | np.ndarray:
+    """int (xi* X xi)^n dmu = n! h_n(X) / (w)_n per matrix of x (..., w, w), with
+    h_n from the power sums p_j = tr X^j by Newton's m h_m = sum_j p_j h_{m-j}."""
+    powers = [x]
+    while len(powers) < n - 1:
+        powers.append(powers[-1] @ x)
+    p = [np.einsum("...ii->...", x)] + [np.einsum("...ij,...ji->...", y, x)
+                                        for y in powers[:n - 1]]
+    h = [1.0, p[0]]
+    for m in range(2, n + 1):
+        h.append((sum(p[j - 1] * h[m - j] for j in range(1, m)) + p[m - 1]) / m)
+    return h[n] * (math.factorial(n) / rising_factorial(x.shape[-1], n))
+
+
 def moment_exact(mats) -> complex | np.ndarray:
     """Exact spherical moment int prod_k (xi* U_k xi) dmu over S^{2r-1}, per word.
 
-    The polarization of the diagonal n! h_n (module docstring): Newton's
-    identity m h_m = sum_{j=1..m} p_j h_{m-j} turns the power sums
-    p_j = tr X^j of the 2^n subset sums X of the word into h_n.  The subset
-    sums are of the factors scaled to largest entry 1 (a zero factor keeps
-    scale 1), and the result carries the product of the scales.
+    The polarization of the diagonal ``power_moment`` (module docstring) on
+    the 2^n subset sums of the word's factors scaled to largest entry 1 (a
+    zero factor keeps scale 1), so that a factor much smaller than the others
+    is not lost to cancellation; the result carries the product of the scales.
     """
     a = _check_stack(mats, "moment word")
     n, r = a.shape[-3], a.shape[-1]
@@ -181,15 +201,7 @@ def moment_exact(mats) -> complex | np.ndarray:
     scales[scales == 0.0] = 1.0
     x = ((rows / scales[..., None, :]) @ a.reshape(*a.shape[:-2], r * r)).reshape(
         *a.shape[:-3], -1, r, r)
-    powers = [x]
-    while len(powers) < n - 1:
-        powers.append(powers[-1] @ x)
-    p = [np.einsum("...ii->...", x)] + [np.einsum("...ij,...ji->...", y, x)
-                                        for y in powers[:n - 1]]
-    h = [1.0, p[0]]
-    for m in range(2, n + 1):
-        h.append((sum(p[j - 1] * h[m - j] for j in range(1, m)) + p[m - 1]) / m)
-    return h[n] @ signs * scales.prod(-1) / rising_factorial(r, n)
+    return power_moment(x, n) @ signs * scales.prod(-1) / math.factorial(n)
 
 
 def sample_unit_sphere(rng: np.random.Generator, shape, r: int) -> np.ndarray:

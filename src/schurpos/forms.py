@@ -61,8 +61,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .discriminants import (mixed_discriminant, permutation_table, principal_sum,
-                            require_count, require_seed, sample_unit_sphere)
+from .discriminants import (permutation_table, principal_sum, require_count,
+                            require_seed, sample_unit_sphere)
 from .posmap import BlockMap, trace_map
 
 TWO_PI = 2.0 * math.pi
@@ -230,9 +230,9 @@ def chern_forms(tensor: CurvatureTensor) -> list[Form]:
     """Chern forms c_0 .. c_r of det(Id + (i/2pi) Theta).
 
     c_k[I, J] = (i/2pi)^k (-1)^{k(k-1)/2} k! sum_{|S|=k} sum_sigma sgn(sigma)
-    D((R[S_m, S_sigma(m)][I, J])_m): ``principal_sum`` of mixed
-    discriminants with the base pairs (I, J) leading.  c_k is the (k, k) zero
-    form for k > dim.
+    D((R[S_m, S_sigma(m)][I, J])_m): ``principal_sum`` of det, the diagonal of
+    the mixed discriminant D, with the base pairs (I, J) leading.  c_k is the
+    (k, k) zero form for k > dim.
     """
     if tensor.rank > 5 or tensor.dim > 5:
         raise ValueError("chern_forms is desk-scale: rank <= 5 and dim <= 5")
@@ -247,7 +247,7 @@ def chern_forms(tensor: CurvatureTensor) -> list[Form]:
         blocks = tensor.entries[..., ij[:, None, :, None], ij[None, :, None, :]]
         blocks = blocks.transpose(2, 3, 0, 1, 4, 5)
         scale = (1j / TWO_PI) ** k * (-1) ** (k * (k - 1) // 2) * math.factorial(k)
-        cs.append(Form(n, k, k, scale * principal_sum(blocks, k, mixed_discriminant)))
+        cs.append(Form(n, k, k, scale * principal_sum(blocks, k, np.linalg.det)))
     return cs
 
 

@@ -23,29 +23,26 @@ real for Hermitian-symmetric blocks.  Besides this direct sum, it equals
   residual signed sum of 4-cycle trace words that admits no such integral
   form.
 
-Here C(xi) is the r x r matrix of quadratic forms (xi* B_ij xi).  All the
-integrals are evaluated exactly: each monomial in the entries of C(xi) is a
-product of quadratic forms and goes through ``moment_exact``; no quadrature
-is involved.
+Here C(xi) is the r x r matrix of quadratic forms (xi* B_ij xi), and all
+the integrals are exact moments; no quadrature is involved.
 
-Every route is one ``principal_sum`` of ``discriminants``, the signed
-Leibniz sum over the principal k x k sub-maps, with one stacked kernel:
-``mixed_discriminant`` at k = r (Phi), ``moment_exact`` at k = r (int det C)
-and k = 2 (int sigma_2 C), or ``four_cycle_trace_sum`` at k = 4 (the rank-4
-residue).  Its chunks keep ``phi_direct`` to one kernel call up to r = 4 and
-to 5 terms per call at r = 5, where the whole (r!, r!, r, r) row stack
-would take 5.8 MB.
+Every route is one signed Leibniz sum ``principal_sum`` over principal
+k x k sub-maps, given the diagonal of its kernel: det at k = r (Phi),
+``power_moment`` at k = r and 2 (int det C, int sigma_2 C), 6 tr X^4 at
+k = 4 (the rank-4 residue).  A term with blocks A_m, T = sum A_m, needs the
+diagonal at T and the k sums T - A_j only: the lower subset sums of the
+polarization cancel in pairs of permutations of opposite sign.  So Phi at
+rank r costs (r+1) r! determinants, not (r!)^2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import permutations
 from typing import NamedTuple
 
 import numpy as np
 
-from .discriminants import mixed_discriminant, moment_exact, principal_sum
+from .discriminants import mixed_discriminant, power_moment, principal_sum
 from .posmap import SIDE_SWAP, BlockMap, normalization_residual
 
 #: Integral routes demand this much normalization before they make sense.
@@ -84,7 +81,7 @@ def _require_normalized(h: BlockMap, what: str) -> None:
 def phi_direct(h: BlockMap) -> PhiReport:
     """The signed permutation sum over mixed discriminants of block rows."""
     _require_rank(h, ROUTES["direct"][1], "phi_direct")
-    return _report(principal_sum(h.blocks, h.r, mixed_discriminant), "direct")
+    return _report(principal_sum(h.blocks, h.r, np.linalg.det), "direct")
 
 
 def phi_dual(h: BlockMap) -> PhiReport:
@@ -117,13 +114,13 @@ def c_matrix(h: BlockMap, xi) -> np.ndarray:
 
 
 def integral_det_c(h: BlockMap) -> complex:
-    """Exact int det C(xi) dmu: the Leibniz monomials of det C through moment_exact."""
-    return principal_sum(h.blocks, h.r, moment_exact)
+    """Exact int det C(xi) dmu: the Leibniz monomials of det C, each an exact moment."""
+    return principal_sum(h.blocks, h.r, lambda x: power_moment(x, h.r))
 
 
 def integral_sigma2_c(h: BlockMap) -> complex:
-    """Exact int sigma_2(C(xi)) dmu: the 2x2 principal minors of C through moment_exact."""
-    return principal_sum(h.blocks, 2, moment_exact)
+    """Exact int sigma_2(C(xi)) dmu: the 2x2 principal minors of C, as exact moments."""
+    return principal_sum(h.blocks, 2, lambda x: power_moment(x, 2))
 
 
 def phi_integral_r2(h: BlockMap) -> PhiReport:
@@ -153,14 +150,11 @@ class R4Decomposition(NamedTuple):
     total: float
 
 
-def four_cycle_trace_sum(mats) -> complex | np.ndarray:
-    """Q(U_1..U_4): sum over the six 4-cycles of the trace along the cycle, per word."""
-    u = np.asarray(mats, dtype=complex)
-    if u.ndim < 3 or u.shape[-3] != 4:
-        raise ValueError("four_cycle_trace_sum needs exactly 4 matrices")
-    return sum(np.trace(u[..., 0, :, :] @ u[..., a, :, :] @ u[..., b, :, :] @ u[..., c, :, :],
-                        axis1=-2, axis2=-1)
-               for a, b, c in permutations((1, 2, 3)))
+def four_cycle_diagonal(x: np.ndarray) -> complex | np.ndarray:
+    """Q(X, X, X, X) = 6 tr X^4 per matrix of x (..., w, w), the diagonal of Q:
+    Q(U_1..U_4) sums the trace along each of the six 4-cycles."""
+    x2 = x @ x
+    return 6.0 * np.einsum("...ij,...ji->...", x2, x2)
 
 
 def phi_r4_decomposition(h: BlockMap) -> R4Decomposition:
@@ -173,7 +167,7 @@ def phi_r4_decomposition(h: BlockMap) -> R4Decomposition:
     _require_rank(h, ROUTES["r4"][1], "phi_r4_decomposition")
     _require_normalized(h, "phi_r4_decomposition")
     integral = 35.0 * integral_det_c(h) + 128.0 - (80.0 / 3.0) * integral_sigma2_c(h)
-    q_part = -principal_sum(h.blocks, 4, four_cycle_trace_sum) / 12.0
+    q_part = -principal_sum(h.blocks, 4, four_cycle_diagonal) / 12.0
     return R4Decomposition(integral_part=float(integral.real),
                            q_part=float(q_part.real),
                            total=float((integral + q_part).real))
@@ -202,6 +196,9 @@ ROUTES = {
     "integral": (phi_integral, range(2, 4)),
     "r4": (phi_r4, range(4, 5)),
 }
+
+#: Rank -> largest spread of ROUTES values that ``phi --method all`` and criterion 2 accept.
+ROUTE_AGREEMENT_TOL = {1: 1e-9, 2: 1e-9, 3: 1e-9, 4: 1e-8, 5: 1e-8}
 
 
 def phi_reports(h: BlockMap, method: str = "all") -> list[PhiReport]:

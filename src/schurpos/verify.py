@@ -114,14 +114,15 @@ def criterion_1_exact_fixed_point(seed: int, limit: int | None = None) -> Criter
 
 
 def criterion_2_method_agreement(seed: int, limit: int | None = None) -> CriterionResult:
-    """Every route of ``phi.phi_reports`` agrees with the direct sum within 1e-9
-    at r=2,3 and within 1e-8 at r=4."""
+    """Every route of ``phi.phi_reports`` agrees with the direct sum within
+    ``phi.ROUTE_AGREEMENT_TOL`` of its rank: 1e-9 at r=2,3 and 1e-8 at r=4."""
     worst23 = max(_route_gap(_normalized_random_map(r, _sub_seed(seed, 2, r, idx)))
                   for r in (2, 3)
                   for idx in range(_count(FULL_COUNTS["method_agreement_per_rank"], limit)))
     worst4 = max(_route_gap(_normalized_random_map(4, _sub_seed(seed, 2, 4, idx)))
                  for idx in range(_count(FULL_COUNTS["method_agreement_r4"], limit)))
-    passed = worst23 < 1e-9 and worst4 < 1e-8
+    tol = phi.ROUTE_AGREEMENT_TOL
+    passed = worst23 < min(tol[2], tol[3]) and worst4 < tol[4]
     return CriterionResult("2 method agreement", passed,
                            {"max_diff_r23": f"{worst23:.2e}",
                             "max_diff_r4": f"{worst4:.2e}"})

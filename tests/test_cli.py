@@ -2,12 +2,13 @@
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from schurpos import serialization as ser, verify
-from schurpos.cli import main
+from schurpos import phi, serialization as ser, verify
+from schurpos.cli import EXIT_VERIFY_FAILED, main
 from schurpos.forms import chern_forms, max_coeff_diff, schur_form, wedge
 
 
@@ -227,6 +228,19 @@ class TestPhi:
         code, obj, _ = run_json(capsys, "phi", "--input", str(path), "--method", "all")
         assert code == 0
         assert [r["method"] for r in obj["reports"]] == self.ROUTES_AT_RANK[rank]
+
+    def test_all_fails_on_a_spread_beyond_the_rank_tolerance(self, capsys, tmp_path,
+                                                             monkeypatch):
+        # 5e-9 is within rank 4's 1e-8 but not within rank 3's 1e-9
+        report, ranks = phi.ROUTES["dual"]
+        monkeypatch.setitem(phi.ROUTES, "dual", (
+            lambda h: replace(report(h), value=report(h).value + 5e-9), ranks))
+        path = tmp_path / "trace.json"
+        assert main(["gen", "trace", "--rank", "3", "--output", str(path)]) == 0
+        code, obj, err = run_json(capsys, "phi", "--input", str(path), "--method", "all")
+        assert code == EXIT_VERIFY_FAILED
+        assert abs(obj["max_spread"] - 5e-9) < 1e-12
+        assert "method disagreement" in err
 
     def test_all_beyond_direct_cap_is_precondition_error(self, capsys, tmp_path):
         path = tmp_path / "trace.json"

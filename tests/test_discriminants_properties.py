@@ -1,9 +1,13 @@
-"""Property tests for the spherical moment kernel and the permutation table.
+"""Property tests for the spherical moment kernel, the permutation table and
+the signed Leibniz sum.
 
 Words are random complex (n, r, r) arrays with n <= 5 and r <= 4, drawn over
 shape, seed and an overall scale; ``moment_exact`` is checked against the
-literal cycle-trace sum of ``tests/test_discriminants.py``.  The module is
-skipped when hypothesis is not installed.
+literal cycle-trace sum of ``tests/test_discriminants.py``.  Block arrays are
+random complex (..., r, r, w, w) arrays with r <= 5, neither Hermitian nor
+normalized; ``principal_sum`` from the diagonal is checked against the
+Leibniz sum of the full kernel, term by term.  The module is skipped when
+hypothesis is not installed.
 """
 
 import itertools
@@ -17,8 +21,9 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from test_discriminants import cycle_trace_moment  # noqa: E402
 
-from schurpos.discriminants import (moment_exact, permutation_table,  # noqa: E402
-                                    rising_factorial)
+from schurpos.discriminants import (leibniz_table, mixed_discriminant,  # noqa: E402
+                                    moment_exact, permutation_table, power_moment,
+                                    principal_sum, rising_factorial)
 
 
 def complex_word(n, r, seed, c):
@@ -77,3 +82,44 @@ def test_permutation_signs_are_determinants(n):
     perms, signs = permutation_table(n)
     matrices = np.eye(n)[perms]
     np.testing.assert_array_equal(np.linalg.det(matrices).round(), signs)
+
+
+
+# (r, k) with 1 <= k <= r <= 5, and the leading axes of a block array
+ranks = st.integers(1, 5).flatmap(lambda r: st.tuples(st.just(r), st.integers(1, r)))
+leads = st.sampled_from([(), (2,)])
+seeds = st.integers(0, 2**32 - 1)
+scales = st.sampled_from([1e-3, 1.0, 1e3])
+
+
+def complex_blocks(lead, r, w, seed, c):
+    rng = np.random.default_rng(seed)
+    shape = (*lead, r, r, w, w)
+    return c * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def assert_is_leibniz_sum(got, blocks, k, kernel):
+    """got is sum_t sign_t kernel(word_t) over leibniz_table(r, k), per leading
+    index, to 1e-12 x sum_t |term_t|."""
+    rows, cols, signs = leibniz_table(blocks.shape[-3], k)
+    terms = kernel(blocks[..., rows, cols, :, :]) * signs
+    assert got.shape == blocks.shape[:-4]
+    assert (abs(got - terms.sum(-1)) <= 1e-12 * abs(terms).sum(-1)).all()
+
+
+@SETTINGS
+@given(ranks, leads, seeds, scales)
+def test_principal_sum_of_det_is_the_mixed_discriminant_sum(rk, lead, seed, c):
+    r, k = rk
+    blocks = complex_blocks(lead, r, k, seed, c)
+    got = principal_sum(blocks, k, np.linalg.det)
+    assert_is_leibniz_sum(got, blocks, k, mixed_discriminant)
+
+
+@SETTINGS
+@given(ranks, st.integers(1, 4), leads, seeds, scales)
+def test_principal_sum_of_power_moment_is_the_moment_sum(rk, w, lead, seed, c):
+    r, k = rk
+    blocks = complex_blocks(lead, r, w, seed, c)
+    got = principal_sum(blocks, k, lambda x: power_moment(x, k))
+    assert_is_leibniz_sum(got, blocks, k, moment_exact)
