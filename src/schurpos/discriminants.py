@@ -55,6 +55,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import sys
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -117,8 +118,18 @@ def principal_sum(blocks: np.ndarray, k: int, form) -> complex | np.ndarray:
     """sum_{|S|=k} sum_sigma sgn(sigma) F(B_{S_1 S_sigma(1)}, .., B_{S_k S_sigma(k)})
     per leading index of blocks (..., r, r, w, w), F the polarization of the
     degree-k diagonal ``form`` (..., w, w) -> (...): (1/k!) sum_t sign_t (form(T)
-    - sum_j form(T - A_j)), one ``form`` call per chunk within LEIBNIZ_CHUNK_BYTES."""
+    - sum_j form(T - A_j)), one ``form`` call per chunk within LEIBNIZ_CHUNK_BYTES.
+
+    Block (i, j) enters divided by a_i b_j > 0, the largest modulus in row i
+    (over all leading indices) and then in column j of the row-scaled blocks;
+    a term over S carries prod_{i in S} a_i b_i, the same for every permutation
+    of S, so the lower layers still cancel and no block swamps the others in T."""
     rows, cols, signs = leibniz_table(blocks.shape[-3], k)
+    norms = abs(blocks).max((*range(blocks.ndim - 4), -2, -1), initial=sys.float_info.min)
+    a = norms.max(1, keepdims=True)
+    scales = a * (norms / a).max(0, keepdims=True, initial=sys.float_info.min)
+    blocks = blocks / scales[:, :, None, None]
+    weights = scales[rows, cols].prod(-1) * signs
     term_bytes = math.prod(blocks.shape[:-4]) * (2 * k + 1) * blocks.shape[-1] ** 2 * 16
     m = max(1, LEIBNIZ_CHUNK_BYTES // term_bytes)
     total = 0
@@ -128,7 +139,7 @@ def principal_sum(blocks: np.ndarray, k: int, form) -> complex | np.ndarray:
         words.sum(-3, out=args[..., 0, :, :])
         np.subtract(args[..., :1, :, :], words, out=args[..., 1:, :, :])
         values = form(args)
-        total = total + (values[..., 0] - values[..., 1:].sum(-1)) @ signs[t:t + m]
+        total = total + (values[..., 0] - values[..., 1:].sum(-1)) @ weights[t:t + m]
     return total / math.factorial(k)
 
 

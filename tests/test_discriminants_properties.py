@@ -5,7 +5,8 @@ Words are random complex (n, r, r) arrays with n <= 5 and r <= 4, drawn over
 shape, seed and an overall scale; ``moment_exact`` is checked against the
 literal cycle-trace sum of ``tests/test_discriminants.py``.  Block arrays are
 random complex (..., r, r, w, w) arrays with r <= 5, neither Hermitian nor
-normalized; ``principal_sum`` from the diagonal is checked against the
+normalized, block (i, j) scaled by a_i b_j over a, b in {1e-3, 1, 1e3}^r;
+``principal_sum`` from the diagonal is checked against the
 Leibniz sum of the full kernel, term by term.  The module is skipped when
 hypothesis is not installed.
 """
@@ -84,18 +85,20 @@ def test_permutation_signs_are_determinants(n):
     np.testing.assert_array_equal(np.linalg.det(matrices).round(), signs)
 
 
-
 # (r, k) with 1 <= k <= r <= 5, and the leading axes of a block array
 ranks = st.integers(1, 5).flatmap(lambda r: st.tuples(st.just(r), st.integers(1, r)))
 leads = st.sampled_from([(), (2,)])
 seeds = st.integers(0, 2**32 - 1)
-scales = st.sampled_from([1e-3, 1.0, 1e3])
+# one scale per block row and one per block column (a congruence of the input
+# side is the case a = conj(b)): the blocks of one Leibniz term differ in scale
+scales = st.lists(st.sampled_from([1e-3, 1.0, 1e3]), min_size=5, max_size=5)
 
 
-def complex_blocks(lead, r, w, seed, c):
+def complex_blocks(lead, r, w, seed, a, b):
     rng = np.random.default_rng(seed)
     shape = (*lead, r, r, w, w)
-    return c * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    scale = np.outer(a[:r], b[:r])[..., None, None]
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 def assert_is_leibniz_sum(got, blocks, k, kernel):
@@ -108,18 +111,18 @@ def assert_is_leibniz_sum(got, blocks, k, kernel):
 
 
 @SETTINGS
-@given(ranks, leads, seeds, scales)
-def test_principal_sum_of_det_is_the_mixed_discriminant_sum(rk, lead, seed, c):
+@given(ranks, leads, seeds, scales, scales)
+def test_principal_sum_of_det_is_the_mixed_discriminant_sum(rk, lead, seed, a, b):
     r, k = rk
-    blocks = complex_blocks(lead, r, k, seed, c)
+    blocks = complex_blocks(lead, r, k, seed, a, b)
     got = principal_sum(blocks, k, np.linalg.det)
     assert_is_leibniz_sum(got, blocks, k, mixed_discriminant)
 
 
 @SETTINGS
-@given(ranks, st.integers(1, 4), leads, seeds, scales)
-def test_principal_sum_of_power_moment_is_the_moment_sum(rk, w, lead, seed, c):
+@given(ranks, st.integers(1, 4), leads, seeds, scales, scales)
+def test_principal_sum_of_power_moment_is_the_moment_sum(rk, w, lead, seed, a, b):
     r, k = rk
-    blocks = complex_blocks(lead, r, w, seed, c)
+    blocks = complex_blocks(lead, r, w, seed, a, b)
     got = principal_sum(blocks, k, lambda x: power_moment(x, k))
     assert_is_leibniz_sum(got, blocks, k, moment_exact)

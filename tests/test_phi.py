@@ -296,6 +296,14 @@ class TestScalingCovariance:
             scaled = phi_direct(scale(h, c1, c2)).value
             assert abs(scaled - factor * base) / abs(factor * base) < 1e-8
 
+    def test_input_scaled_by_a_diagonal(self):
+        # blocks (0, j) and (j, 0) gain 1e3, block (0, 0) 1e6: a Leibniz term holds
+        # blocks of scales 1e6 and 1, whose sum would swamp the smaller ones
+        h = random_kraus_map(3, 3, 0.2, seed=144)
+        want = 1e6 * loop_phi_direct(h)
+        got = phi_direct(scale(h, np.eye(3), np.diag([1e3, 1.0, 1.0]))).value
+        assert abs(got - want.real) <= 1e-10 * abs(want)
+
     def test_small_well_conditioned_scaling_accepted(self):
         # det(1e-4 I) = 1e-16 at r = 4: tiny, yet perfectly conditioned
         h = trace_map(4)
