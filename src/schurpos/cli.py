@@ -96,12 +96,13 @@ def cmd_schur(args) -> int:
         raise ValueError(f"--partition {args.partition!r}: {exc}") from None
     form = forms.schur_form(forms.chern_forms(tensor), parts)
     min_coeff, witness = forms.weak_positivity_min(form, args.samples, args.seed)
+    exact = forms.weak_positivity_is_exact(form)
     obj = {
         "partition": list(parts),
         "schur_form": ser.form_to_json(form),
         "weak_positivity": {
-            "samples": args.samples,
-            "exact": forms.weak_positivity_is_exact(form),
+            "samples": 0 if exact else args.samples,
+            "exact": exact,
             "min_coeff": min_coeff,
             "witness": [[ser.complex_to_json(z) for z in cov] for cov in witness],
         },

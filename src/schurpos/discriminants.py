@@ -34,20 +34,18 @@ two positions or more cancels: the permutations that agree on P pair off,
 by swapping two left-out positions, with opposite signs and the same sum.
 So a term with blocks A_j and T = sum_j A_j needs f at T and T - A_j only.
 
-The Monte Carlo route ``moment_mc`` runs in real arithmetic.  With
-xi = x + iy, v = (x, y) in R^{2r} and U = A + iB,
+The Monte Carlo route ``moment_mc`` takes Hermitian words and runs in real
+arithmetic.  With xi = x + iy, v = (x, y) in R^{2r} and U = A + iB Hermitian,
 
-    xi* U xi = v^T M v + i v^T N v,
-    M = sym([[A, -B], [B, A]]),  N = sym([[B, A], [-A, B]]),
+    xi* U xi = v^T M v,  M = sym([[A, -B], [B, A]]),
 
-where sym(X) = (X + X^T)/2; N = 0 exactly when U is Hermitian.  The forms
-are homogeneous of degree 2, so each sample divides the product of the
-forms by |v|^{2n} rather than normalizing v.  The samples come in blocks:
-block b is seeded by seed + b, and its v is the block's sequence of
-standard normals in row order, drawn and evaluated one row tile at a time.
-The blocks are independent, so they run on every available core, and
-their partial sums are added in block order: the result is the same float
-for any number of cores.
+where sym(X) = (X + X^T)/2.  The forms are homogeneous of degree 2, so each
+sample divides the product of the forms by |v|^{2n} rather than normalizing
+v.  The samples come in blocks: block b is seeded by seed + b, and its v is
+the block's sequence of standard normals in row order, drawn and evaluated
+one row tile at a time.  The blocks are independent, so they run on every
+available core, and their partial sums are added in block order: the result
+is the same float for any number of cores.
 """
 
 from __future__ import annotations
@@ -60,6 +58,8 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
+
+from .hermitian import ensure_hermitian
 
 #: Longest supported moment word.  The kernel sums 2^n subset sums, not S_n;
 #: the cap is the longest word the tests check against the literal
@@ -240,17 +240,11 @@ def require_seed(value) -> None:
         raise ValueError(f"seed must be an integer >= 0, got {value!r}")
 
 
-def _real_forms(u: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Real symmetric M, N with xi* U xi = v^T M v + i v^T N v, v = (Re xi, Im xi).
-
-    N is returned as None when it vanishes, which it does exactly when U is
-    Hermitian.
-    """
+def _real_form(u: np.ndarray) -> np.ndarray:
+    """Real symmetric M with xi* U xi = v^T M v, v = (Re xi, Im xi), for U Hermitian."""
     a, b = u.real, u.imag
     m = np.block([[a, -b], [b, a]])
-    n = np.block([[b, a], [-a, b]])
-    n = (n + n.T) / 2.0
-    return (m + m.T) / 2.0, (n if n.any() else None)
+    return (m + m.T) / 2.0
 
 
 def _available_cores() -> int:
@@ -262,43 +256,39 @@ def _available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _mc_block(forms, n: int, r: int, count: int, rng: np.random.Generator,
-              dtype) -> tuple[complex, float]:
-    """(sum w, sum |w|^2) over one block of ``moment_mc`` samples.
+def _mc_block(forms, n: int, r: int, count: int,
+              rng: np.random.Generator) -> tuple[float, float]:
+    """(sum w, sum w^2) over one block of ``moment_mc`` samples.
 
     v = (Re xi, Im xi) is drawn one tile of MC_TILE rows at a time, so the
     block's v is its (count, 2r) standard normal sequence in row order
     whatever the tile size.  The scratch is four tile-sized arrays: v, v M,
-    the real and imaginary forms, and the weights w.
+    the forms and the weights w.
     """
     tile = min(MC_TILE, count)
     v, vm = np.empty((tile, 2 * r)), np.empty((tile, 2 * r))
-    q, w = np.empty((2, tile)), np.empty(tile, dtype=dtype)
-    sum_w, sum_abs2 = 0.0, 0.0
+    q, w = np.empty(tile), np.empty(tile)
+    sum_w, sum_w2 = 0.0, 0.0
     for start in range(0, count, tile):
         rows = min(tile, count - start)
-        vt, vmt, wt, q_re, q_im = v[:rows], vm[:rows], w[:rows], q[0, :rows], q[1, :rows]
+        vt, vmt, qt, wt = v[:rows], vm[:rows], q[:rows], w[:rows]
         rng.standard_normal(out=vt)
-        np.einsum("sj,sj->s", vt, vt, out=q_re)
-        np.power(q_re, -n, out=wt)
-        for m, im in forms:
+        np.einsum("sj,sj->s", vt, vt, out=qt)
+        np.power(qt, -n, out=wt)
+        for m in forms:
             np.matmul(vt, m, out=vmt)
-            np.einsum("sj,sj->s", vmt, vt, out=q_re)
-            if im is None:
-                wt *= q_re
-            else:
-                np.matmul(vt, im, out=vmt)
-                np.einsum("sj,sj->s", vmt, vt, out=q_im)
-                wt *= q_re + 1j * q_im
+            np.einsum("sj,sj->s", vmt, vt, out=qt)
+            wt *= qt
         sum_w += wt.sum()
-        # einsum, not BLAS vdot: a threaded BLAS dot sums in an order that
+        # einsum, not BLAS dot: a threaded BLAS dot sums in an order that
         # depends on its thread count
-        sum_abs2 += np.einsum("s,s->", wt.conj(), wt).real
-    return sum_w, float(sum_abs2)
+        sum_w2 += np.einsum("s,s->", wt, wt)
+    return sum_w, float(sum_w2)
 
 
 def moment_mc(mats, samples: int, seed: int) -> tuple[complex, float]:
-    """Monte Carlo spherical moment with standard error.
+    """Monte Carlo spherical moment of a word of Hermitian factors, with
+    standard error.
 
     Samples are drawn in blocks of MC_BLOCK, block b seeded by seed + b,
     and a block's v = (Re xi, Im xi) is its (count, 2r) standard normal
@@ -308,9 +298,9 @@ def moment_mc(mats, samples: int, seed: int) -> tuple[complex, float]:
     maps them over every available core, and their partial sums are added
     in block order, so the result is the same float for any worker count.
 
-    The arithmetic is real: xi* U xi = v^T M v + i v^T N v, and each sample
-    is prod_i (v^T M_i v + i v^T N_i v) / |v|^{2n}, so v is never
-    normalized.  Hermitian factors (N = 0) keep the product real.
+    The arithmetic is real: xi* U xi = v^T M v, and each sample is
+    prod_i v^T M_i v / |v|^{2n}, so v is never normalized.  A factor that
+    is not Hermitian within HERMITIAN_TOL raises ValueError.
     """
     ms = _check_stack(mats, "moment word")
     if ms.ndim != 3:
@@ -318,14 +308,13 @@ def moment_mc(mats, samples: int, seed: int) -> tuple[complex, float]:
     require_count(samples, "samples")
     require_seed(seed)
     r = ms.shape[-1]
-    forms = [_real_forms(m) for m in ms]
-    dtype = float if all(im is None for _, im in forms) else complex
+    forms = [_real_form(ensure_hermitian(m)) for m in ms]
     n_blocks = -(-samples // MC_BLOCK)
     workers = min(_available_cores(), n_blocks)
 
-    def block(b: int) -> tuple[complex, float]:
+    def block(b: int) -> tuple[float, float]:
         count = min(MC_BLOCK, samples - b * MC_BLOCK)
-        return _mc_block(forms, len(ms), r, count, np.random.default_rng(seed + b), dtype)
+        return _mc_block(forms, len(ms), r, count, np.random.default_rng(seed + b))
 
     if workers == 1:
         partial = list(map(block, range(n_blocks)))
@@ -335,9 +324,9 @@ def moment_mc(mats, samples: int, seed: int) -> tuple[complex, float]:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(workers) as pool:
             partial = list(pool.map(block, range(n_blocks)))
-    sum_w, sum_abs2 = map(sum, zip(*partial))
+    sum_w, sum_w2 = map(sum, zip(*partial))
     mean = complex(sum_w) / samples
     if samples == 1:
         return mean, 0.0
-    var = max(sum_abs2 - samples * abs(mean) ** 2, 0.0) / (samples - 1)
+    var = max(sum_w2 - samples * abs(mean) ** 2, 0.0) / (samples - 1)
     return mean, math.sqrt(var / samples)

@@ -3,8 +3,9 @@
 One convention everywhere: a complex scalar is a two-element array
 [re, im]; matrices are row-major nested arrays of those.  Multi-indices in
 form files are 1-based (the library uses 0-based tuples internally).  The
-loaders take sizes and multi-index entries only as JSON integers, and values
-only as JSON numbers: never a bool or a string.
+loaders read the command inputs, block maps and curvature tensors; they take
+sizes only as JSON integers and values only as JSON numbers: never a bool or
+a string.
 """
 
 from __future__ import annotations
@@ -27,12 +28,6 @@ def complex_to_json(z) -> list[float]:
 def _all_numbers(values) -> bool:
     """Whether every value is a JSON number: int or float, not bool or str."""
     return set(map(type, values)) <= {int, float}
-
-
-def complex_from_json(v) -> complex:
-    if not isinstance(v, (list, tuple)) or len(v) != 2 or not _all_numbers(v):
-        raise ValueError(f"expected [re, im] of JSON numbers, got {v!r}")
-    return complex(*v)
 
 
 def matrix_to_json(m) -> list:
@@ -60,10 +55,6 @@ def _declared_size(obj: dict, key: str) -> int:
     return v
 
 
-def matrix_from_json(rows) -> np.ndarray:
-    return _from_pairs(rows, np.shape(rows)[:2])
-
-
 def block_map_to_json(h: BlockMap) -> dict:
     return {"r": h.r, "w": h.w, "blocks": matrix_to_json(h.blocks)}
 
@@ -89,30 +80,6 @@ def form_to_json(u: Form) -> dict:
     entries = [{"I": [x + 1 for x in i], "J": [x + 1 for x in j], "val": complex_to_json(v)}
                for (i, j), v in zip(product(ks, ks), u.coeffs.ravel())]
     return {"n": u.n, "p": u.p, "entries": entries}
-
-
-def form_from_json(obj: dict) -> Form:
-    n, p = _declared_size(obj, "n"), obj["p"]
-    if type(p) is not int or not 0 <= p <= n:
-        raise ValueError(f"'p' must be an integer in [0, n], got {p!r}")
-    ks = list(combinations(range(n), p))
-    coeffs = np.zeros((len(ks), len(ks)), dtype=complex)
-    entries = obj["entries"]
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise ValueError(f"'entries' must be a list of JSON objects, got {entries!r}")
-    for e in entries:
-        if not all(isinstance(e[k], list) and all(type(x) is int for x in e[k])
-                   for k in ("I", "J")):
-            raise ValueError(f"multi-indices must be lists of JSON integers in {e!r}")
-        i, j = (tuple(x - 1 for x in e[k]) for k in ("I", "J"))
-        if len(i) != p or len(j) != p:
-            raise ValueError(f"multi-index length differs from declared p = {p} in {e!r}")
-        if any(x < 0 or x >= n for x in i + j):
-            raise ValueError(f"multi-index out of range in {e!r}")
-        if any(list(m) != sorted(set(m)) for m in (i, j)):
-            raise ValueError(f"multi-index not strictly increasing in {e!r}")
-        coeffs[ks.index(i), ks.index(j)] += complex_from_json(e["val"])
-    return Form(n, p, p, coeffs)
 
 
 def phi_report_to_json(rep: PhiReport) -> dict:

@@ -8,7 +8,9 @@ kernels, and small constructions the tests check the library against.
   with one ``mixed_discriminant`` call per permutation of ``signed_perms``;
 * ``apply_map`` and ``transpose_map`` evaluate and build block maps;
 * ``restrict_fiber``, ``conjugate`` and ``is_real_pp`` act on curvature
-  tensors and forms.
+  tensors and forms;
+* ``written_coeffs`` reads back the coefficients of a form that
+  ``serialization.form_to_json`` wrote.
 """
 
 import itertools
@@ -109,3 +111,11 @@ def is_real_pp(u: Form, tol: float = 1e-12) -> bool:
     """Check the reality invariant u_{J,I} = (-1)^p conj(u_{I,J}), that is,
     that u is a (p, p)-form equal to its conjugate."""
     return u.p == u.q and max_coeff_diff(u, conjugate(u)) <= tol
+
+
+def written_coeffs(obj: dict) -> np.ndarray:
+    """The coefficient matrix of a written (p, p)-form, checking that its
+    entries run exactly once over the 1-based (I, J) in ``combinations`` order."""
+    ks = [list(k) for k in itertools.combinations(range(1, obj["n"] + 1), obj["p"])]
+    assert [(e["I"], e["J"]) for e in obj["entries"]] == list(itertools.product(ks, ks))
+    return np.array([complex(*e["val"]) for e in obj["entries"]]).reshape(len(ks), len(ks))

@@ -6,10 +6,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import written_coeffs
 
 from schurpos import phi, serialization as ser, verify
 from schurpos.cli import EXIT_VERIFY_FAILED, main
-from schurpos.forms import chern_forms, max_coeff_diff, schur_form, wedge
+from schurpos.forms import chern_forms, wedge
 
 
 def run(capsys, *argv):
@@ -333,8 +334,7 @@ class TestSchur:
         tensor = ser.curvature_from_json(json.loads(path.read_text()))
         cs = chern_forms(tensor)
         want = wedge(cs[1], cs[2]) - cs[3]
-        got = ser.form_from_json(obj["schur_form"])
-        assert max_coeff_diff(got, want) < 1e-12
+        assert abs(written_coeffs(obj["schur_form"]) - want.coeffs).max() < 1e-12
         assert obj["weak_positivity"]["min_coeff"] > 0.0
 
     def test_partition_100_is_c1(self, capsys, tmp_path):
@@ -345,8 +345,7 @@ class TestSchur:
                                 "--partition", "1,0,0", "--samples", "400")
         assert code == 0
         tensor = ser.curvature_from_json(json.loads(path.read_text()))
-        got = ser.form_from_json(obj["schur_form"])
-        assert max_coeff_diff(got, chern_forms(tensor)[1]) < 1e-13
+        assert abs(written_coeffs(obj["schur_form"]) - chern_forms(tensor)[1].coeffs).max() < 1e-13
         assert obj["weak_positivity"]["min_coeff"] > 0.0
 
     def test_top_partition_positive(self, capsys, tmp_path):
@@ -370,6 +369,17 @@ class TestSchur:
         assert code == 0
         assert obj["weak_positivity"]["exact"] is exact
         assert obj["weak_positivity"]["min_coeff"] > 0.0
+
+    @pytest.mark.parametrize("dim,partition,samples", [(3, "2,1,0", 0), (4, "1,1,0", 300)])
+    def test_reports_samples_drawn(self, capsys, tmp_path, dim, partition, samples):
+        # the exact path draws no sample; the sampled path draws --samples
+        path = tmp_path / "curv.json"
+        main(["gen", "curvature", "--rank", "3", "--dim", str(dim), "--terms", "3",
+              "--eps", "0.2", "--seed", "13", "--output", str(path)])
+        code, obj, _ = run_json(capsys, "schur", "--input", str(path),
+                                "--partition", partition, "--samples", "300")
+        assert code == 0
+        assert obj["weak_positivity"]["samples"] == samples
 
     def test_invalid_partition(self, capsys, tmp_path):
         path = tmp_path / "curv.json"

@@ -370,6 +370,19 @@ class TestMomentMonteCarlo:
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             moment_mc([np.eye(2), np.eye(2)], samples=10, seed=seed)
 
+    def test_rejects_non_hermitian_factor(self):
+        rng = np.random.default_rng(83)
+        u = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            moment_mc([random_hermitian(rng, 3), u], samples=10, seed=0)
+
+    def test_symmetrizes_a_factor_within_tolerance(self):
+        rng = np.random.default_rng(87)
+        us = [random_hermitian(rng, 3) + 1e-13 * random_hermitian(rng, 3) * 1j
+              for _ in range(2)]
+        sym = [(u + u.conj().T) / 2 for u in us]
+        assert moment_mc(us, samples=1000, seed=5) == moment_mc(sym, samples=1000, seed=5)
+
     def test_single_sample_has_zero_stderr(self):
         rng = np.random.default_rng(71)
         us = [random_hermitian(rng, 3) for _ in range(2)]
@@ -430,20 +443,9 @@ class TestMomentMonteCarloStream:
         us = [random_hermitian(rng, r) for _ in range(n)]
         est, stderr = moment_mc(us, self.SAMPLES, seed=17)
         want, want_stderr = einsum_moment_mc(us, self.SAMPLES, seed=17)
-        assert est.imag == 0.0  # Hermitian words stay on the real path
+        assert est.imag == 0.0
         assert est == pytest.approx(want, rel=1e-12)
         assert stderr == pytest.approx(want_stderr, rel=1e-12)
-
-    def test_non_hermitian_word(self):
-        rng = np.random.default_rng(83)
-        us = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
-              random_hermitian(rng, 3)]
-        est, stderr = moment_mc(us, self.SAMPLES, seed=19)
-        want, want_stderr = einsum_moment_mc(us, self.SAMPLES, seed=19)
-        assert est == pytest.approx(want, rel=1e-12)
-        assert stderr == pytest.approx(want_stderr, rel=1e-12)
-        assert abs(est.imag) > 10 * stderr  # the complex path was taken
-        assert abs(est - moment_exact(us)) < 5 * stderr
 
     def test_tile_size_is_not_part_of_the_stream(self, monkeypatch):
         rng = np.random.default_rng(101)
@@ -467,12 +469,11 @@ class TestMomentMonteCarloWorkers:
         return [random_hermitian(rng, 3) for _ in range(3)]
 
     @staticmethod
-    def non_hermitian_word():
+    def long_word():
         rng = np.random.default_rng(97)
-        return [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
-                random_hermitian(rng, 3)]
+        return [random_hermitian(rng, 4) for _ in range(4)]
 
-    @pytest.mark.parametrize("word", ["hermitian_word", "non_hermitian_word"])
+    @pytest.mark.parametrize("word", ["hermitian_word", "long_word"])
     @pytest.mark.parametrize("samples", [150_000, 40_000])
     def test_same_result_for_any_worker_count(self, monkeypatch, word, samples):
         # 150_000 samples are two full blocks and a partial one; 40_000 are

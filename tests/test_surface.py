@@ -1,9 +1,7 @@
-"""Every public top-level name of the numeric modules has a caller outside
+"""Every public top-level name of the package modules has a caller outside
 the tests: a reference somewhere in ``src/schurpos`` (other than its own
 definition and ``__init__.py``) or in ``benchmarks/``.  A helper that only the
 tests call belongs in the tests, as the oracles of ``tests/oracles.py`` do.
-
-The loaders of ``serialization`` are input entry points and are not checked.
 """
 
 import ast
@@ -14,7 +12,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "schurpos"
-MODULES = ("hermitian", "discriminants", "posmap", "phi", "forms")
+MODULES = ("hermitian", "discriminants", "posmap", "phi", "forms", "serialization",
+           "cli")
 
 
 def referenced_names(tree: ast.AST, skip=frozenset()) -> set[str]:
