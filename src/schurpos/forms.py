@@ -62,7 +62,7 @@ from itertools import combinations
 import numpy as np
 
 from .discriminants import (permutation_table, principal_sum, require_count,
-                            require_seed, sample_unit_sphere)
+                            require_seed, sample_unit_sphere, stack_det)
 from .posmap import BlockMap, trace_map
 
 TWO_PI = 2.0 * math.pi
@@ -230,9 +230,9 @@ def chern_forms(tensor: CurvatureTensor) -> list[Form]:
     """Chern forms c_0 .. c_r of det(Id + (i/2pi) Theta).
 
     c_k[I, J] = (i/2pi)^k (-1)^{k(k-1)/2} k! sum_{|S|=k} sum_sigma sgn(sigma)
-    D((R[S_m, S_sigma(m)][I, J])_m): ``principal_sum`` of det, the diagonal of
-    the mixed discriminant D, with the base pairs (I, J) leading.  c_k is the
-    (k, k) zero form for k > dim.
+    D((R[S_m, S_sigma(m)][I, J])_m): ``principal_sum`` of ``stack_det``, the
+    diagonal of the mixed discriminant D, with the base pairs (I, J) leading.
+    c_k is the (k, k) zero form for k > dim.
     """
     if tensor.rank > 5 or tensor.dim > 5:
         raise ValueError("chern_forms is desk-scale: rank <= 5 and dim <= 5")
@@ -247,7 +247,7 @@ def chern_forms(tensor: CurvatureTensor) -> list[Form]:
         blocks = tensor.entries[..., ij[:, None, :, None], ij[None, :, None, :]]
         blocks = blocks.transpose(2, 3, 0, 1, 4, 5)
         scale = (1j / TWO_PI) ** k * (-1) ** (k * (k - 1) // 2) * math.factorial(k)
-        cs.append(Form(n, k, k, scale * principal_sum(blocks, k, np.linalg.det)))
+        cs.append(Form(n, k, k, scale * principal_sum(blocks, k, stack_det)))
     return cs
 
 
@@ -395,7 +395,9 @@ def weak_positivity_min(u: Form, samples: int = WEAK_POSITIVITY_SAMPLES,
     margin len(ks) 1e-14 max|lambda|, with b = conj(its eigenvector).  For
     2 <= q <= n - 2 it is the least Rayleigh quotient b^T M conj(b) / |b|^2
     over ``samples`` seeded Gaussian unit covectors, in blocks of
-    WEAK_POSITIVITY_BLOCK seeded by seed + block index.
+    WEAK_POSITIVITY_BLOCK seeded by seed + block index.  ``samples`` is
+    checked on that path only, since the exact path draws none; ``seed`` is
+    checked on both.
 
     On the exact path the value is lambda_min - margin: a positive value
     proves weak positivity, a value below -2 x margin disproves it (then
@@ -407,7 +409,6 @@ def weak_positivity_min(u: Form, samples: int = WEAK_POSITIVITY_SAMPLES,
     exact = weak_positivity_is_exact(u)
     if q < 0:
         raise ValueError(f"bidegree ({u.p},{u.p}) exceeds ambient dimension {n}")
-    require_count(samples, "samples")
     require_seed(seed)
     if q == 0:
         return float(volume_coefficient(u).real), []
@@ -416,6 +417,7 @@ def weak_positivity_min(u: Form, samples: int = WEAK_POSITIVITY_SAMPLES,
         lam, vecs = np.linalg.eigh((m + m.conj().T) / 2)
         margin = len(ks) * 1e-14 * float(np.max(np.abs(lam)))
         return float(lam[0]) - margin, list(_covectors(vecs[:, 0].conj(), n, q))
+    require_count(samples, "samples")
     best, witness = np.inf, None
     for block, start in enumerate(range(0, samples, WEAK_POSITIVITY_BLOCK)):
         count = min(WEAK_POSITIVITY_BLOCK, samples - start)

@@ -32,7 +32,9 @@ k x k sub-maps, given the diagonal of its kernel: det at k = r (Phi),
 k = 4 (the rank-4 residue).  A term with blocks A_m, T = sum A_m, needs the
 diagonal at T and the k sums T - A_j only: the lower subset sums of the
 polarization cancel in pairs of permutations of opposite sign.  So Phi at
-rank r costs (r+1) r! determinants, not (r!)^2.
+rank r costs (r+1) r! determinants, not (r!)^2, and ``stack_det`` takes
+them as one stack: Leibniz sums in array operations up to rank 4, LAPACK at
+rank 5.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discriminants import mixed_discriminant, power_moment, principal_sum
+from .discriminants import mixed_discriminant, power_moment, principal_sum, stack_det
 from .posmap import SIDE_SWAP, BlockMap, normalization_residual
 
 #: Integral routes demand this much normalization before they make sense.
@@ -81,7 +83,7 @@ def _require_normalized(h: BlockMap, what: str) -> None:
 def phi_direct(h: BlockMap) -> PhiReport:
     """The signed permutation sum over mixed discriminants of block rows."""
     _require_rank(h, ROUTES["direct"][1], "phi_direct")
-    return _report(principal_sum(h.blocks, h.r, np.linalg.det), "direct")
+    return _report(principal_sum(h.blocks, h.r, stack_det), "direct")
 
 
 def phi_dual(h: BlockMap) -> PhiReport:

@@ -381,6 +381,21 @@ class TestSchur:
         assert code == 0
         assert obj["weak_positivity"]["samples"] == samples
 
+    @pytest.mark.parametrize("dim,partition,code", [(3, "2,1,0", 0), (4, "1,1,0", 2)])
+    def test_zero_samples_only_on_the_exact_path(self, capsys, tmp_path, dim, partition,
+                                                 code):
+        path = tmp_path / "curv.json"
+        main(["gen", "curvature", "--rank", "3", "--dim", str(dim), "--terms", "3",
+              "--eps", "0.2", "--seed", "13", "--output", str(path)])
+        got, obj, err = run_json(capsys, "schur", "--input", str(path),
+                                 "--partition", partition, "--samples", "0")
+        assert got == code
+        if code == 0:
+            assert obj["weak_positivity"]["samples"] == 0
+            assert obj["weak_positivity"]["exact"] is True
+        else:
+            assert obj is None and "at least one sample" in err
+
     def test_invalid_partition(self, capsys, tmp_path):
         path = tmp_path / "curv.json"
         main(["gen", "curvature", "--rank", "3", "--dim", "3", "--terms", "1",

@@ -14,7 +14,7 @@ from oracles import (mixed_discriminant_polarized, trace_expansion_r2,
 from schurpos import discriminants
 from schurpos.discriminants import (mixed_discriminant, moment_exact, moment_mc,
                                     permutation_table, rising_factorial,
-                                    sample_unit_sphere, subset_table)
+                                    sample_unit_sphere, stack_det, subset_table)
 from schurpos.hermitian import det
 
 
@@ -115,6 +115,49 @@ class TestSubsetTable:
             assert row == [m >> k & 1 for k in range(n)]
             assert sign == (-1) ** (n - sum(row))
         assert not rows.flags.writeable and not signs.flags.writeable
+
+
+def fraction_det(m):
+    """Independent oracle: exact determinant by elimination over the rationals."""
+    a = [[Fraction(int(v)) for v in row] for row in m]
+    n, total = len(a), Fraction(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if a[i][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            total = -total
+        total *= a[c][c]
+        for i in range(c + 1, n):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return total
+
+
+class TestStackDet:
+    @pytest.mark.parametrize("lead", [(), (7,), (2, 3)], ids=["one", "stack", "grid"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_matches_lapack(self, k, lead):
+        # roundoff of either sum scales with Hadamard's bound prod_i |row i|
+        rng = np.random.default_rng(40 + k)
+        x = rng.standard_normal((*lead, k, k)) + 1j * rng.standard_normal((*lead, k, k))
+        got, want = stack_det(x), np.linalg.det(x)
+        assert np.shape(got) == lead
+        bound = np.prod(np.linalg.norm(x, axis=-1), axis=-1)
+        assert (abs(got - want) <= 1e-13 * bound).all()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_exact_on_small_integers(self, k):
+        rng = np.random.default_rng(50 + k)
+        x = rng.integers(-4, 5, size=(200, k, k))
+        got = stack_det(x.astype(complex))
+        want = [fraction_det(m) for m in x]
+        assert got.tolist() == [complex(w) for w in want]
+        # a repeated row gives exactly 0, in real arithmetic too
+        if k > 1:
+            x[:, 1] = x[:, 0]
+            assert (stack_det(x.astype(float)) == 0.0).all()
 
 
 class TestMixedDiscriminant:

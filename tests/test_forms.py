@@ -674,13 +674,29 @@ class TestExactWeakPositivity:
         assert len(nwitness) == dim - k
 
     @pytest.mark.parametrize("p,q,samples,match", [(1, 2, 1, "not \\(p,p\\)"),
-                                                  (4, 4, 1, "exceeds ambient"),
-                                                  (1, 1, 0, "at least one sample"),
-                                                  (1, 1, float("nan"), "an integer >= 1"),
-                                                  (1, 1, 2.5, "an integer >= 1")])
+                                                  (4, 4, 1, "exceeds ambient")])
     def test_rejects_invalid_input(self, p, q, samples, match):
         with pytest.raises(ValueError, match=match):
             weak_positivity_min(Form.zero(3, p, q), samples=samples, seed=0)
+
+    @pytest.mark.parametrize("samples,match", [(0, "at least one sample"),
+                                               (float("nan"), "an integer >= 1"),
+                                               (2.5, "an integer >= 1")])
+    def test_sampled_path_rejects_invalid_samples(self, samples, match):
+        # (2, 2) on C^4 is q = 2, the sampled path
+        with pytest.raises(ValueError, match=match):
+            weak_positivity_min(Form.zero(4, 2, 2), samples=samples, seed=0)
+
+    @pytest.mark.parametrize("dim,k", [(3, 1), (3, 2), (3, 3), (4, 3)])
+    def test_exact_path_takes_zero_samples(self, dim, k):
+        # the exact path draws no sample, so it needs none
+        u = chern_forms(random_griffiths_curvature(3, dim, 3, 0.2, seed=60 + dim + k))[k]
+        val, witness = weak_positivity_min(u, samples=0)
+        want, want_witness = weak_positivity_min(u)
+        assert val == want
+        assert len(witness) == len(want_witness) == dim - k
+        for got, ref in zip(witness, want_witness):
+            assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, False])
     def test_rejects_invalid_seed(self, seed):

@@ -10,8 +10,9 @@ import pytest
 from oracles import loop_phi_direct, signed_perms, transpose_map
 
 from schurpos import discriminants
+from schurpos import phi as phi_module
 from schurpos.discriminants import (leibniz_table, moment_exact, power_moment,
-                                    principal_sum, sample_unit_sphere)
+                                    principal_sum, sample_unit_sphere, stack_det)
 from schurpos.hermitian import det
 from schurpos.phi import (ROUTES, c_matrix, four_cycle_diagonal, integral_det_c,
                           integral_sigma2_c, phi_direct, phi_dual, phi_integral_r2,
@@ -51,6 +52,13 @@ class TestPhiDirect:
         rep = phi_direct(normalized_map(3, seed=80))
         assert rep.value > 0.0
         assert rep.imaginary_residue < 1e-9
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_trace_map_is_exactly_one(self, r):
+        # the (r+1) r! determinants of integer words are Leibniz sums up to
+        # rank 4, exact in floating point
+        rep = phi_direct(trace_map(r))
+        assert (rep.value, rep.imaginary_residue) == (1.0, 0.0)
 
     def test_rank_five_boundary(self):
         assert abs(phi_direct(trace_map(5)).value - 1.0) < 1e-13
@@ -396,7 +404,7 @@ class TestStackedRoutesMatchLoops:
 
         want = loop_phi_direct(h)
         with monkeypatch.context() as m:
-            m.setattr(np.linalg, "det", counted(np.linalg.det))
+            m.setattr(phi_module, "stack_det", counted(stack_det))
             rep = phi_direct(h)
         assert_close(rep.value, want.real)
         assert abs(rep.imaginary_residue - abs(want.imag)) <= 1e-12 * abs(want)
@@ -409,7 +417,7 @@ class TestStackedRoutesMatchLoops:
         rng = np.random.default_rng(170 + h.r)
         re, im = rng.standard_normal((2, 2, 3) + h.blocks.shape)
         stack = h.blocks + 0.3 * np.abs(h.blocks).max() * (re + 1j * im)
-        kernels = [(h.r, np.linalg.det, loop_phi_direct),
+        kernels = [(h.r, stack_det, loop_phi_direct),
                    (h.r, lambda x: power_moment(x, h.r), loop_integral_det_c),
                    (2, lambda x: power_moment(x, 2), loop_integral_sigma2_c)]
         if h.r == 4:
