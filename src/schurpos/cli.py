@@ -77,7 +77,7 @@ def cmd_phi(args) -> int:
         "timestamp": _timestamp(),
     }
     if args.method == "all":
-        spread = max(r.value for r in reports) - min(r.value for r in reports)
+        spread = phi.route_spread(reports)
         obj["max_spread"] = spread
         if spread >= phi.ROUTE_AGREEMENT_TOL[h.r]:
             _emit(obj, args.output)

@@ -41,15 +41,15 @@ LAPACK's one LU call per matrix costs more in dispatch than in arithmetic.
 The Monte Carlo route ``moment_mc`` takes Hermitian words and runs in real
 arithmetic.  With xi = x + iy, v = (x, y) in R^{2r} and U = A + iB Hermitian,
 
-    xi* U xi = v^T M v,  M = sym([[A, -B], [B, A]]),
+    xi* U xi = v^T M v,  M = [[A, -B], [B, A]],
 
-where sym(X) = (X + X^T)/2.  The forms are homogeneous of degree 2, so each
-sample divides the product of the forms by |v|^{2n} rather than normalizing
-v.  The samples come in blocks: block b is seeded by seed + b, and its v is
-the block's sequence of standard normals in row order, drawn and evaluated
-one row tile at a time.  The blocks are independent, so they run on every
-available core, and their partial sums are added in block order: the result
-is the same float for any number of cores.
+exactly symmetric for U exactly Hermitian.  The forms are homogeneous of
+degree 2, so each sample divides the product of the forms by |v|^{2n} rather
+than normalizing v.  The samples come in blocks: block b is seeded by
+seed + b, and its v is the block's sequence of standard normals in row order,
+drawn and evaluated one row tile at a time.  The blocks are independent, so
+a thread pool runs them on every available core, and their partial sums are
+added in block order: the result is the same float for any number of cores.
 """
 
 from __future__ import annotations
@@ -264,10 +264,9 @@ def require_seed(value) -> None:
 
 
 def _real_form(u: np.ndarray) -> np.ndarray:
-    """Real symmetric M with xi* U xi = v^T M v, v = (Re xi, Im xi), for U Hermitian."""
+    """Real M with xi* U xi = v^T M v, v = (Re xi, Im xi); symmetric for U exactly Hermitian."""
     a, b = u.real, u.imag
-    m = np.block([[a, -b], [b, a]])
-    return (m + m.T) / 2.0
+    return np.block([[a, -b], [b, a]])
 
 
 def _available_cores() -> int:
@@ -279,33 +278,20 @@ def _available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _mc_block(forms, n: int, r: int, count: int,
-              rng: np.random.Generator) -> tuple[float, float]:
-    """(sum w, sum w^2) over one block of ``moment_mc`` samples.
-
-    v = (Re xi, Im xi) is drawn one tile of MC_TILE rows at a time, so the
-    block's v is its (count, 2r) standard normal sequence in row order
-    whatever the tile size.  The scratch is four tile-sized arrays: v, v M,
-    the forms and the weights w.
-    """
-    tile = min(MC_TILE, count)
-    v, vm = np.empty((tile, 2 * r)), np.empty((tile, 2 * r))
-    q, w = np.empty(tile), np.empty(tile)
+def _mc_block(forms, count: int, rng: np.random.Generator) -> tuple[float, float]:
+    """(sum w, sum w^2) over one block of ``count`` ``moment_mc`` samples,
+    drawn and evaluated one tile of MC_TILE rows at a time."""
+    n, dim = len(forms), len(forms[0])
     sum_w, sum_w2 = 0.0, 0.0
-    for start in range(0, count, tile):
-        rows = min(tile, count - start)
-        vt, vmt, qt, wt = v[:rows], vm[:rows], q[:rows], w[:rows]
-        rng.standard_normal(out=vt)
-        np.einsum("sj,sj->s", vt, vt, out=qt)
-        np.power(qt, -n, out=wt)
+    for start in range(0, count, MC_TILE):
+        v = rng.standard_normal((min(MC_TILE, count - start), dim))
+        w = np.power(np.einsum("sj,sj->s", v, v), -n)
         for m in forms:
-            np.matmul(vt, m, out=vmt)
-            np.einsum("sj,sj->s", vmt, vt, out=qt)
-            wt *= qt
-        sum_w += wt.sum()
+            w *= np.einsum("sj,sj->s", v @ m, v)
+        sum_w += w.sum()
         # einsum, not BLAS dot: a threaded BLAS dot sums in an order that
         # depends on its thread count
-        sum_w2 += np.einsum("s,s->", wt, wt)
+        sum_w2 += np.einsum("s,s->", w, w)
     return sum_w, float(sum_w2)
 
 
@@ -316,10 +302,10 @@ def moment_mc(mats, samples: int, seed: int) -> tuple[complex, float]:
     Samples are drawn in blocks of MC_BLOCK, block b seeded by seed + b,
     and a block's v = (Re xi, Im xi) is its (count, 2r) standard normal
     sequence in row order: the samples depend only on (seed, samples), not
-    on MC_TILE or the number of cores.  A single worker runs the blocks
-    inline; otherwise a thread pool that lives only as long as the call
-    maps them over every available core, and their partial sums are added
-    in block order, so the result is the same float for any worker count.
+    on MC_TILE or the number of cores.  A thread pool that lives only as
+    long as the call maps the blocks over every available core, and their
+    partial sums are added in block order, so the result is the same float
+    for any worker count.
 
     The arithmetic is real: xi* U xi = v^T M v, and each sample is
     prod_i v^T M_i v / |v|^{2n}, so v is never normalized.  A factor that
@@ -330,23 +316,18 @@ def moment_mc(mats, samples: int, seed: int) -> tuple[complex, float]:
         raise ValueError(f"moment_mc takes one word (n, r, r), got shape {ms.shape}")
     require_count(samples, "samples")
     require_seed(seed)
-    r = ms.shape[-1]
     forms = [_real_form(ensure_hermitian(m)) for m in ms]
     n_blocks = -(-samples // MC_BLOCK)
-    workers = min(_available_cores(), n_blocks)
 
     def block(b: int) -> tuple[float, float]:
         count = min(MC_BLOCK, samples - b * MC_BLOCK)
-        return _mc_block(forms, len(ms), r, count, np.random.default_rng(seed + b))
+        return _mc_block(forms, count, np.random.default_rng(seed + b))
 
-    if workers == 1:
-        partial = list(map(block, range(n_blocks)))
-    else:
-        # imported here: concurrent.futures loads logging, about 0.5 MB of
-        # resident memory that callers without Monte Carlo need not pay
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(workers) as pool:
-            partial = list(pool.map(block, range(n_blocks)))
+    # imported here: concurrent.futures loads logging, about 0.5 MB of
+    # resident memory that callers without Monte Carlo need not pay
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(min(_available_cores(), n_blocks)) as pool:
+        partial = list(pool.map(block, range(n_blocks)))
     sum_w, sum_w2 = map(sum, zip(*partial))
     mean = complex(sum_w) / samples
     if samples == 1:

@@ -199,8 +199,13 @@ ROUTES = {
     "r4": (phi_r4, range(4, 5)),
 }
 
-#: Rank -> largest spread of ROUTES values that ``phi --method all`` and criterion 2 accept.
+#: Rank -> largest ``route_spread`` that ``phi --method all`` and criterion 2 accept.
 ROUTE_AGREEMENT_TOL = {1: 1e-9, 2: 1e-9, 3: 1e-9, 4: 1e-8, 5: 1e-8}
+
+
+def route_spread(reports: list[PhiReport]) -> float:
+    """Largest value minus smallest value over ``reports``."""
+    return max(rep.value for rep in reports) - min(rep.value for rep in reports)
 
 
 def phi_reports(h: BlockMap, method: str = "all") -> list[PhiReport]:

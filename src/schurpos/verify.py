@@ -97,12 +97,6 @@ def _random_hermitian(r: int, rng: np.random.Generator) -> np.ndarray:
 # Criteria
 # ---------------------------------------------------------------------------
 
-def _route_gap(h: BlockMap) -> float:
-    """Largest distance of a Phi route of ``phi.phi_reports`` from the direct sum."""
-    direct, *others = phi.phi_reports(h)
-    return max(abs(rep.value - direct.value) for rep in others)
-
-
 def criterion_1_exact_fixed_point(seed: int, limit: int | None = None) -> CriterionResult:
     """Phi(trace map) = 1 for r in {2,3,4} by every applicable method, to 1e-12."""
     values = [v for r in (2, 3, 4) for rep in phi.phi_reports(trace_map(r))
@@ -114,12 +108,15 @@ def criterion_1_exact_fixed_point(seed: int, limit: int | None = None) -> Criter
 
 
 def criterion_2_method_agreement(seed: int, limit: int | None = None) -> CriterionResult:
-    """Every route of ``phi.phi_reports`` agrees with the direct sum within
+    """The ``phi.route_spread`` of the routes of ``phi.phi_reports`` stays within
     ``phi.ROUTE_AGREEMENT_TOL`` of its rank: 1e-9 at r=2,3 and 1e-8 at r=4."""
-    worst23 = max(_route_gap(_normalized_random_map(r, _sub_seed(seed, 2, r, idx)))
-                  for r in (2, 3)
+    def spread(r: int, idx: int) -> float:
+        return phi.route_spread(phi.phi_reports(
+            _normalized_random_map(r, _sub_seed(seed, 2, r, idx))))
+
+    worst23 = max(spread(r, idx) for r in (2, 3)
                   for idx in range(_count(FULL_COUNTS["method_agreement_per_rank"], limit)))
-    worst4 = max(_route_gap(_normalized_random_map(4, _sub_seed(seed, 2, 4, idx)))
+    worst4 = max(spread(4, idx)
                  for idx in range(_count(FULL_COUNTS["method_agreement_r4"], limit)))
     tol = phi.ROUTE_AGREEMENT_TOL
     passed = worst23 < min(tol[2], tol[3]) and worst4 < tol[4]
@@ -190,7 +187,7 @@ def criterion_5_rank_three_theorem(seed: int, limit: int | None = None) -> Crite
 
 def criterion_6_moment_identities(seed: int, limit: int | None = None) -> CriterionResult:
     """Monte Carlo within 5 stderr of exact moments; r=3 n=2 closed form to 1e-12."""
-    samples = FULL_COUNTS["moment_mc_samples"] if limit is None else max(10_000, limit)
+    samples = max(10_000, _count(FULL_COUNTS["moment_mc_samples"], limit))
     words = _count(FULL_COUNTS["moment_words"], limit)
     worst_sigma = 0.0
     for r, n in ((2, 2), (3, 2), (3, 3), (4, 4)):

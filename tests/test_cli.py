@@ -461,6 +461,32 @@ class TestVerify:
         assert (res.details["exact_targets"], res.details["sampled_targets"]) == (10, 0)
         assert "exact_targets=10, sampled_targets=0" in res.line()
 
+    def test_method_agreement_holds_the_route_spread_to_the_tolerance(self, monkeypatch):
+        # routes 6e-10 above and below the direct sum: each is within 1e-9 of
+        # it, but their spread of 1.2e-9 is beyond rank 2 and 3's 1e-9
+        for name, shift in (("dual", 6e-10), ("integral", -6e-10)):
+            report, ranks = phi.ROUTES[name]
+            monkeypatch.setitem(phi.ROUTES, name, (
+                lambda h, report=report, shift=shift:
+                replace(report(h), value=report(h).value + shift), ranks))
+        res = verify.criterion_2_method_agreement(verify.DEFAULT_SEED, limit=1)
+        assert not res.passed
+        assert float(res.details["max_diff_r23"]) == pytest.approx(1.2e-9, rel=1e-3)
+
+    @pytest.mark.parametrize("limit, want", [(None, 1_000_000), (2_000_000, 1_000_000),
+                                             (50_000, 50_000), (1, 10_000)])
+    def test_moment_criterion_samples_stay_within_the_full_count(self, monkeypatch,
+                                                                 limit, want):
+        counts = set()
+
+        def record(mats, samples, seed):
+            counts.add(samples)
+            return 0j, 0.0
+
+        monkeypatch.setattr(verify, "moment_mc", record)
+        verify.criterion_6_moment_identities(verify.DEFAULT_SEED, limit=limit)
+        assert counts == {want}
+
     def test_negative_seed_is_precondition_error(self, capsys):
         code, out, err = run(capsys, "verify", "--seed", "-5")
         assert (code, out) == (2, "")

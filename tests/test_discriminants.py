@@ -520,7 +520,7 @@ class TestMomentMonteCarloWorkers:
     @pytest.mark.parametrize("samples", [150_000, 40_000])
     def test_same_result_for_any_worker_count(self, monkeypatch, word, samples):
         # 150_000 samples are two full blocks and a partial one; 40_000 are
-        # one block, which runs inline whatever the core count
+        # one block, which one pool worker runs whatever the core count
         us = getattr(self, word)()
         threads = threading.active_count()
         results = []

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +215,19 @@ class TestChernForms:
         t = random_griffiths_curvature(4, 3, 3, 0.2, seed=7)
         for k, c in enumerate(chern_forms(t)):
             assert is_real_pp(c, tol=1e-13 * (1.0 + c.max_abs())), f"c_{k} not real"
+
+    def test_memory_stays_bounded_at_rank_and_dim_5(self):
+        # chunked by LEIBNIZ_CHUNK_BYTES it peaks at about 1.5 MB; the k = 5
+        # degree in one unchunked call peaks at about 36 MB
+        t = random_griffiths_curvature(5, 5, 5, 0.2, seed=3)
+        chern_forms(t)
+        tracemalloc.start()
+        try:
+            chern_forms(t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 22, peak
 
     def test_desk_scale_cap(self):
         t = CurvatureTensor(rank=6, dim=2, entries=np.zeros((6, 6, 2, 2)))

@@ -14,10 +14,10 @@ from schurpos import phi as phi_module
 from schurpos.discriminants import (leibniz_table, moment_exact, power_moment,
                                     principal_sum, sample_unit_sphere, stack_det)
 from schurpos.hermitian import det
-from schurpos.phi import (ROUTES, c_matrix, four_cycle_diagonal, integral_det_c,
-                          integral_sigma2_c, phi_direct, phi_dual, phi_integral_r2,
-                          phi_integral_r3, phi_r4_decomposition, phi_reports,
-                          rank2_norm_identity, schur_delta)
+from schurpos.phi import (ROUTES, PhiReport, c_matrix, four_cycle_diagonal,
+                          integral_det_c, integral_sigma2_c, phi_direct, phi_dual,
+                          phi_integral_r2, phi_integral_r3, phi_r4_decomposition,
+                          phi_reports, rank2_norm_identity, route_spread, schur_delta)
 from schurpos.posmap import (BlockMap, choi_fixture, identity_map,
                              random_kraus_map, scale, sinkhorn_normalize,
                              trace_map)
@@ -115,6 +115,13 @@ class TestRoutes:
                 assert rank in ranks
                 applies.append(rep.method)
         assert ran == applies
+
+    def test_route_spread_is_largest_minus_smallest(self):
+        # the largest distance from the direct report would read 0.25
+        reports = [PhiReport(value=v, imaginary_residue=0.0, method=m)
+                   for v, m in ((1.0, "direct"), (1.25, "dual"), (0.75, "integral_r3"))]
+        assert route_spread(reports) == 0.5
+        assert route_spread(reports[:1]) == 0.0
 
     def test_integral_outside_its_ranks(self):
         with pytest.raises(ValueError, match="needs rank 2 or 3"):
@@ -432,7 +439,10 @@ class TestStackedRoutesMatchLoops:
                 assert_close(got[a, b], loop(BlockMap(stack[a, b])))
 
     def test_phi_direct_memory_stays_bounded_at_rank_5(self):
-        # the whole (120, 120, 5, 5) row stack in one call would take 5.8 MB
+        # chunked it peaks at about 0.5 MB; one unchunked call of the two-layer
+        # sum (120 terms of 6 arguments, 5 x 5) peaks at about 0.8 MB, also
+        # under this bound, so the chunk bound itself is checked on
+        # chern_forms at rank = dim = 5 in test_forms.py
         h = ROUTE_MAPS["raw_r5"]
         phi_direct(h)
         tracemalloc.start()
