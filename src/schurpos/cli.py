@@ -1,15 +1,16 @@
 """Command-line driver: fixture generation, scaling, Phi, Schur forms, verify.
 
-Exit codes: 0 success, 2 precondition violation, 3 non-convergence,
-4 verification failure.  All reports are JSON, deterministic for fixed
-seed and flags except the timestamp field.
+Exit codes: 0 success, 2 precondition violation (an overflow or invalid
+float operation counts as one), 3 non-convergence, 4 verification failure.
+All reports are JSON, byte-identical for fixed seed and flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
+
+import numpy as np
 
 from . import forms, phi, serialization as ser, verify
 from .posmap import (NotStrictlyPositiveError, choi_fixture, random_kraus_map,
@@ -19,10 +20,6 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_VERIFY_FAILED = 4
-
-
-def _timestamp() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
 
 
 def _emit(obj: dict, path: str | None) -> None:
@@ -63,7 +60,6 @@ def cmd_scale(args) -> int:
         "iterations": result.iterations,
         "residual": result.residual,
         "converged": result.converged,
-        "timestamp": _timestamp(),
     }
     _emit(report, args.output)
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
@@ -72,10 +68,7 @@ def cmd_scale(args) -> int:
 def cmd_phi(args) -> int:
     h = _load_block_map(args.input)
     reports = phi.phi_reports(h, args.method)
-    obj = {
-        "reports": [ser.phi_report_to_json(r) for r in reports],
-        "timestamp": _timestamp(),
-    }
+    obj = {"reports": [ser.phi_report_to_json(r) for r in reports]}
     if args.method == "all":
         spread = phi.route_spread(reports)
         obj["max_spread"] = spread
@@ -106,7 +99,6 @@ def cmd_schur(args) -> int:
             "min_coeff": min_coeff,
             "witness": [[ser.complex_to_json(z) for z in cov] for cov in witness],
         },
-        "timestamp": _timestamp(),
     }
     _emit(obj, args.output)
     return EXIT_OK
@@ -125,7 +117,6 @@ def cmd_verify(args) -> int:
         "criteria": [{"name": r.name, "passed": r.passed, **r.details}
                      for r in results],
         "all_passed": all(r.passed for r in results),
-        "timestamp": _timestamp(),
     }
     _emit(obj, args.output)
     return EXIT_OK if obj["all_passed"] else EXIT_VERIFY_FAILED
@@ -184,7 +175,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
+    except FloatingPointError as exc:
+        print(f"precondition violation: input leaves the float range "
+              f"(|x| <= {sys.float_info.max:.3e}): {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
     except NotStrictlyPositiveError as exc:
         print(f"positivity precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -37,11 +37,12 @@ the ``principal_sum`` that defines Phi: each coefficient is a sum of Phi
 over the k x k sub-block maps R[S, S][:, :, I, J].  The principal-minor route
 ``c3_principal_minors`` and ``twist_chern`` run on the form algebra
 (``wedge``) instead, so they check ``chern_forms`` without sharing its
-arithmetic; the principal minors gather their own Leibniz terms and fold
-them with one batched wedge per factor.  A Schur form is an integer
-polynomial in the Chern forms: the Jacobi-Trudi determinant is expanded
-into Chern monomials with integer coefficients, cancelled monomials are
-dropped before any wedge, and each remaining one is one wedge chain.
+arithmetic; the principal minors share only its index table
+``leibniz_table`` and fold its terms with one batched wedge per factor.  A
+Schur form is an integer polynomial in the Chern forms: the Jacobi-Trudi
+determinant is expanded into Chern monomials with integer coefficients,
+cancelled monomials are dropped before any wedge, and each remaining one is
+one wedge chain.
 
 Weak positivity of a (p,p)-form u tests u ^ i^{q^2} beta ^ betabar, q = n - p,
 against decomposable (q,0)-forms beta: a Hermitian form in the Pluecker
@@ -61,7 +62,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .discriminants import (permutation_table, principal_sum, require_count,
+from .discriminants import (leibniz_table, permutation_table, principal_sum, require_count,
                             require_seed, sample_unit_sphere, stack_det)
 from .posmap import BlockMap, trace_map
 
@@ -297,17 +298,16 @@ def schur_form(cs: list[Form], parts) -> Form:
 
 def c3_principal_minors(tensor: CurvatureTensor) -> Form:
     """c_3 as (i/2pi)^3 times the sum of 3x3 principal minors of the curvature
-    matrix: the Leibniz terms of every fiber 3-subset, stacked and folded by
-    one batched ``_wedge_stack`` per factor after the first."""
+    matrix: the Leibniz terms of every fiber 3-subset from ``leibniz_table``,
+    the index table of ``principal_sum``, folded by one batched
+    ``_wedge_stack`` per factor after the first."""
     if tensor.rank < 3:
         raise ValueError("c3 needs rank >= 3")
     n = tensor.dim
-    perms, signs = permutation_table(3)
-    fiber = np.array(list(combinations(range(tensor.rank), 3)))
-    # blocks[S, p, m] = R[S_m, S_perms[p, m]]
-    blocks = tensor.entries[fiber[:, None, :], fiber[:, perms]].reshape(-1, 3, n, n)
+    rows, cols, signs = leibniz_table(tensor.rank, 3)
+    blocks = tensor.entries[rows, cols]
     p, q, coeffs = reduce(partial(_wedge_stack, n), [(1, 1, blocks[:, m]) for m in range(3)])
-    weights = (1j / TWO_PI) ** 3 * np.tile(signs, len(fiber))
+    weights = (1j / TWO_PI) ** 3 * signs
     return Form(n, p, q, np.einsum("t,t...->...", weights, coeffs))
 
 

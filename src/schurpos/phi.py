@@ -39,6 +39,7 @@ rank 5.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -60,6 +61,9 @@ class PhiReport:
 
 
 def _report(z: complex, method: str, **extra) -> PhiReport:
+    if not cmath.isfinite(z):
+        raise ValueError(f"Phi by route {method!r} is not finite: the map's "
+                         "entries are beyond the float range")
     return PhiReport(value=float(z.real), imaginary_residue=float(abs(z.imag)),
                      method=method, **extra)
 
@@ -184,8 +188,7 @@ def phi_integral(h: BlockMap) -> PhiReport:
 
 def phi_r4(h: BlockMap) -> PhiReport:
     """phi_r4_decomposition as a report: its total, the sum of both parts."""
-    return PhiReport(value=phi_r4_decomposition(h).total, imaginary_residue=0.0,
-                     method="r4_decomposition")
+    return _report(phi_r4_decomposition(h).total, "r4_decomposition")
 
 
 #: Route name -> (report function, ranks at which it applies): the one table
@@ -242,11 +245,11 @@ def rank2_norm_identity(h: BlockMap) -> tuple[float, float, float]:
     Returns (phi, d_term, norm_term); needs tr(B_12) = 0 within 1e-9 x max|B|.
     """
     _require_rank(h, range(2, 3), "rank2_norm_identity")
-    off_trace = abs(complex(np.trace(h.block(0, 1))))
+    off_trace = abs(complex(np.trace(h.blocks[0, 1])))
     if off_trace > 1e-9 * np.abs(h.blocks).max():
         raise ValueError(
             f"off-diagonal block trace {off_trace:.3e} != 0: map is not normalized")
-    d_term = mixed_discriminant([h.block(0, 0), h.block(1, 1)])
-    norm_term = 0.5 * float(np.trace(h.block(0, 1) @ h.block(1, 0)).real)
+    d_term = mixed_discriminant([h.blocks[0, 0], h.blocks[1, 1]])
+    norm_term = 0.5 * float(np.trace(h.blocks[0, 1] @ h.blocks[1, 0]).real)
     phi = float(d_term.real) + norm_term
     return phi, float(d_term.real), norm_term

@@ -74,9 +74,6 @@ class BlockMap:
     def w(self) -> int:
         return self.blocks.shape[2]
 
-    def block(self, i: int, j: int) -> np.ndarray:
-        return self.blocks[i, j]
-
     def symmetry_defect(self) -> float:
         swapped = np.conj(np.transpose(self.blocks, (1, 0, 3, 2)))
         return float(np.max(np.abs(self.blocks - swapped)))

@@ -76,7 +76,7 @@ def loop_phi_direct(h: BlockMap) -> complex:
     one ``mixed_discriminant`` call per permutation."""
     total = 0j
     for perm, sign in signed_perms(h.r):
-        total += sign * mixed_discriminant([h.block(i, perm[i]) for i in range(h.r)])
+        total += sign * mixed_discriminant([h.blocks[i, perm[i]] for i in range(h.r)])
     return total
 
 

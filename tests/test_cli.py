@@ -42,6 +42,17 @@ def gen_with_nan(tmp_path, *gen_args):
     return gen_with_entry(tmp_path, float("nan"), *gen_args)
 
 
+def gen_scaled(tmp_path, factor, *gen_args):
+    """Generate a fixture file, then multiply every number in its entries by ``factor``."""
+    path = tmp_path / "scaled.json"
+    assert main(["gen", *gen_args, "--output", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    key = "blocks" if "blocks" in obj else "R"
+    obj[key] = (factor * np.array(obj[key])).tolist()
+    path.write_text(json.dumps(obj))
+    return path
+
+
 def assert_rejected_without_nan(code, out, err):
     assert code == 2
     assert "NaN" not in out + err
@@ -54,8 +65,8 @@ class TestGen:
                            "--output", str(path))
         assert code == 0
         h = ser.block_map_from_json(json.loads(path.read_text()))
-        assert np.array_equal(h.block(0, 0), np.eye(3))
-        assert np.max(np.abs(h.block(0, 1))) == 0.0
+        assert np.array_equal(h.blocks[0, 0], np.eye(3))
+        assert np.max(np.abs(h.blocks[0, 1])) == 0.0
 
     def test_curvature_symmetry(self, capsys):
         code, obj, _ = run_json(capsys, "gen", "curvature", "--rank", "3",
@@ -68,7 +79,7 @@ class TestGen:
         code, obj, _ = run_json(capsys, "gen", "choi")
         assert code == 0
         h = ser.block_map_from_json(obj)
-        assert np.array_equal(sum(h.block(i, i) for i in range(3)),
+        assert np.array_equal(sum(h.blocks[i, i] for i in range(3)),
                               2.0 * np.eye(3))
 
     def test_deterministic_output(self, capsys, tmp_path):
@@ -168,15 +179,14 @@ class TestScale:
         assert obj["converged"] is False  # report still emitted
         assert obj["residual"] > 1e-10
 
-    def test_report_deterministic_modulo_timestamp(self, capsys, tmp_path):
+    def test_report_byte_identical_across_reruns(self, capsys, tmp_path):
         path = tmp_path / "k.json"
         main(["gen", "kraus", "--rank", "2", "--eps", "0.2", "--seed", "8",
               "--output", str(path)])
-        _, obj1, _ = run_json(capsys, "scale", "--input", str(path))
-        _, obj2, _ = run_json(capsys, "scale", "--input", str(path))
-        obj1.pop("timestamp")
-        obj2.pop("timestamp")
-        assert obj1 == obj2
+        code1, out1, _ = run(capsys, "scale", "--input", str(path))
+        code2, out2, _ = run(capsys, "scale", "--input", str(path))
+        assert code1 == code2 == 0
+        assert out1 and out1 == out2
 
     def test_nan_entry_is_precondition_error(self, capsys, tmp_path):
         path = gen_with_nan(tmp_path, "kraus", "--rank", "2")
@@ -286,6 +296,13 @@ class TestPhi:
         path = gen_with_nan(tmp_path, "kraus", "--rank", "2")
         assert_rejected_without_nan(
             *run(capsys, "phi", "--input", str(path), "--method", method))
+
+    def test_overflow_is_precondition_error(self, capsys, tmp_path):
+        # Phi of the rank-3 trace map times 1e150 is 1e450, beyond the float range
+        path = gen_scaled(tmp_path, 1e150, "trace", "--rank", "3")
+        code, out, err = run(capsys, "phi", "--input", str(path), "--method", "direct")
+        assert (code, out) == (2, "")
+        assert "float range" in err
 
 
     def test_declared_rank_beyond_blocks_is_precondition_error(self, capsys, tmp_path):
@@ -421,6 +438,13 @@ class TestSchur:
         path = gen_with_nan(tmp_path, "curvature")
         assert_rejected_without_nan(*run(
             capsys, "schur", "--input", str(path), "--partition", "1,0,0"))
+
+    def test_overflow_is_precondition_error(self, capsys, tmp_path):
+        # c_3 is cubic in R: R times 1e120 puts it near 1e360
+        path = gen_scaled(tmp_path, 1e120, "curvature")
+        code, out, err = run(capsys, "schur", "--input", str(path), "--partition", "2,1,0")
+        assert (code, out) == (2, "")
+        assert "float range" in err
 
 
     def test_short_curvature_is_precondition_error(self, capsys, tmp_path):

@@ -131,7 +131,7 @@ class TestFromKraus:
                 e = np.zeros((2, 2), dtype=complex)
                 e[i, j] = 1.0
                 want = sum(c @ e @ c.conj().T for c in cs)
-                assert np.max(np.abs(h.block(i, j) - want)) < 1e-14
+                assert np.max(np.abs(h.blocks[i, j] - want)) < 1e-14
 
     def test_eps_floor_in_certificate(self):
         h = random_kraus_map(3, 2, eps=0.3, seed=11)
@@ -242,7 +242,7 @@ class TestChoiFixture:
     def test_structure(self):
         h = choi_fixture()
         assert h.symmetry_defect() == 0.0
-        diag_sum = sum(h.block(i, i) for i in range(3))
+        diag_sum = sum(h.blocks[i, i] for i in range(3))
         assert np.array_equal(diag_sum, 2.0 * np.eye(3))
         t = trace_matrix(h.blocks)
         assert np.array_equal(t, 2.0 * np.eye(3))
@@ -453,7 +453,7 @@ class TestSinkhorn:
 
 def test_transpose_map_blocks():
     h = transpose_map(3)
-    assert h.block(0, 1)[1, 0] == 1.0
+    assert h.blocks[0, 1, 1, 0] == 1.0
     assert h.symmetry_defect() == 0.0
 
 

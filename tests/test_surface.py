@@ -2,6 +2,7 @@
 the tests: a reference somewhere in ``src/schurpos`` (other than its own
 definition and ``__init__.py``) or in ``benchmarks/``.  A helper that only the
 tests call belongs in the tests, as the oracles of ``tests/oracles.py`` do.
+The modules are the only import path: the package binds ``__version__`` alone.
 """
 
 import ast
@@ -65,3 +66,17 @@ def test_public_names_have_callers_outside_tests(module):
                    for p, tree in trees.items()):
             unused.append(name)
     assert not unused, f"{module}: public names only the tests call: {unused}"
+
+
+def test_package_binds_only_its_version():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    assert bound == {"__version__"}
