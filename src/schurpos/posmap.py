@@ -9,11 +9,15 @@ rank-one inputs reads
 
 and forces the block symmetry B_ij* = B_ji.
 
-``sinkhorn_normalize`` balances the output side, swaps the sides
-(``SIDE_SWAP``) and repeats, until the doubly stochastic normalization
-sum_i B_ii = r I,  tr B_ij = r d_ij  holds up to a residual.  Exact
-scaling matrices exist for positive maps; we use the constructive
-alternation and certify the residual instead.
+``sinkhorn_normalize`` scales H to the doubly stochastic normalization
+sum_i B_ii = r I,  tr B_ij = r d_ij  up to a residual.  Its first
+iteration is Gurvits's alternation: balance the output side exactly, swap
+the sides (``SIDE_SWAP``), balance again.  Every later iteration is one
+Newton step of the two marginal equations (second-order operator scaling,
+Allen-Zhu, Garg, Li, Oliveira and Wigderson, STOC 2018), closed by the
+exact input half-step, and falls back to the alternation when the step
+fails or does not lower the residual.  Exact scaling matrices exist for
+positive maps; we construct them iteratively and certify the residual.
 
 ``positivity_certificate`` is sampling evidence, not proof: it takes the
 smallest output eigenvalue over seeded unit vectors and refines the best
@@ -91,6 +95,8 @@ class ScalingResult:
     """Outcome of ``sinkhorn_normalize``.
 
     residual is ||H'(I) - rI||_F + ||T' - rI||_F with T'_ij = tr B'_ij.
+    iterations counts both kinds: the plain pairs of half-steps and the
+    Newton steps.
     """
 
     scaled: BlockMap
@@ -265,18 +271,105 @@ def normalization_residual(h: BlockMap) -> float:
     return _residual(h.blocks)
 
 
+def _half_step(blocks: np.ndarray, pre: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Exact half-step: congruence by C = (P M P* / r)^{-1/2} P, with
+    M = sum_i B_ii and P = ``pre`` (the identity when None), makes
+    sum_i B_ii = rI.  Returns the blocks with the sides swapped (SIDE_SWAP),
+    so that the next half-step balances the other side, and C.  A singular
+    marginal raises RuntimeError."""
+    r = blocks.shape[0]
+    marginal = np.einsum("iiab->ab", blocks)
+    if pre is not None:
+        marginal = pre @ marginal @ pre.conj().T
+    step = inv_sqrt_hermitian(marginal / r)
+    if pre is not None:
+        step = step @ pre
+    blocks = _congruence_swapped(blocks, step)
+    # exact block symmetry: roundoff of ill-conditioned steps breaks it
+    return (blocks + blocks.transpose(1, 0, 3, 2).conj()) / 2, step
+
+
+def _plain_iteration(blocks: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The output half-step, then the input half-step: T = rI exactly."""
+    steps = []
+    for name in ("output", "input"):
+        try:
+            blocks, step = _half_step(blocks)
+        except RuntimeError as exc:
+            raise NotStrictlyPositiveError(f"{name} marginal is singular: {exc}") from exc
+        steps.append(step)
+    return blocks, steps
+
+
+def _anticommutator(m: np.ndarray) -> np.ndarray:
+    """Matrix of X -> (XM + MX)/2 on row-major vec(X)."""
+    e = np.eye(len(m))
+    k = e[:, None, :, None] * m.T[None, :, None, :] + m[:, None, :, None] * e[None, :, None, :]
+    return k.reshape(len(m) ** 2, -1) / 2
+
+
+def _exp_hermitian(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a Hermitian matrix (eigh reads its lower triangle), so
+    positive definite."""
+    vals, vecs = np.linalg.eigh(a)
+    return (vecs * np.exp(vals)) @ vecs.conj().T
+
+
+def _newton_iteration(blocks: np.ndarray):
+    """One Newton step of the doubly stochastic equations, then the exact
+    input half-step; (blocks, [C1 step, C2 step], residual), or None when
+    the solve or the half-step meets a singular matrix or the result is not
+    finite.
+
+    With M = sum_i B_ii and N_ij = tr B_ij, the Hermitian x (output side)
+    and y (input side) solve the linearization
+        (xM + Mx)/2 + sum_ik y_ik B_ki = M - rI,
+        tr(x B_ij) + (yN + Ny)/2       = N - rI,
+    gauged by y_00 = 0, with the (0, 0) entry of the second equation
+    dropped (tr M = tr N makes it redundant).  The step scales by exp(-x/2)
+    and exp(-y/2).  Numpy's float errors are ignored here: a trial that
+    leaves the float range comes back non-finite and is rejected.
+    """
+    r = blocks.shape[0]
+    eye = r * np.eye(r)
+    m, n = np.einsum("iiab->ab", blocks), np.einsum("ijaa->ij", blocks)
+    jac = np.empty((2 * r * r, 2 * r * r), dtype=complex)
+    jac[:r * r, :r * r] = _anticommutator(m)
+    jac[:r * r, r * r:] = blocks.transpose(2, 3, 1, 0).reshape(r * r, r * r)
+    jac[r * r:, :r * r] = blocks.transpose(0, 1, 3, 2).reshape(r * r, r * r)
+    jac[r * r:, r * r:] = _anticommutator(n)
+    rhs = np.concatenate([(m - eye).ravel(), (n - eye).ravel()])
+    keep = np.arange(2 * r * r) != r * r
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            sol = np.linalg.solve(jac[keep][:, keep], rhs[keep])
+            x, y = sol[:r * r].reshape(r, r), np.insert(sol[r * r:], 0, 0).reshape(r, r)
+            out = _exp_hermitian(-x / 2)
+            blocks, step = _half_step(_congruence_swapped(blocks, out), _exp_hermitian(-y / 2))
+        except (np.linalg.LinAlgError, RuntimeError):
+            return None
+        residual = _residual(blocks)
+    return (blocks, [out, step], residual) if np.isfinite(residual) else None
+
+
 def sinkhorn_normalize(h: BlockMap, tol: float = 1e-10, max_iter: int = 500,
                        check_positive: bool = True) -> ScalingResult:
-    """Alternately rescale H until doubly stochastic within ``tol``.
+    """Rescale H until doubly stochastic within ``tol``.
 
-    One half-step, applied to each side in turn: congruence by
+    Iteration 1 is the plain pair of exact half-steps: congruence by
     C = (sum_i B_ii / r)^{-1/2} makes sum_i B_ii = rI exactly, then the sides
-    swap (SIDE_SWAP), so the next half-step makes T = rI.  C2 is the
-    conjugate of the accumulated input-side steps, as ``scale`` expects.  A
-    singular marginal aborts: the map is not strictly positive.  With
-    ``check_positive`` a 256-sample positivity certificate must first exceed
-    1e-12 lambda_max(H(I)) (scale-invariant: H(xi xi*) <= H(I)).  A
-    block-asymmetric map raises ValueError.
+    swap (SIDE_SWAP) and the same step makes T = rI.  It absorbs a positive
+    factor and any output-side congruence, so neither changes the count.
+    Every later iteration is one Newton step followed by the exact input
+    half-step (see ``_newton_iteration``), kept only when it is finite and
+    lowers the residual; otherwise the plain pair runs in its place.  Either
+    way an iteration ends with T = rI to roundoff.  C1 and C2 accumulate every
+    applied step, C2 as the conjugate of the input-side steps, as ``scale``
+    expects.  A singular marginal in a plain half-step aborts: the map is
+    not strictly positive.  With ``check_positive`` a 256-sample positivity
+    certificate must first exceed 1e-12 lambda_max(H(I)) (scale-invariant:
+    H(xi xi*) <= H(I)).  A block-asymmetric map raises ValueError.
 
     Returns the scaled map with cumulative C1, C2; ``converged`` is False
     when max_iter is exhausted with residual still above ``tol``.
@@ -299,17 +392,14 @@ def sinkhorn_normalize(h: BlockMap, tol: float = 1e-10, max_iter: int = 500,
     residual = _residual(blocks)
     iterations = 0
     while residual >= tol and iterations < max_iter:
-        for side, name in enumerate(("output", "input")):
-            try:
-                step = inv_sqrt_hermitian(np.einsum("iiab->ab", blocks) / r)
-            except RuntimeError as exc:
-                raise NotStrictlyPositiveError(f"{name} marginal is singular: {exc}") from exc
-            blocks = _congruence_swapped(blocks, step)
-            # exact block symmetry: roundoff of ill-conditioned steps breaks it
-            blocks = (blocks + blocks.transpose(1, 0, 3, 2).conj()) / 2
-            totals[side] = step @ totals[side]
+        trial = _newton_iteration(blocks) if iterations else None
+        if trial is not None and trial[2] < residual:
+            blocks, steps, residual = trial
+        else:
+            blocks, steps = _plain_iteration(blocks)
+            residual = _residual(blocks)
+        totals = [step @ total for step, total in zip(steps, totals)]
         iterations += 1
-        residual = _residual(blocks)
     return ScalingResult(scaled=BlockMap(blocks), c1=totals[0], c2=totals[1].conj(),
                          iterations=iterations, residual=residual,
                          converged=residual < tol)

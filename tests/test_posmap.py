@@ -403,17 +403,49 @@ class TestSinkhorn:
         phi = phi_direct(want.scaled).value
         assert abs(phi_direct(got.scaled).value - phi) < 1e-6 * phi
 
-    @pytest.mark.parametrize("r,seed", [(2, 53), (3, 59), (4, 61)])
+    @pytest.mark.parametrize("r,seed", [(2, 53), (3, 59), (4, 61), (5, 67)])
     def test_random_kraus_normalizes(self, r, seed):
         h = random_kraus_map(r, 3, 0.2, seed=seed)
         res = sinkhorn_normalize(h, tol=1e-10, max_iter=500)
         assert res.converged
+        # one plain pair, then Newton steps, which converge quadratically
+        assert res.iterations <= 6
         scaled = res.scaled
         eye = r * np.eye(r)
         left = np.einsum("iiab->ab", scaled.blocks)
         assert np.linalg.norm(left - eye) < 1e-10
-        assert np.linalg.norm(trace_matrix(scaled.blocks) - eye) < 1e-10
+        # every iteration ends with the exact input half-step
+        assert np.linalg.norm(trace_matrix(scaled.blocks) - eye) < 1e-13
         assert scaled.symmetry_defect() < 1e-10
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_near_boundary_kraus_converges(self, r):
+        # one Kraus term plus 1e-3 x the trace map, so near the boundary of
+        # the cone: alternation alone stalls here at a residual of 1e-6 to
+        # 1e-5 after 500 iterations
+        res = sinkhorn_normalize(random_kraus_map(r, 1, 1e-3, 0), tol=1e-10, max_iter=500)
+        assert res.converged and res.iterations <= 8
+
+    @pytest.mark.parametrize("seed", [40, 113, 142, 162, 195])
+    def test_badly_conditioned_trial_steps_never_raise(self, seed):
+        # positive maps scaled on both sides by condition numbers up to 1e6,
+        # so roundoff leaves them numerically not positive; a Newton trial
+        # on them can overflow, and must be rejected rather than raise
+        rng = np.random.default_rng(seed)
+        r, terms, eps = int(rng.integers(2, 6)), int(rng.integers(1, 4)), 10 ** rng.uniform(-4, 0)
+        h = random_kraus_map(r, terms, eps, seed)
+        c1, c2 = ((rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))
+                  @ np.diag(10 ** rng.uniform(-3, 3, r)) for _ in range(2))
+        g = scale(h, c1, c2)
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(NotStrictlyPositiveError, match="certificate"):
+                sinkhorn_normalize(g)
+            try:
+                res = sinkhorn_normalize(g, check_positive=False)
+            except NotStrictlyPositiveError:
+                return
+        assert np.isfinite(res.residual) and np.isfinite(res.scaled.blocks).all()
+        assert res.converged or res.iterations == 500
 
     def test_cumulative_scalings_reproduce_result(self):
         h = random_kraus_map(3, 3, 0.2, seed=67)
