@@ -16,7 +16,9 @@ the sides (``SIDE_SWAP``), balance again.  Every later iteration is one
 Newton step of the two marginal equations (second-order operator scaling,
 Allen-Zhu, Garg, Li, Oliveira and Wigderson, STOC 2018), closed by the
 exact input half-step, and falls back to the alternation when the step
-fails or does not lower the residual.  Exact scaling matrices exist for
+fails or does not lower the residual.  The Newton system is one gather
+through index tables cached per rank, and both exponentials of the step
+come from one stacked ``eigh``.  Exact scaling matrices exist for
 positive maps; we construct them iteratively and certify the residual.
 
 ``positivity_certificate`` is sampling evidence, not proof: it takes the
@@ -24,8 +26,11 @@ smallest output eigenvalue over seeded unit vectors and refines the best
 one by a seesaw of exact minimizations of u* H(xi xi*) u: u = bottom
 eigenvector of H(xi xi*), then xi = conj of the bottom eigenvector of
 K_ij = u* B_ij u (Hermitian by block symmetry), until a round lowers the
-value by at most 1e-15 x max|B|.  It reports whichever of the grid and
-the seesaw value is lower.  A clearly negative value (with its witness
+value by at most 1e-15 x max|B|.  At w = 2 and 3 a closed-form smallest
+eigenvalue screens the grid first, and LAPACK evaluates only the rows
+within a safe margin of the screen's minimum, so the grid value and its
+sample are those of LAPACK on every row.  It reports whichever of the grid
+and the seesaw value is lower.  A clearly negative value (with its witness
 vector) disproves positivity; a positive value is only evidence of a
 local minimum.  Maps on the boundary of the positive cone
 (rank-deficient outputs somewhere, e.g. the identity map or the Choi map)
@@ -34,8 +39,10 @@ legitimately refine to zero up to floating-point noise.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -166,14 +173,64 @@ def choi_fixture() -> BlockMap:
                     - np.einsum("ia,jb->ijab", e, e))
 
 
-def _min_output_eigs(h: BlockMap, xis: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of H(xi xi*) for each row of xis."""
+def _outputs(h: BlockMap, xis: np.ndarray) -> np.ndarray:
+    """H(xi xi*) for each row of xis, symmetrized."""
     r, w = h.r, h.w
     outer = np.einsum("si,sj->sij", xis, xis.conj()).reshape(-1, r * r)
     # one matmul: the same contraction as an einsum costs ~20x more at 256 rows
     mats = (outer @ h.blocks.reshape(r * r, w * w)).reshape(-1, w, w)
-    mats = (mats + np.conj(np.transpose(mats, (0, 2, 1)))) / 2.0
-    return np.linalg.eigvalsh(mats)[:, 0]
+    return (mats + np.conj(np.transpose(mats, (0, 2, 1)))) / 2.0
+
+
+def _min_output_eigs(h: BlockMap, xis: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of H(xi xi*) for each row of xis."""
+    return np.linalg.eigvalsh(_outputs(h, xis))[:, 0]
+
+
+def _closed_form_min_eig(mats: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each Hermitian 2 x 2 or 3 x 3 matrix of a stack
+    in closed form: the half-trace less a hypot at w = 2, the trigonometric
+    form (O. K. Smith, Comm. ACM 4:168, 1961) at w = 3.
+
+    A measured exception to calling LAPACK: ``eigvalsh`` costs ~1.3 us per
+    3 x 3 matrix, this ~0.2 us.  At w = 3 it loses up to about
+    sqrt(eps) max|entry| where the two smallest eigenvalues meet, so it only
+    screens rows (``_grid_candidates``) and never reports a value.  Meant
+    for max|entry| near 1: a spread p below 1e-100 counts as 0.
+    """
+    n, w = mats.shape[:2]
+    # entry-major (w*w, n) rows, so that every operation below is on whole rows
+    t = mats.reshape(n, w * w).T
+    if w == 2:
+        a, b = t[0].real, t[3].real
+        return (a + b) / 2 - np.hypot((a - b) / 2, abs(t[1]))
+    d, o = t[[0, 4, 8]].real, t[[1, 2, 5]]
+    q = d.sum(0) / 3
+    e = d - q
+    oo = o.real ** 2 + o.imag ** 2
+    p = np.sqrt(((e * e).sum(0) + 2 * oo.sum(0)) / 6)
+    # det(A - qI); e_k pairs with the off-diagonal entry that avoids row and column k
+    det = e[0] * e[1] * e[2] + 2 * (o[0] * o[2] * o[1].conj()).real - (e * oo[::-1]).sum(0)
+    cos3 = np.minimum(np.maximum(det / (2 * np.maximum(p, 1e-100) ** 3), -1.0), 1.0)
+    return q + 2 * p * np.cos(np.arccos(cos3) / 3 + 2 * np.pi / 3)
+
+
+def _grid_candidates(mats: np.ndarray) -> np.ndarray:
+    """Rows that may attain the smallest eigenvalue of a stack of Hermitian
+    matrices, in order: at w = 2 and 3, those whose closed-form value is
+    within 1e-6 x 2^k of the closed-form minimum, where max|entry| lies in
+    [2^(k-1), 2^k); at any other w, or on a zero or overflowed stack, all.
+
+    The margin is at least 30 times the closed form's worst error (about
+    sqrt(eps) max|entry|), so every row left out reads strictly above the
+    minimum in LAPACK too.  Scaling the stack by 2^-k is exact and keeps
+    the closed form inside the float range.
+    """
+    top = float(abs(mats).max())
+    if mats.shape[1] not in (2, 3) or not 0 < top < np.inf:
+        return np.arange(len(mats))
+    vals = _closed_form_min_eig(mats * math.ldexp(1.0, -math.frexp(top)[1]))
+    return np.flatnonzero(vals <= vals.min() + 1e-6)
 
 
 def _seesaw(blocks: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -181,32 +238,37 @@ def _seesaw(blocks: np.ndarray, xi: np.ndarray) -> np.ndarray:
     conj(xi)* K conj(xi), minimized over u, then over xi."""
     r, w = blocks.shape[0], blocks.shape[2]
     tol = 1e-15 * float(abs(blocks).max())
+    rows, stack = blocks.reshape(r, -1), blocks.reshape(r * r, w, w)
     best, val = xi, np.inf
     for _ in range(2000):
-        out = xi.conj() @ (xi @ blocks.reshape(r, -1)).reshape(r, -1)
+        out = xi.conj() @ (xi @ rows).reshape(r, -1)
         vals, vecs = np.linalg.eigh(out.reshape(w, w))
         if vals[0] < val:
             best = xi
         if not vals[0] < val - tol:
             break
         val, u = vals[0], vecs[:, 0]
-        k = blocks.reshape(r * r, w, w) @ u @ u.conj()
+        k = stack @ u @ u.conj()
         xi = np.linalg.eigh(k.reshape(r, r))[1][:, 0].conj()
     return best
 
 
 def _grid_minimum(h: BlockMap, grid: int, seed: int) -> tuple[float, np.ndarray]:
     """Smallest output eigenvalue over ``grid`` seeded unit samples, drawn in
-    chunks of 2^14 from one generator, and the sample that attains it."""
+    chunks of 2^14 from one generator, and the sample that attains it.
+    LAPACK evaluates the rows that ``_grid_candidates`` keeps; the first of
+    them that attains its minimum is the full stack's first argmin."""
     best_val, best_xi = np.inf, None
     rng = np.random.default_rng(seed)
     for done in range(0, grid, 1 << 14):
         xis = sample_unit_sphere(rng, min(grid - done, 1 << 14), h.r)
-        eigs = _min_output_eigs(h, xis)
+        mats = _outputs(h, xis)
+        rows = _grid_candidates(mats)
+        eigs = np.linalg.eigvalsh(mats[rows])[:, 0]
         k = int(np.argmin(eigs))
         if eigs[k] < best_val:
             # a copy, so that the best row does not keep its chunk alive
-            best_val, best_xi = float(eigs[k]), xis[k].copy()
+            best_val, best_xi = float(eigs[k]), xis[rows[k]].copy()
     return best_val, best_xi
 
 
@@ -302,18 +364,44 @@ def _plain_iteration(blocks: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return blocks, steps
 
 
-def _anticommutator(m: np.ndarray) -> np.ndarray:
-    """Matrix of X -> (XM + MX)/2 on row-major vec(X)."""
-    e = np.eye(len(m))
-    k = e[:, None, :, None] * m.T[None, :, None, :] + m[:, None, :, None] * e[None, :, None, :]
-    return k.reshape(len(m) ** 2, -1) / 2
-
-
 def _exp_hermitian(a: np.ndarray) -> np.ndarray:
-    """exp(a) of a Hermitian matrix (eigh reads its lower triangle), so
-    positive definite."""
+    """exp(a) of each Hermitian matrix of a stack (eigh reads the lower
+    triangles), so positive definite."""
     vals, vecs = np.linalg.eigh(a)
-    return (vecs * np.exp(vals)) @ vecs.conj().T
+    return (vecs * np.exp(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+
+
+@lru_cache(maxsize=None)
+def _newton_tables(r: int):
+    """Index tables (i1, i2, rows, shift) of the Newton system of
+    ``_newton_iteration`` at rank r, gauge row and column dropped, into
+    src = [0, vec M, vec N, vec B] (row-major vecs, B the blocks): the
+    Jacobian is (src[i1] + src[i2]) / 2 and the right-hand side
+    src[rows] - shift.  Read-only, as the cache shares them.
+    """
+    rr, base = r * r, 1 + 2 * r * r
+    a, b, c, d = np.indices((r,) * 4).reshape(4, rr, rr)
+    # X -> (XM + MX)/2 on row-major vec(X) has entry ((a, b), (c, d)) =
+    # (d_ac M_db + M_ac d_bd)/2, a missing term reading src[0] = 0; the
+    # coupling blocks read one entry of B twice, and (B + B)/2 = B exactly
+    top, bottom = base + ((d * r + c) * r + a) * r + b, base + ((a * r + b) * r + d) * r + c
+    i1 = np.block([[(a == c) * (1 + d * r + b), top], [bottom, (a == c) * (1 + rr + d * r + b)]])
+    i2 = np.block([[(b == d) * (1 + a * r + c), top], [bottom, (b == d) * (1 + rr + a * r + c)]])
+    keep = np.arange(2 * rr) != rr
+    tables = (i1[keep][:, keep], i2[keep][:, keep], np.arange(1, base)[keep],
+              np.tile(r * np.eye(r).ravel(), 2)[keep])
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _newton_system(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobian and right-hand side of the gauged Newton system of
+    ``_newton_iteration``, gathered through ``_newton_tables``."""
+    i1, i2, rows, shift = _newton_tables(blocks.shape[0])
+    src = np.concatenate([[0], np.einsum("iiab->ab", blocks).ravel(),
+                          np.einsum("ijaa->ij", blocks).ravel(), blocks.ravel()])
+    return (src[i1] + src[i2]) / 2, src[rows] - shift
 
 
 def _newton_iteration(blocks: np.ndarray):
@@ -328,25 +416,17 @@ def _newton_iteration(blocks: np.ndarray):
         tr(x B_ij) + (yN + Ny)/2       = N - rI,
     gauged by y_00 = 0, with the (0, 0) entry of the second equation
     dropped (tr M = tr N makes it redundant).  The step scales by exp(-x/2)
-    and exp(-y/2).  Numpy's float errors are ignored here: a trial that
-    leaves the float range comes back non-finite and is rejected.
+    and exp(-y/2), both from one stacked ``eigh``.  Numpy's float errors are
+    ignored here: a trial that leaves the float range comes back non-finite
+    and is rejected.
     """
     r = blocks.shape[0]
-    eye = r * np.eye(r)
-    m, n = np.einsum("iiab->ab", blocks), np.einsum("ijaa->ij", blocks)
-    jac = np.empty((2 * r * r, 2 * r * r), dtype=complex)
-    jac[:r * r, :r * r] = _anticommutator(m)
-    jac[:r * r, r * r:] = blocks.transpose(2, 3, 1, 0).reshape(r * r, r * r)
-    jac[r * r:, :r * r] = blocks.transpose(0, 1, 3, 2).reshape(r * r, r * r)
-    jac[r * r:, r * r:] = _anticommutator(n)
-    rhs = np.concatenate([(m - eye).ravel(), (n - eye).ravel()])
-    keep = np.arange(2 * r * r) != r * r
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            sol = np.linalg.solve(jac[keep][:, keep], rhs[keep])
-            x, y = sol[:r * r].reshape(r, r), np.insert(sol[r * r:], 0, 0).reshape(r, r)
-            out = _exp_hermitian(-x / 2)
-            blocks, step = _half_step(_congruence_swapped(blocks, out), _exp_hermitian(-y / 2))
+            sol = np.linalg.solve(*_newton_system(blocks))
+            xy = np.concatenate([sol[:r * r], [0], sol[r * r:]]).reshape(2, r, r)
+            out, pre = _exp_hermitian(-xy / 2)
+            blocks, step = _half_step(_congruence_swapped(blocks, out), pre)
         except (np.linalg.LinAlgError, RuntimeError):
             return None
         residual = _residual(blocks)
@@ -371,16 +451,23 @@ def sinkhorn_normalize(h: BlockMap, tol: float = 1e-10, max_iter: int = 500,
     certificate must first exceed 1e-12 lambda_max(H(I)) (scale-invariant:
     H(xi xi*) <= H(I)).  A block-asymmetric map raises ValueError.
 
+    ``max_iter`` must be an integer >= 0 (0 returns the input unscaled).
+
     Returns the scaled map with cumulative C1, C2; ``converged`` is False
-    when max_iter is exhausted with residual still above ``tol``.
+    when max_iter is exhausted with residual still above ``tol``.  With
+    ``check_positive=False`` a map that is not positive to working precision
+    may run all of ``max_iter`` and return ``converged=False``, where the
+    alternation alone would have met a singular marginal: nothing else in
+    the result says so (seeds 40, 142 and 195 of
+    ``test_badly_conditioned_trial_steps_never_raise``).
     """
     r = h.r
     if h.w != r:
         raise ValueError("sinkhorn_normalize needs a square map (r = w)")
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
-    if max_iter < 0:
-        raise ValueError("max_iter must be nonnegative")
+    if not isinstance(max_iter, numbers.Integral) or isinstance(max_iter, bool) or max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative: an integer >= 0, got {max_iter!r}")
     h.require_symmetry()
     if check_positive:
         min_eig, _ = positivity_certificate(h, grid=256, seed=_CERT_SEED)

@@ -7,6 +7,8 @@ kernels, and small constructions the tests check the library against.
 * ``loop_phi_direct`` is the double mixed discriminant Phi as a complex sum
   with one ``mixed_discriminant`` call per permutation of ``signed_perms``;
 * ``apply_map`` and ``transpose_map`` evaluate and build block maps;
+* ``dense_newton_system`` assembles the gauged Newton system of
+  ``posmap._newton_iteration`` block by block;
 * ``restrict_fiber``, ``conjugate`` and ``is_real_pp`` act on curvature
   tensors and forms;
 * ``written_coeffs`` reads back the coefficients of a form that
@@ -91,6 +93,30 @@ def apply_map(h: BlockMap, x) -> np.ndarray:
     if m.shape[0] != h.r:
         raise ValueError(f"argument dim {m.shape[0]} != map input dim {h.r}")
     return np.einsum("ij,ijab->ab", m, h.blocks)
+
+
+def _anticommutator(m: np.ndarray) -> np.ndarray:
+    """Matrix of X -> (XM + MX)/2 on row-major vec(X)."""
+    e = np.eye(len(m))
+    k = e[:, None, :, None] * m.T[None, :, None, :] + m[:, None, :, None] * e[None, :, None, :]
+    return k.reshape(len(m) ** 2, -1) / 2
+
+
+def dense_newton_system(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobian and right-hand side of the Newton step of operator scaling,
+    assembled block by block from anticommutator matrices, with the gauge
+    row and column r^2 dropped."""
+    r = blocks.shape[0]
+    eye = r * np.eye(r)
+    m, n = np.einsum("iiab->ab", blocks), np.einsum("ijaa->ij", blocks)
+    jac = np.empty((2 * r * r, 2 * r * r), dtype=complex)
+    jac[:r * r, :r * r] = _anticommutator(m)
+    jac[:r * r, r * r:] = blocks.transpose(2, 3, 1, 0).reshape(r * r, r * r)
+    jac[r * r:, :r * r] = blocks.transpose(0, 1, 3, 2).reshape(r * r, r * r)
+    jac[r * r:, r * r:] = _anticommutator(n)
+    rhs = np.concatenate([(m - eye).ravel(), (n - eye).ravel()])
+    keep = np.arange(2 * r * r) != r * r
+    return jac[keep][:, keep], rhs[keep]
 
 
 def restrict_fiber(tensor: CurvatureTensor, subset) -> CurvatureTensor:

@@ -152,6 +152,16 @@ class TestScale:
         assert code == 2
         assert "positivity" in err
 
+    def test_choi_map_refused_by_the_certificate(self, capsys, tmp_path):
+        # the Choi map lies on the boundary of the positive cone: the grid
+        # and the seesaw refine its certificate to zero within roundoff
+        path = tmp_path / "choi.json"
+        assert main(["gen", "choi", "--output", str(path)]) == 0
+        code, out, err = run(capsys, "scale", "--input", str(path))
+        assert code == 2
+        assert not out
+        assert "positivity precondition failed: certificate min_eig" in err
+
     @pytest.mark.parametrize("c", [1e-13, 1e-16])
     def test_tiny_multiple_of_positive_map(self, capsys, tmp_path, c):
         path = tmp_path / "k.json"

@@ -2,16 +2,17 @@
 
 import numpy as np
 import pytest
-from oracles import apply_map, transpose_map
+from oracles import apply_map, dense_newton_system, transpose_map
 
+from schurpos import posmap
 from schurpos.discriminants import sample_unit_sphere
 from schurpos.forms import CurvatureTensor, random_griffiths_curvature
 from schurpos.phi import phi_direct
 from schurpos.posmap import (BlockMap, NotStrictlyPositiveError, _grid_minimum,
-                             choi_fixture, from_kraus, identity_map,
-                             normalization_residual, positivity_certificate,
-                             random_kraus_map, scale, sinkhorn_normalize,
-                             trace_map)
+                             _newton_system, _plain_iteration, choi_fixture,
+                             from_kraus, identity_map, normalization_residual,
+                             positivity_certificate, random_kraus_map, scale,
+                             sinkhorn_normalize, trace_map)
 
 
 def random_unit(rng, r):
@@ -230,8 +231,12 @@ class TestBatchedRefinement:
 
     @pytest.mark.parametrize("grid", [1, 300, 40_000])
     def test_grid_phase_is_the_sequential_loop(self, grid):
-        # 40_000 spans three chunks of 2^14 samples
-        for h in (random_kraus_map(3, 3, 0.2, seed=7), choi_fixture()):
+        # 40_000 spans three chunks of 2^14 samples; the boundary maps make
+        # the closed-form screen keep many rows or all of them, and the
+        # rank-2 map takes its w = 2 form
+        for h in (random_kraus_map(3, 3, 0.2, seed=7), choi_fixture(), identity_map(3),
+                  trace_map(3), trace_map(2), cho_kye_lee(1, 1, 1),
+                  random_kraus_map(2, 3, 0.2, seed=7)):
             got_val, got_xi = _grid_minimum(h, grid=grid, seed=11)
             want_val, want_xi = sequential_certificate(h, grid=grid, seed=11, refine=False)
             assert got_val == want_val
@@ -476,6 +481,32 @@ class TestSinkhorn:
     def test_negative_max_iter_rejected(self):
         with pytest.raises(ValueError, match="max_iter must be nonnegative"):
             sinkhorn_normalize(trace_map(3), max_iter=-1)
+
+    @pytest.mark.parametrize("max_iter", [float("nan"), float("inf"), 2.5, True, "3", -1])
+    def test_max_iter_not_a_count_rejected_before_the_loop(self, monkeypatch, max_iter):
+        def no_iteration(blocks):
+            raise AssertionError("the loop ran")
+        monkeypatch.setattr(posmap, "_plain_iteration", no_iteration)
+        monkeypatch.setattr(posmap, "_newton_iteration", no_iteration)
+        with pytest.raises(ValueError, match="max_iter"):
+            sinkhorn_normalize(random_kraus_map(3, 3, 0.2, 1), max_iter=max_iter)
+
+    def test_zero_max_iter_returns_the_input(self):
+        h = random_kraus_map(3, 3, 0.2, 1)
+        res = sinkhorn_normalize(h, max_iter=0)
+        assert res.iterations == 0 and not res.converged
+        assert np.array_equal(res.scaled.blocks, h.blocks)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+    def test_tabled_newton_system_is_the_dense_assembly(self, r):
+        # after one plain pair, where every Newton step starts; at r = 1 the
+        # gauged system is 1 x 1
+        blocks, _ = _plain_iteration(random_kraus_map(r, 3, 0.2, seed=r).blocks)
+        jac, rhs = _newton_system(blocks)
+        want_jac, want_rhs = dense_newton_system(blocks)
+        assert jac.shape == (2 * r * r - 1, 2 * r * r - 1)
+        assert np.array_equal(jac, want_jac)
+        assert np.array_equal(rhs, want_rhs)
 
     def test_infinite_tol_rejected(self):
         # residual < inf would hold vacuously and report convergence
