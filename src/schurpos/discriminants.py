@@ -247,20 +247,12 @@ def sample_unit_sphere(rng: np.random.Generator, shape, r: int) -> np.ndarray:
     return z / np.linalg.norm(z, axis=-1)[..., None]
 
 
-def require_count(value, name: str) -> None:
-    """Reject a sample count that is not an integer >= 1: a NaN count would
-    return NaN, an infinite one never return, and a fractional one reach
-    numpy as a shape.  A bool is not a count."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"need at least one sample: {name} must be an integer "
-                         f">= 1, got {value!r}")
-
-
-def require_seed(value) -> None:
-    """Reject a seed that is not an integer >= 0, before numpy sees it; a
-    bool is not a seed."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {value!r}")
+def require_int(value, name: str, minimum: int) -> None:
+    """Reject ``value`` unless it is an integer >= ``minimum``, before numpy
+    sees it: a NaN count would return NaN, an infinite one never return, and
+    a fractional one reach numpy as a shape.  A bool is not an integer."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _real_form(u: np.ndarray) -> np.ndarray:
@@ -314,8 +306,8 @@ def moment_mc(mats, samples: int, seed: int) -> tuple[complex, float]:
     ms = _check_stack(mats, "moment word")
     if ms.ndim != 3:
         raise ValueError(f"moment_mc takes one word (n, r, r), got shape {ms.shape}")
-    require_count(samples, "samples")
-    require_seed(seed)
+    require_int(samples, "samples", 1)
+    require_int(seed, "seed", 0)
     forms = [_real_form(ensure_hermitian(m)) for m in ms]
     n_blocks = -(-samples // MC_BLOCK)
 

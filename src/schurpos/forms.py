@@ -62,8 +62,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .discriminants import (leibniz_table, permutation_table, principal_sum, require_count,
-                            require_seed, sample_unit_sphere, stack_det)
+from .discriminants import (leibniz_table, permutation_table, principal_sum, require_int,
+                            sample_unit_sphere, stack_det)
 from .posmap import BlockMap, trace_map
 
 TWO_PI = 2.0 * math.pi
@@ -215,9 +215,8 @@ def random_griffiths_curvature(rank: int, dim: int, terms: int, eps: float,
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    if not isinstance(terms, numbers.Integral) or isinstance(terms, bool) or terms < 0:
-        raise ValueError(f"terms must be an integer >= 0, got {terms!r}")
-    require_seed(seed)
+    require_int(terms, "terms", 0)
+    require_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     entries = np.zeros((rank, rank, dim, dim), dtype=complex)
     for _ in range(terms):
@@ -409,7 +408,7 @@ def weak_positivity_min(u: Form, samples: int = WEAK_POSITIVITY_SAMPLES,
     exact = weak_positivity_is_exact(u)
     if q < 0:
         raise ValueError(f"bidegree ({u.p},{u.p}) exceeds ambient dimension {n}")
-    require_seed(seed)
+    require_int(seed, "seed", 0)
     if q == 0:
         return float(volume_coefficient(u).real), []
     ks, m = _pairing_matrix(u, q)
@@ -417,7 +416,7 @@ def weak_positivity_min(u: Form, samples: int = WEAK_POSITIVITY_SAMPLES,
         lam, vecs = np.linalg.eigh((m + m.conj().T) / 2)
         margin = len(ks) * 1e-14 * float(np.max(np.abs(lam)))
         return float(lam[0]) - margin, list(_covectors(vecs[:, 0].conj(), n, q))
-    require_count(samples, "samples")
+    require_int(samples, "samples", 1)
     best, witness = np.inf, None
     for block, start in enumerate(range(0, samples, WEAK_POSITIVITY_BLOCK)):
         count = min(WEAK_POSITIVITY_BLOCK, samples - start)

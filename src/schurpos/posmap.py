@@ -16,10 +16,11 @@ the sides (``SIDE_SWAP``), balance again.  Every later iteration is one
 Newton step of the two marginal equations (second-order operator scaling,
 Allen-Zhu, Garg, Li, Oliveira and Wigderson, STOC 2018), closed by the
 exact input half-step, and falls back to the alternation when the step
-fails or does not lower the residual.  The Newton system is one gather
-through index tables cached per rank, and both exponentials of the step
-come from one stacked ``eigh``.  Exact scaling matrices exist for
-positive maps; we construct them iteratively and certify the residual.
+fails or does not lower the residual.  As the closing half-step fixes the
+input side, the step solves for the output side alone: one system of size
+r^2 - 1, gathered through an anticommutator table cached per rank plus one
+Gram matrix of the blocks.  Exact scaling matrices exist for positive
+maps; we construct them iteratively and certify the residual.
 
 ``positivity_certificate`` is sampling evidence, not proof: it takes the
 smallest output eigenvalue over seeded unit vectors and refines the best
@@ -40,13 +41,12 @@ legitimately refine to zero up to floating-point noise.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .discriminants import require_count, require_seed, sample_unit_sphere
+from .discriminants import require_int, sample_unit_sphere
 from .hermitian import as_matrix, inv_sqrt_hermitian
 
 #: Block symmetry B_ij* = B_ji must hold within this entrywise defect relative
@@ -150,11 +150,10 @@ def random_kraus_map(r: int, terms: int, eps: float, seed: int) -> BlockMap:
     """Seeded random Kraus-plus-eps map with r = w (strictly positive for eps > 0)."""
     if r < 1:
         raise ValueError("rank must be at least 1")
-    if not isinstance(terms, numbers.Integral) or isinstance(terms, bool):
-        raise ValueError(f"terms must be an integer, got {terms!r}")
-    require_seed(seed)
+    require_int(terms, "terms", 1)
+    require_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
-    scale = 1.0 / np.sqrt(2.0 * r * max(terms, 1))
+    scale = 1.0 / np.sqrt(2.0 * r * terms)
     cs = [scale * (rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))
           for _ in range(terms)]
     return from_kraus(cs, eps)
@@ -285,8 +284,8 @@ def positivity_certificate(h: BlockMap, grid: int, seed: int) -> tuple[float, np
     min_eig > 0 is evidence of positivity; min_eig clearly below zero
     disproves it and the witness exhibits the failure.
     """
-    require_count(grid, "grid")
-    require_seed(seed)
+    require_int(grid, "grid", 1)
+    require_int(seed, "seed", 0)
     h.require_symmetry()
     best_val, best_xi = _grid_minimum(h, grid, seed)
     refined = _seesaw(h.blocks, best_xi)
@@ -333,20 +332,12 @@ def normalization_residual(h: BlockMap) -> float:
     return _residual(h.blocks)
 
 
-def _half_step(blocks: np.ndarray, pre: np.ndarray | None = None
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact half-step: congruence by C = (P M P* / r)^{-1/2} P, with
-    M = sum_i B_ii and P = ``pre`` (the identity when None), makes
-    sum_i B_ii = rI.  Returns the blocks with the sides swapped (SIDE_SWAP),
-    so that the next half-step balances the other side, and C.  A singular
-    marginal raises RuntimeError."""
-    r = blocks.shape[0]
-    marginal = np.einsum("iiab->ab", blocks)
-    if pre is not None:
-        marginal = pre @ marginal @ pre.conj().T
-    step = inv_sqrt_hermitian(marginal / r)
-    if pre is not None:
-        step = step @ pre
+def _half_step(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact half-step: congruence by C = (M / r)^{-1/2}, with
+    M = sum_i B_ii, makes sum_i B_ii = rI.  Returns the blocks with the sides
+    swapped (SIDE_SWAP), so that the next half-step balances the other side,
+    and C.  A singular marginal raises RuntimeError."""
+    step = inv_sqrt_hermitian(np.einsum("iiab->ab", blocks) / blocks.shape[0])
     blocks = _congruence_swapped(blocks, step)
     # exact block symmetry: roundoff of ill-conditioned steps breaks it
     return (blocks + blocks.transpose(1, 0, 3, 2).conj()) / 2, step
@@ -364,32 +355,17 @@ def _plain_iteration(blocks: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return blocks, steps
 
 
-def _exp_hermitian(a: np.ndarray) -> np.ndarray:
-    """exp(a) of each Hermitian matrix of a stack (eigh reads the lower
-    triangles), so positive definite."""
-    vals, vecs = np.linalg.eigh(a)
-    return (vecs * np.exp(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-
-
 @lru_cache(maxsize=None)
-def _newton_tables(r: int):
-    """Index tables (i1, i2, rows, shift) of the Newton system of
-    ``_newton_iteration`` at rank r, gauge row and column dropped, into
-    src = [0, vec M, vec N, vec B] (row-major vecs, B the blocks): the
-    Jacobian is (src[i1] + src[i2]) / 2 and the right-hand side
-    src[rows] - shift.  Read-only, as the cache shares them.
+def _anticommutator_table(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index tables (i1, i2) into src = [0, vec M] (row-major vec) such
+    that (src[i1] + src[i2]) / 2 is the matrix of X -> (XM + MX)/2 on
+    row-major vec(X), gauge row and column 0 dropped.  Read-only, as the
+    cache shares them.
     """
-    rr, base = r * r, 1 + 2 * r * r
-    a, b, c, d = np.indices((r,) * 4).reshape(4, rr, rr)
-    # X -> (XM + MX)/2 on row-major vec(X) has entry ((a, b), (c, d)) =
-    # (d_ac M_db + M_ac d_bd)/2, a missing term reading src[0] = 0; the
-    # coupling blocks read one entry of B twice, and (B + B)/2 = B exactly
-    top, bottom = base + ((d * r + c) * r + a) * r + b, base + ((a * r + b) * r + d) * r + c
-    i1 = np.block([[(a == c) * (1 + d * r + b), top], [bottom, (a == c) * (1 + rr + d * r + b)]])
-    i2 = np.block([[(b == d) * (1 + a * r + c), top], [bottom, (b == d) * (1 + rr + a * r + c)]])
-    keep = np.arange(2 * rr) != rr
-    tables = (i1[keep][:, keep], i2[keep][:, keep], np.arange(1, base)[keep],
-              np.tile(r * np.eye(r).ravel(), 2)[keep])
+    a, b, c, d = np.indices((r,) * 4).reshape(4, r * r, r * r)[:, 1:, 1:]
+    # entry ((a, b), (c, d)) is (d_ac M_db + M_ac d_bd)/2, a missing term
+    # reading src[0] = 0
+    tables = (a == c) * (1 + d * r + b), (b == d) * (1 + a * r + c)
     for t in tables:
         t.flags.writeable = False
     return tables
@@ -397,36 +373,45 @@ def _newton_tables(r: int):
 
 def _newton_system(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Jacobian and right-hand side of the gauged Newton system of
-    ``_newton_iteration``, gathered through ``_newton_tables``."""
-    i1, i2, rows, shift = _newton_tables(blocks.shape[0])
-    src = np.concatenate([[0], np.einsum("iiab->ab", blocks).ravel(),
-                          np.einsum("ijaa->ij", blocks).ravel(), blocks.ravel()])
-    return (src[i1] + src[i2]) / 2, src[rows] - shift
+    ``_newton_iteration`` in x_ab, (a, b) != (0, 0), row-major."""
+    r = blocks.shape[0]
+    i1, i2 = _anticommutator_table(r)
+    marginal = np.einsum("iiab->ab", blocks)
+    src = np.concatenate([[0], marginal.ravel()])
+    # column (b, a) of row (i, j) holds B_ij[a, b], so Q vec(x) = vec tr(x B_ij)
+    q = blocks.swapaxes(2, 3).reshape(r * r, r * r)[:, 1:]
+    jac = (src[i1] + src[i2]) / 2 - q.conj().T @ q / r
+    return jac, (marginal - r * np.eye(r)).ravel()[1:]
 
 
 def _newton_iteration(blocks: np.ndarray):
-    """One Newton step of the doubly stochastic equations, then the exact
-    input half-step; (blocks, [C1 step, C2 step], residual), or None when
-    the solve or the half-step meets a singular matrix or the result is not
+    """One Newton step of the output balance, then the exact input
+    half-step; (blocks, [C1 step, C2 step], residual), or None when the
+    solve or the half-step meets a singular matrix or the result is not
     finite.
 
-    With M = sum_i B_ii and N_ij = tr B_ij, the Hermitian x (output side)
-    and y (input side) solve the linearization
-        (xM + Mx)/2 + sum_ik y_ik B_ki = M - rI,
-        tr(x B_ij) + (yN + Ny)/2       = N - rI,
-    gauged by y_00 = 0, with the (0, 0) entry of the second equation
-    dropped (tr M = tr N makes it redundant).  The step scales by exp(-x/2)
-    and exp(-y/2), both from one stacked ``eigh``.  Numpy's float errors are
-    ignored here: a trial that leaves the float range comes back non-finite
-    and is rejected.
+    The joint linearization in Hermitian x (output side) and y (input side),
+        (xM + Mx)/2 + sum_ik y_ik B_ki = M - rI,   M = sum_i B_ii,
+        tr(x B_ij) + (yN + Ny)/2       = N - rI,   N_ij = tr B_ij,
+    starts at N = rI (every iteration ends with the input half-step), so
+    y = -Qx/r with Q vec(x) = vec tr(x B_ij), block symmetry makes the
+    coupling Q^H, and x solves
+        (xM + Mx)/2 - Q^H Q x / r = M - rI.
+    Its kernel is span(I) and its trace equation is redundant: gauged by
+    x_00 = 0 with the (0, 0) row dropped, it has size r^2 - 1.  y is never
+    formed, as the residual after the closing half-step is the same for
+    any input-side congruence before it.  Numpy's float errors are ignored
+    here: a trial that leaves the float range comes back non-finite and is
+    rejected.
     """
     r = blocks.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            sol = np.linalg.solve(*_newton_system(blocks))
-            xy = np.concatenate([sol[:r * r], [0], sol[r * r:]]).reshape(2, r, r)
-            out, pre = _exp_hermitian(-xy / 2)
-            blocks, step = _half_step(_congruence_swapped(blocks, out), pre)
+            x = np.concatenate([[0], np.linalg.solve(*_newton_system(blocks))]).reshape(r, r)
+            # exp(-x/2), positive definite (eigh reads the lower triangle)
+            vals, vecs = np.linalg.eigh(x)
+            out = (vecs * np.exp(-vals / 2)) @ vecs.conj().T
+            blocks, step = _half_step(_congruence_swapped(blocks, out))
         except (np.linalg.LinAlgError, RuntimeError):
             return None
         residual = _residual(blocks)
@@ -441,10 +426,11 @@ def sinkhorn_normalize(h: BlockMap, tol: float = 1e-10, max_iter: int = 500,
     C = (sum_i B_ii / r)^{-1/2} makes sum_i B_ii = rI exactly, then the sides
     swap (SIDE_SWAP) and the same step makes T = rI.  It absorbs a positive
     factor and any output-side congruence, so neither changes the count.
-    Every later iteration is one Newton step followed by the exact input
-    half-step (see ``_newton_iteration``), kept only when it is finite and
-    lowers the residual; otherwise the plain pair runs in its place.  Either
-    way an iteration ends with T = rI to roundoff.  C1 and C2 accumulate every
+    Every later iteration is one Newton step on the output side, a solve of
+    size r^2 - 1, followed by the exact input half-step (see
+    ``_newton_iteration``), kept only when it is finite and lowers the
+    residual; otherwise the plain pair runs in its place.  Either way an
+    iteration ends with T = rI to roundoff.  C1 and C2 accumulate every
     applied step, C2 as the conjugate of the input-side steps, as ``scale``
     expects.  A singular marginal in a plain half-step aborts: the map is
     not strictly positive.  With ``check_positive`` a 256-sample positivity
@@ -466,8 +452,7 @@ def sinkhorn_normalize(h: BlockMap, tol: float = 1e-10, max_iter: int = 500,
         raise ValueError("sinkhorn_normalize needs a square map (r = w)")
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
-    if not isinstance(max_iter, numbers.Integral) or isinstance(max_iter, bool) or max_iter < 0:
-        raise ValueError(f"max_iter must be nonnegative: an integer >= 0, got {max_iter!r}")
+    require_int(max_iter, "max_iter", 0)
     h.require_symmetry()
     if check_positive:
         min_eig, _ = positivity_certificate(h, grid=256, seed=_CERT_SEED)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import forms, phi
-from .discriminants import moment_exact, moment_mc, require_seed, sample_unit_sphere
+from .discriminants import moment_exact, moment_mc, require_int, sample_unit_sphere
 from .hermitian import det
 from .posmap import (BlockMap, choi_fixture, random_kraus_map,
                      sinkhorn_normalize, trace_map)
@@ -357,5 +357,5 @@ DEFAULT_SEED = 20240808
 
 
 def run_all(seed: int = DEFAULT_SEED, limit: int | None = None) -> list[CriterionResult]:
-    require_seed(seed)
+    require_int(seed, "seed", 0)
     return [crit(seed, limit) for crit in ALL_CRITERIA]

@@ -7,8 +7,9 @@ kernels, and small constructions the tests check the library against.
 * ``loop_phi_direct`` is the double mixed discriminant Phi as a complex sum
   with one ``mixed_discriminant`` call per permutation of ``signed_perms``;
 * ``apply_map`` and ``transpose_map`` evaluate and build block maps;
-* ``dense_newton_system`` assembles the gauged Newton system of
-  ``posmap._newton_iteration`` block by block;
+* ``dense_newton_system`` assembles the joint (x, y) Newton system of
+  operator scaling block by block, the reference that the reduced system of
+  ``posmap._newton_iteration`` is checked against;
 * ``restrict_fiber``, ``conjugate`` and ``is_real_pp`` act on curvature
   tensors and forms;
 * ``written_coeffs`` reads back the coefficients of a form that

@@ -421,7 +421,7 @@ class TestSchur:
             assert obj["weak_positivity"]["samples"] == 0
             assert obj["weak_positivity"]["exact"] is True
         else:
-            assert obj is None and "at least one sample" in err
+            assert obj is None and "samples must be an integer >= 1" in err
 
     def test_invalid_partition(self, capsys, tmp_path):
         path = tmp_path / "curv.json"

@@ -693,7 +693,7 @@ class TestExactWeakPositivity:
         with pytest.raises(ValueError, match=match):
             weak_positivity_min(Form.zero(3, p, q), samples=samples, seed=0)
 
-    @pytest.mark.parametrize("samples,match", [(0, "at least one sample"),
+    @pytest.mark.parametrize("samples,match", [(0, "samples must be an integer >= 1"),
                                                (float("nan"), "an integer >= 1"),
                                                (2.5, "an integer >= 1")])
     def test_sampled_path_rejects_invalid_samples(self, samples, match):
