@@ -13,6 +13,7 @@ import sys
 import numpy as np
 
 from . import forms, phi, serialization as ser, verify
+from .discriminants import require_int
 from .posmap import (NotStrictlyPositiveError, choi_fixture, random_kraus_map,
                      sinkhorn_normalize, trace_map)
 
@@ -105,8 +106,7 @@ def cmd_schur(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.trials < 0:
-        raise ValueError(f"--trials must be >= 0, got {args.trials}")
+    require_int(args.trials, "--trials", 0)
     limit = args.trials if args.trials else None
     results = verify.run_all(seed=args.seed, limit=limit)
     for res in results:

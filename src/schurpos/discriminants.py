@@ -24,9 +24,9 @@ eigenvalues of X.  Both kernels are polarizations of their diagonal f,
 and ``moment_exact`` evaluates it on the 2^n subset sums of
 ``subset_table``.  The identity is algebraic, so it holds for non-Hermitian
 words as well; the tests check it against the literal cycle-trace sum.
-``mixed_discriminant`` and ``moment_exact`` map one word (k, r, r) to a
-complex and a stack of words (..., k, r, r) to an array (...);
-``_check_stack`` is the one validator of matrix words.
+``mixed_discriminant``, ``moment_exact`` and ``moment_mc`` (with a standard
+error) map one word (k, r, r) to a complex and a stack of words (..., k, r,
+r) to an array (...); ``_check_stack`` is the one validator of matrix words.
 
 ``principal_sum`` takes f and sums F over the Leibniz terms of every
 principal k x k sub-map of a block array.  There every P that leaves out
@@ -47,9 +47,10 @@ exactly symmetric for U exactly Hermitian.  The forms are homogeneous of
 degree 2, so each sample divides the product of the forms by |v|^{2n} rather
 than normalizing v.  The samples come in blocks: block b is seeded by
 seed + b, and its v is the block's sequence of standard normals in row order,
-drawn and evaluated one row tile at a time.  The blocks are independent, so
-a thread pool runs them on every available core, and their partial sums are
-added in block order: the result is the same float for any number of cores.
+drawn and evaluated one row tile at a time; the words of a stack share the
+samples.  The blocks are independent, so a thread pool runs them on every
+available core, and their partial sums are added in block order: the result
+is the same float for any number of cores.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ import math
 import numbers
 import os
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, permutations
 
 import numpy as np
@@ -255,12 +256,6 @@ def require_int(value, name: str, minimum: int) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-def _real_form(u: np.ndarray) -> np.ndarray:
-    """Real M with xi* U xi = v^T M v, v = (Re xi, Im xi); symmetric for U exactly Hermitian."""
-    a, b = u.real, u.imag
-    return np.block([[a, -b], [b, a]])
-
-
 def _available_cores() -> int:
     """Cores this process may run on: its CPU affinity where the platform
     reports one, else the machine's CPU count."""
@@ -270,59 +265,62 @@ def _available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _mc_block(forms, count: int, rng: np.random.Generator) -> tuple[float, float]:
-    """(sum w, sum w^2) over one block of ``count`` ``moment_mc`` samples,
-    drawn and evaluated one tile of MC_TILE rows at a time."""
-    n, dim = len(forms), len(forms[0])
-    sum_w, sum_w2 = 0.0, 0.0
+def _mc_block(words, samples: int, seed: int, b: int) -> list[list[float]]:
+    """[sum w, sum w^2] per word over block b of ``moment_mc``'s samples,
+    seeded by seed + b, drawn and evaluated one tile of MC_TILE rows at a time."""
+    rng = np.random.default_rng(seed + b)
+    count = min(MC_BLOCK, samples - b * MC_BLOCK)
+    n, dim = len(words[0]), len(words[0][0])
+    sums = [[0.0, 0.0] for _ in words]
     for start in range(0, count, MC_TILE):
         v = rng.standard_normal((min(MC_TILE, count - start), dim))
-        w = np.power(np.einsum("sj,sj->s", v, v), -n)
-        for m in forms:
-            w *= np.einsum("sj,sj->s", v @ m, v)
-        sum_w += w.sum()
-        # einsum, not BLAS dot: a threaded BLAS dot sums in an order that
-        # depends on its thread count
-        sum_w2 += np.einsum("s,s->", w, w)
-    return sum_w, float(sum_w2)
+        base = np.power(np.einsum("sj,sj->s", v, v), -n)
+        for (first, *rest), word_sums in zip(words, sums):
+            w = np.einsum("sj,sj->s", v @ first, v)
+            w *= base
+            for m in rest:
+                w *= np.einsum("sj,sj->s", v @ m, v)
+            word_sums[0] += float(w.sum())
+            # einsum, not BLAS dot: a threaded BLAS dot sums in an order that
+            # depends on its thread count
+            word_sums[1] += float(np.einsum("s,s->", w, w))
+    return sums
 
 
-def moment_mc(mats, samples: int, seed: int) -> tuple[complex, float]:
-    """Monte Carlo spherical moment of a word of Hermitian factors, with
-    standard error.
+def moment_mc(mats, samples: int, seed: int) -> tuple[complex | np.ndarray, float | np.ndarray]:
+    """Monte Carlo spherical moment of Hermitian factors with standard error:
+    (complex, float) for one word (n, r, r), two arrays (...) for a stack of
+    words (..., n, r, r).
 
     Samples are drawn in blocks of MC_BLOCK, block b seeded by seed + b,
     and a block's v = (Re xi, Im xi) is its (count, 2r) standard normal
     sequence in row order: the samples depend only on (seed, samples), not
-    on MC_TILE or the number of cores.  A thread pool that lives only as
-    long as the call maps the blocks over every available core, and their
-    partial sums are added in block order, so the result is the same float
-    for any worker count.
+    on MC_TILE, the number of cores or the other words of a stack, so word k
+    of a stack is the same float as its own call.  A thread pool that lives
+    only as long as the call maps the blocks over every available core, and
+    their partial sums are added in block order.
 
-    The arithmetic is real: xi* U xi = v^T M v, and each sample is
-    prod_i v^T M_i v / |v|^{2n}, so v is never normalized.  A factor that
-    is not Hermitian within HERMITIAN_TOL raises ValueError.
+    Each sample is prod_i v^T M_i v / |v|^{2n} (module docstring); a factor
+    that is not Hermitian within HERMITIAN_TOL raises ValueError.
     """
     ms = _check_stack(mats, "moment word")
-    if ms.ndim != 3:
-        raise ValueError(f"moment_mc takes one word (n, r, r), got shape {ms.shape}")
     require_int(samples, "samples", 1)
     require_int(seed, "seed", 0)
-    forms = [_real_form(ensure_hermitian(m)) for m in ms]
+    n, r = ms.shape[-3:-1]
+    u = np.reshape([ensure_hermitian(m) for m in ms.reshape(-1, r, r)], (-1, n, r, r))
+    words = [list(word) for word in np.block([[u.real, -u.imag], [u.imag, u.real]])]
     n_blocks = -(-samples // MC_BLOCK)
-
-    def block(b: int) -> tuple[float, float]:
-        count = min(MC_BLOCK, samples - b * MC_BLOCK)
-        return _mc_block(forms, count, np.random.default_rng(seed + b))
-
     # imported here: concurrent.futures loads logging, about 0.5 MB of
     # resident memory that callers without Monte Carlo need not pay
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(min(_available_cores(), n_blocks)) as pool:
-        partial = list(pool.map(block, range(n_blocks)))
-    sum_w, sum_w2 = map(sum, zip(*partial))
-    mean = complex(sum_w) / samples
-    if samples == 1:
-        return mean, 0.0
-    var = max(sum_w2 - samples * abs(mean) ** 2, 0.0) / (samples - 1)
-    return mean, math.sqrt(var / samples)
+        blocks = list(pool.map(partial(_mc_block, words, samples, seed), range(n_blocks)))
+    estimates = []
+    for word_blocks in zip(*blocks):  # one word's block sums, added in block order
+        sum_w, sum_w2 = map(sum, zip(*word_blocks))
+        mean = complex(sum_w) / samples
+        var = max(sum_w2 - samples * abs(mean) ** 2, 0.0) / (samples - 1) if samples > 1 else 0.0
+        estimates.append((mean, math.sqrt(var / samples)))
+    if ms.ndim == 3:
+        return estimates[0]
+    return tuple(np.reshape(column, ms.shape[:-3]) for column in zip(*estimates))

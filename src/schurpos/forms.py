@@ -215,6 +215,8 @@ def random_griffiths_curvature(rank: int, dim: int, terms: int, eps: float,
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
+    require_int(rank, "rank", 1)
+    require_int(dim, "dim", 1)
     require_int(terms, "terms", 0)
     require_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)

@@ -148,8 +148,7 @@ def from_kraus(cs, eps: float = 0.0) -> BlockMap:
 
 def random_kraus_map(r: int, terms: int, eps: float, seed: int) -> BlockMap:
     """Seeded random Kraus-plus-eps map with r = w (strictly positive for eps > 0)."""
-    if r < 1:
-        raise ValueError("rank must be at least 1")
+    require_int(r, "r", 1)
     require_int(terms, "terms", 1)
     require_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)

@@ -434,6 +434,48 @@ class TestMomentMonteCarlo:
         assert est == pytest.approx(einsum_moment_mc(us, 1, 4)[0], rel=1e-12)
 
 
+class TestMomentMonteCarloStack:
+    """A stack of words shares one sample stream, and word k of a stack is
+    bitwise the single-word call with the same samples and seed."""
+
+    @staticmethod
+    def hexes(est, stderr):
+        return [(complex(e).real.hex(), complex(e).imag.hex(), float(s).hex())
+                for e, s in zip(np.ravel(est), np.ravel(stderr))]
+
+    @pytest.mark.parametrize("lead", [(5,), (2, 3)])
+    @pytest.mark.parametrize("samples", [1, 5_000, discriminants.MC_BLOCK + 1_000])
+    def test_word_k_is_its_own_call(self, lead, samples):
+        rng = np.random.default_rng(107)
+        words = np.array([[random_hermitian(rng, 3) for _ in range(2)]
+                          for _ in range(math.prod(lead))]).reshape(*lead, 2, 3, 3)
+        est, stderr = moment_mc(words, samples, seed=31)
+        assert est.shape == stderr.shape == lead
+        singles = [moment_mc(word, samples, seed=31) for word in words.reshape(-1, 2, 3, 3)]
+        assert all(type(e) is complex and type(s) is float for e, s in singles)
+        assert self.hexes(est, stderr) == self.hexes(*zip(*singles))
+
+    def test_identity_word_has_zero_stderr(self):
+        rng = np.random.default_rng(109)
+        words = np.array([[random_hermitian(rng, 3) for _ in range(2)],
+                          [np.eye(3), np.eye(3)],
+                          [random_hermitian(rng, 3) for _ in range(2)]])
+        est, stderr = moment_mc(words, samples=5_000, seed=37)
+        assert abs(est[1] - 1.0) < 1e-12
+        assert stderr[1] == 0.0
+        assert (stderr[[0, 2]] > 0.0).all()
+
+    @pytest.mark.parametrize("word, factor", [(0, 0), (2, 1), (3, 0)])
+    def test_rejects_a_non_hermitian_factor_anywhere(self, word, factor):
+        rng = np.random.default_rng(113)
+        words = np.array([[random_hermitian(rng, 3) for _ in range(2)] for _ in range(4)])
+        words[word, factor, 0, 1] += 1.0
+        with pytest.raises(ValueError, match="not Hermitian"):
+            moment_mc(words, samples=10, seed=0)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            moment_mc(words.reshape(2, 2, 2, 3, 3), samples=10, seed=0)
+
+
 def test_sample_unit_sphere_leading_shape():
     # a (count, q) draw is the inline two-call draw the samplers used before
     a = sample_unit_sphere(np.random.default_rng(5), (7, 2), 3)

@@ -822,6 +822,13 @@ class TestGriffithsGenerator:
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             random_griffiths_curvature(3, 3, 2, eps=0.1, seed=seed)
 
+    @pytest.mark.parametrize("size", [0, 2.5, True])
+    @pytest.mark.parametrize("name", ["rank", "dim"])
+    def test_rejects_invalid_size(self, name, size):
+        sizes = {"rank": 3, "dim": 3, name: size}
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+            random_griffiths_curvature(sizes["rank"], sizes["dim"], 2, eps=0.1, seed=0)
+
 
 @pytest.mark.parametrize("rank,dim", [(2, 3), (3, 2), (2, 2)])
 def test_curvature_declared_sizes_must_match_entries(rank, dim):

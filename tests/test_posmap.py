@@ -536,8 +536,14 @@ def test_block_map_rejects_empty_sizes(shape):
 
 
 def test_random_kraus_map_rejects_zero_rank():
-    with pytest.raises(ValueError, match="at least 1"):
+    with pytest.raises(ValueError, match="r must be an integer >= 1"):
         random_kraus_map(0, 3, 0.1, seed=0)
+
+
+@pytest.mark.parametrize("r", [2.5, True])
+def test_random_kraus_map_rejects_non_integer_rank(r):
+    with pytest.raises(ValueError, match="r must be an integer >= 1"):
+        random_kraus_map(r, 3, 0.1, seed=0)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, False])
