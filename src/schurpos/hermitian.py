@@ -32,15 +32,23 @@ def as_matrix(a) -> np.ndarray:
 
 
 def ensure_hermitian(a) -> np.ndarray:
-    """Return the symmetrized (a + a*)/2, rejecting a defect beyond HERMITIAN_TOL
-    x the largest entry."""
-    m = as_matrix(a)
-    # ndarray methods: np.max would add microseconds of dispatch per call
-    defect = float(abs(m - m.conj().T).max(initial=0.0))
-    if defect > HERMITIAN_TOL * abs(m).max(initial=0.0):
+    """Return the symmetrized (a + a*)/2, rejecting what ``as_matrix``
+    rejects and a defect beyond HERMITIAN_TOL x the largest entry."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    mh = m.conj().T
+    # ufunc reductions: ndarray methods add a microsecond of dispatch each.
+    # A NaN or inf entry makes top non-finite, and so can finite entries
+    # whose modulus overflows: only then does finiteness need its own test
+    top = np.maximum.reduce(abs(m), axis=None, initial=0.0)
+    if not top < np.inf and not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
+    defect = float(np.maximum.reduce(abs(m - mh), axis=None, initial=0.0))
+    if defect > HERMITIAN_TOL * top:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} beyond "
                          f"{HERMITIAN_TOL:.0e} x largest entry")
-    return (m + m.conj().T) / 2.0
+    return (m + mh) / 2.0
 
 
 def det(a) -> complex:

@@ -40,6 +40,8 @@ rank 5.
 from __future__ import annotations
 
 import cmath
+import math
+import sys
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -85,8 +87,18 @@ def _require_normalized(h: BlockMap, what: str) -> None:
 
 
 def phi_direct(h: BlockMap) -> PhiReport:
-    """The signed permutation sum over mixed discriminants of block rows."""
+    """The signed permutation sum over mixed discriminants of block rows.
+
+    Phi is homogeneous of degree r in the blocks, so a nonzero map with
+    max|B|^r below the smallest normal float raises ValueError rather than
+    report a value that has underflowed to (or toward) zero.
+    """
     _require_rank(h, ROUTES["direct"][1], "phi_direct")
+    top = float(abs(h.blocks).max())
+    if 0 < top < sys.float_info.min ** (1 / h.r):
+        raise ValueError(f"Phi by route 'direct' is below the float range: max|B|^r "
+                         f"= {top:.3e}^{h.r} < {sys.float_info.min:.3e} (Phi is "
+                         "homogeneous of degree r: rescale the map)")
     return _report(principal_sum(h.blocks, h.r, stack_det), "direct")
 
 
@@ -224,18 +236,31 @@ def phi_reports(h: BlockMap, method: str = "all") -> list[PhiReport]:
     return [ROUTES[method][0](h)]
 
 
+#: Argument types of the float path of ``schur_delta``.
+_FLOATS = (float, np.float64)
+
+
+def _delta(a1, a2, a3):
+    s = a1 + a2 + a3
+    return np.power(s, 3) + 9.0 * a1 * a2 * a3 - 4.0 * s * (a1 * a2 + a1 * a3 + a2 * a3)
+
+
 def schur_delta(l1, l2, l3):
     """(sum)^3 + 9 l1 l2 l3 - 4 (sum)(sum of pair products); >= 0 on the
     nonnegative octant, vanishing iff all equal or two equal and one zero.
 
-    Accepts finite scalars or numpy arrays elementwise.
+    Accepts finite scalars or numpy arrays elementwise.  Three floats skip
+    the broadcast and give the array path's value bit for bit: the cube is
+    the ufunc's either way, whose SIMD loop may differ from libm's pow.
     """
+    if type(l1) in _FLOATS and type(l2) in _FLOATS and type(l3) in _FLOATS:
+        if not (0.0 <= l1 < math.inf and 0.0 <= l2 < math.inf and 0.0 <= l3 < math.inf):
+            raise ValueError("schur_delta needs finite nonnegative arguments")
+        return float(_delta(float(l1), float(l2), float(l3)))
     a = np.array(np.broadcast_arrays(l1, l2, l3), dtype=float)
     if not (np.isfinite(a) & (a >= 0)).all():
         raise ValueError("schur_delta needs finite nonnegative arguments")
-    a1, a2, a3 = a
-    s = a1 + a2 + a3
-    out = s ** 3 + 9.0 * a1 * a2 * a3 - 4.0 * s * (a1 * a2 + a1 * a3 + a2 * a3)
+    out = _delta(*a)
     return float(out) if out.ndim == 0 else out
 
 

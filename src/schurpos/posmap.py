@@ -27,13 +27,21 @@ smallest output eigenvalue over seeded unit vectors and refines the best
 one by a seesaw of exact minimizations of u* H(xi xi*) u: u = bottom
 eigenvector of H(xi xi*), then xi = conj of the bottom eigenvector of
 K_ij = u* B_ij u (Hermitian by block symmetry), until a round lowers the
-value by at most 1e-15 x max|B|.  At w = 2 and 3 a closed-form smallest
-eigenvalue screens the grid first, and LAPACK evaluates only the rows
-within a safe margin of the screen's minimum, so the grid value and its
-sample are those of LAPACK on every row.  It reports whichever of the grid
-and the seesaw value is lower.  A clearly negative value (with its witness
-vector) disproves positivity; a positive value is only evidence of a
-local minimum.  Maps on the boundary of the positive cone
+value by at most 1e-15 x max|B|.  Each round first tries a Riemannian
+Newton step of lambda_min H(xi xi*) on the unit sphere (Absil, Mahony and
+Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008), with the
+Hessian made positive definite, and keeps it only when it lowers the value
+by more than that tolerance; otherwise the plain round runs, and it runs
+alone at r = 1, at w = 1 and where lambda_1 = lambda_0.  Newton converges
+quadratically on the flat valleys where lambda_min sits at its floor along
+a curve, on which the plain round halves the gradient per round.
+
+At w = 2 and 3 a closed-form smallest eigenvalue screens the grid first,
+and LAPACK evaluates only the rows within a safe margin of the screen's
+minimum, so the grid value and its sample are those of LAPACK on every
+row.  The certificate reports whichever of the grid and the seesaw value
+is lower.  A clearly negative value (with its witness vector) disproves
+positivity; a positive value is only evidence of a local minimum.  Maps on the boundary of the positive cone
 (rank-deficient outputs somewhere, e.g. the identity map or the Choi map)
 legitimately refine to zero up to floating-point noise.
 """
@@ -231,23 +239,83 @@ def _grid_candidates(mats: np.ndarray) -> np.ndarray:
     return np.flatnonzero(vals <= vals.min() + 1e-6)
 
 
+def _newton_point(bu: np.ndarray, xi: np.ndarray, vals: np.ndarray,
+                  vecs: np.ndarray) -> np.ndarray | None:
+    """xi after one Riemannian Newton step on the unit sphere for
+    g(z) = lambda_min M(z), M(z) = sum_ij conj(z_i) z_j B_ij, z = conj(xi),
+    given bu[ij] = B_ij u_0 and the eigenpairs (vals, vecs) of M(z), with
+    vals[1] > vals[0].  None when the Hessian vanishes.
+
+    On tangent directions d = E x (x real), E = [Q, iQ] for an orthonormal
+    basis Q of {d : z* d = 0}, second-order perturbation of lambda_0 gives
+        g((z + d) / |z + d|) = lambda_0 + g_0 . x + O(|x|^3)
+            + x . (Re E* K E - lambda_0 - sum_k>=1 Re g_k g_k* / gap_k) x,
+    where dM[d] = sum_ij (conj(d_i) z_j + conj(z_i) d_j) B_ij,
+    u_k* dM[d] u_0 = g_k . x, gap_k = lambda_k - lambda_0, and
+    L^k_ij = u_k* B_ij u_0 gives K = L^0.  The step solves with the
+    absolute values of the eigenvalues of that form, clamped below at 1e-3
+    of the largest, so it is a descent direction even off a local minimum.
+    """
+    r, w = len(xi), len(vals)
+    z = xi.conj()
+    lk = (vecs.conj().T @ bu.T).reshape(w, r, r)
+    # Q: columns 1.. of the Householder reflector that sends z to a multiple of e_0
+    s = 1.0 + abs(z[0])
+    v = z.copy()
+    v[0] = (z[0] / (s - 1.0) if s > 1.0 else 1.0) * s
+    q = np.eye(r, r - 1, -1) - v[:, None] * (z[1:].conj() / s)
+    e = np.concatenate([q, 1j * q], axis=1)
+    # g_k = E* L^k z + E^T (L^k)^T conj(z); g_0 = 2 Re E* K z is the gradient
+    g = (lk @ z) @ e.conj() + (z.conj() @ lk) @ e
+    scaled = g[1:] / np.sqrt(vals[1:] - vals[0])[:, None]
+    form = (e.conj().T @ lk[0] @ e - scaled.T @ scaled.conj()).real
+    form.flat[::2 * r - 1] -= vals[0]  # Re E* E = I
+    lam, basis = np.linalg.eigh(form)
+    size = abs(lam)
+    top = size.max()
+    if not top > 0:
+        return None
+    x = basis @ ((basis.T @ g[0].real) / np.maximum(size, 1e-3 * top))
+    z = z - e @ x / 2.0
+    return z.conj() / np.vdot(z, z).real ** 0.5
+
+
 def _seesaw(blocks: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Seesaw from xi (see the module docstring): u* H(xi xi*) u =
-    conj(xi)* K conj(xi), minimized over u, then over xi."""
+    conj(xi)* K conj(xi), minimized over u, then over xi, each round tried
+    first as a ``_newton_point`` step.  At w = 1 the plain round is exact.
+
+    The blocks are first scaled by the power of two that brings max|B|
+    into [1/2, 1): exact, it moves no minimizer, and it keeps the squared
+    gradients over eigenvalue gaps in the Hessian inside the float range.
+    """
     r, w = blocks.shape[0], blocks.shape[2]
-    tol = 1e-15 * float(abs(blocks).max())
+    top = float(abs(blocks).max())
+    unit = math.ldexp(1.0, -math.frexp(top)[1])
+    blocks, tol = blocks * unit, 1e-15 * top * unit
     rows, stack = blocks.reshape(r, -1), blocks.reshape(r * r, w, w)
+
+    def output_eigh(v):
+        return np.linalg.eigh((v.conj() @ (v @ rows).reshape(r, -1)).reshape(w, w))
+
     best, val = xi, np.inf
+    vals, vecs = output_eigh(xi)
     for _ in range(2000):
-        out = xi.conj() @ (xi @ rows).reshape(r, -1)
-        vals, vecs = np.linalg.eigh(out.reshape(w, w))
         if vals[0] < val:
             best = xi
         if not vals[0] < val - tol:
             break
         val, u = vals[0], vecs[:, 0]
-        k = stack @ u @ u.conj()
-        xi = np.linalg.eigh(k.reshape(r, r))[1][:, 0].conj()
+        bu = stack @ u
+        if r > 1 and w > 1 and vals[1] > vals[0]:
+            trial = _newton_point(bu, xi, vals, vecs)
+            if trial is not None:
+                trial_vals, trial_vecs = output_eigh(trial)
+                if trial_vals[0] < val - tol:
+                    xi, vals, vecs = trial, trial_vals, trial_vecs
+                    continue
+        xi = np.linalg.eigh((bu @ u.conj()).reshape(r, r))[1][:, 0].conj()
+        vals, vecs = output_eigh(xi)
     return best
 
 
@@ -275,9 +343,12 @@ def positivity_certificate(h: BlockMap, grid: int, seed: int) -> tuple[float, np
 
     Runs ``grid`` seeded samples in chunks of 2^14, keeping the best one,
     then refines it by the seesaw for at most 2000 rounds and keeps the
-    refined vector when it reads strictly lower.  ``grid`` must be an
-    integer >= 1 and ``seed`` an integer >= 0.  A block-asymmetric map
-    raises ValueError (K would not be Hermitian).
+    refined vector when it reads strictly lower.  A round is a Newton step
+    on the sphere when that lowers the value by more than the stop
+    tolerance 1e-15 x max|B|, the plain seesaw round otherwise; as every
+    kept round lowers the value, it never reads above the grid's.
+    ``grid`` must be an integer >= 1 and ``seed`` an integer >= 0.  A
+    block-asymmetric map raises ValueError (K would not be Hermitian).
 
     Returns (min_eig, witness xi) with min_eig = lambda_min(H(xi xi*)).
     min_eig > 0 is evidence of positivity; min_eig clearly below zero

@@ -314,6 +314,15 @@ class TestPhi:
         assert (code, out) == (2, "")
         assert "float range" in err
 
+    @pytest.mark.parametrize("method", ["direct", "all"])
+    def test_underflow_is_precondition_error(self, capsys, tmp_path, method):
+        # Phi of the rank-3 trace map times 1e-150 is 1e-450: it would print 0.0,
+        # the boundary of the cone
+        path = gen_scaled(tmp_path, 1e-150, "trace", "--rank", "3")
+        code, out, err = run(capsys, "phi", "--input", str(path), "--method", method)
+        assert (code, out) == (2, "")
+        assert "float range" in err
+
 
     def test_declared_rank_beyond_blocks_is_precondition_error(self, capsys, tmp_path):
         path = tmp_path / "k.json"

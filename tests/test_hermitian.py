@@ -165,3 +165,29 @@ def test_hermitian_check_is_relative(c):
     skew[0, 1] += 1e-6 * c
     with pytest.raises(ValueError, match="not Hermitian"):
         herm_eigvals(skew)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_ensure_hermitian_is_bitwise_the_symmetrization(n):
+    # moment_mc relies on exactly Hermitian factors: (a + a*)/2 bit for bit,
+    # which m - (m - m*)/2 is not
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        a = random_hermitian(rng, n) + 1e-13 * random_complex(rng, n)
+        got = ensure_hermitian(a)
+        assert np.array_equal(got, (a + a.conj().T) / 2)
+        assert np.array_equal(got, got.conj().T)
+
+
+@pytest.mark.parametrize("bad, match", [
+    (np.ones((2, 3)), "expected a square matrix"),
+    (np.ones(3), "expected a square matrix"),
+    (np.array([[1.0, np.nan], [np.nan, 1.0]]), "non-finite entries"),
+    (np.array([[1.0, 0.0], [0.0, np.inf]]), "non-finite entries"),
+    (np.array([[1.0, 0.0], [0.0, -np.inf]]), "non-finite entries"),
+    (np.array([[1.0, 1j * np.inf], [0.0, 1.0]]), "non-finite entries"),
+    (np.array([[0.0, 1.0], [0.5, 0.0]]), "not Hermitian: defect 5.000e-01"),
+])
+def test_ensure_hermitian_rejections_keep_their_messages(bad, match):
+    with pytest.raises(ValueError, match=match):
+        ensure_hermitian(bad)

@@ -2,14 +2,14 @@
 
 import numpy as np
 import pytest
-from oracles import apply_map, dense_newton_system, transpose_map
+from oracles import apply_map, dense_newton_system, plain_certificate, transpose_map
 
 from schurpos import posmap
 from schurpos.discriminants import sample_unit_sphere
 from schurpos.forms import CurvatureTensor, random_griffiths_curvature
 from schurpos.phi import phi_direct
 from schurpos.posmap import (BlockMap, NotStrictlyPositiveError, _grid_minimum,
-                             _newton_system, _plain_iteration, choi_fixture,
+                             _newton_point, _newton_system, _plain_iteration, choi_fixture,
                              from_kraus, identity_map, normalization_residual,
                              positivity_certificate, random_kraus_map, scale,
                              sinkhorn_normalize, trace_map)
@@ -241,6 +241,59 @@ class TestBatchedRefinement:
             want_val, want_xi = sequential_certificate(h, grid=grid, seed=11, refine=False)
             assert got_val == want_val
             assert np.array_equal(got_xi, want_xi)
+
+
+def random_kraus_rect(r, w, terms, seed):
+    """A seeded Kraus-plus-0.1 map with w x r Kraus operators (r != w allowed)."""
+    rng = np.random.default_rng(seed)
+    return from_kraus([rng.standard_normal((w, r)) + 1j * rng.standard_normal((w, r))
+                       for _ in range(terms)], eps=0.1)
+
+
+class TestNewtonSeesaw:
+    @pytest.mark.parametrize("terms", [2, 3])
+    def test_rank_three_kraus_certificate_is_eps(self, terms):
+        # det[C_1 xi, C_2 xi, C_3 xi] is a cubic in xi, so the Kraus part is
+        # singular on a projective curve (everywhere for 2 terms): the
+        # minimum of lambda_min is eps exactly, on a flat valley
+        for seed in range(20):
+            got, _ = positivity_certificate(random_kraus_map(3, terms, 0.2, seed),
+                                            grid=256, seed=seed)
+            assert abs(got - 0.2) <= 1e-15
+
+    @pytest.mark.parametrize("make", [
+        *[lambda s, r=r: random_kraus_map(r, 3, 0.2, seed=s) for r in (2, 3)],
+        *[lambda s, k=k: choi_mixture(k) for k in (18, 23, 26)],
+        *[lambda s, abc=abc: cho_kye_lee(*abc)
+          for abc in ((1.5, 0.5, 0.5), (1.0, 1.0, 1.0), (3.0, 0.0, 0.0))],
+        lambda s: identity_map(3), lambda s: choi_fixture(),
+        *[lambda s, rw=rw: random_kraus_rect(*rw, 2, s) for rw in ((3, 1), (1, 3), (2, 3))],
+    ], ids=["kraus_r2", "kraus_r3", "choi_mixture_18", "choi_mixture_23", "choi_mixture_26",
+            "ckl_1.5_0.5_0.5", "ckl_1_1_1", "ckl_3_0_0", "identity", "choi",
+            "w1", "r1", "r2_w3"])
+    def test_never_above_the_plain_seesaw(self, make):
+        for seed in range(10):
+            h = make(seed)
+            got, xi = positivity_certificate(h, grid=256, seed=seed)
+            want, _ = plain_certificate(h, grid=256, seed=seed)
+            assert got <= want + 1e-15 * np.max(np.abs(h.blocks))
+            assert abs(min_output_eig(h, xi) - got) < 1e-14
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_newton_step_squares_the_error(self, r):
+        # off the flat valley (r + 1 terms), one step from 1e-3 away about
+        # squares the starting error (asserted: to the power 1.5), where a
+        # plain round only halves it: a check of the gradient and the Hessian
+        for seed in range(4):
+            h = random_kraus_map(r, r + 1, 0.2, seed=seed)
+            val, xi = positivity_certificate(h, grid=256, seed=seed)
+            start = xi + 1e-3 * random_unit(np.random.default_rng(seed), r)
+            start /= np.linalg.norm(start)
+            out = apply_map(h, np.outer(start, start.conj()))
+            vals, vecs = np.linalg.eigh((out + out.conj().T) / 2)
+            bu = h.blocks.reshape(r * r, r, r) @ vecs[:, 0]
+            after = min_output_eig(h, _newton_point(bu, start, vals, vecs)) - val
+            assert after <= (vals[0] - val) ** 1.5
 
 
 class TestChoiFixture:
