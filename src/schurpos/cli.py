@@ -37,6 +37,8 @@ def cmd_gen(args) -> int:
     if args.kind == "trace":
         obj = ser.block_map_to_json(trace_map(args.rank))
     elif args.kind == "choi":
+        if args.rank != 3:
+            raise ValueError(f"--rank: the Choi fixture has rank 3, got {args.rank}")
         obj = ser.block_map_to_json(choi_fixture())
     elif args.kind == "kraus":
         obj = ser.block_map_to_json(

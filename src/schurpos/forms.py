@@ -213,8 +213,8 @@ def random_griffiths_curvature(rank: int, dim: int, terms: int, eps: float,
     The pairing with (v, xi) evaluates to sum_s |sum T^s_{ia} v^i xi^a|^2
     + eps |v|^2 |xi|^2, so positivity holds by construction for eps > 0.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError("eps must be positive and finite")
     require_int(rank, "rank", 1)
     require_int(dim, "dim", 1)
     require_int(terms, "terms", 0)

@@ -55,7 +55,7 @@ from functools import lru_cache
 import numpy as np
 
 from .discriminants import require_int, sample_unit_sphere
-from .hermitian import as_matrix, inv_sqrt_hermitian
+from .hermitian import as_matrix
 
 #: Block symmetry B_ij* = B_ji must hold within this entrywise defect relative
 #: to the largest entry.
@@ -125,25 +125,28 @@ class ScalingResult:
 def trace_map(r: int, w: int | None = None) -> BlockMap:
     """H(X) = tr(X) I: blocks B_ij = delta_ij I."""
     w = r if w is None else w
+    require_int(r, "r", 1)
+    require_int(w, "w", 1)
     return BlockMap(np.einsum("ij,ab->ijab", np.eye(r), np.eye(w)))
 
 
 def identity_map(r: int) -> BlockMap:
     """H = id: blocks B_ij = E_ij (boundary of positivity, rank-one outputs)."""
+    require_int(r, "r", 1)
     return BlockMap(np.einsum("ia,jb->ijab", np.eye(r), np.eye(r)))
 
 
 def from_kraus(cs, eps: float = 0.0) -> BlockMap:
     """Completely positive map B_ij = sum_k C_k E_ij C_k*, plus eps * trace map.
 
-    Each Kraus operator C_k must be w x r, and eps >= 0 (eps = 0 gives the
-    completely positive map).  With eps > 0 the map is strictly positive:
-    H(xi xi*) >= eps |xi|^2 I.
+    Each Kraus operator C_k must be w x r, and eps finite and >= 0 (eps = 0
+    gives the completely positive map).  With eps > 0 the map is strictly
+    positive: H(xi xi*) >= eps |xi|^2 I.
     """
     if not cs:
         raise ValueError("need at least one Kraus operator")
-    if not eps >= 0:
-        raise ValueError("eps must be nonnegative")
+    if not 0 <= eps < np.inf:
+        raise ValueError("eps must be nonnegative and finite")
     mats = [np.array(c, dtype=complex) for c in cs]
     w, r = mats[0].shape
     if any(c.shape != (w, r) for c in mats):
@@ -402,27 +405,27 @@ def normalization_residual(h: BlockMap) -> float:
     return _residual(h.blocks)
 
 
-def _half_step(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _half_step(blocks: np.ndarray, side: str) -> tuple[np.ndarray, np.ndarray]:
     """Exact half-step: congruence by C = (M / r)^{-1/2}, with
     M = sum_i B_ii, makes sum_i B_ii = rI.  Returns the blocks with the sides
     swapped (SIDE_SWAP), so that the next half-step balances the other side,
-    and C.  A singular marginal raises RuntimeError."""
-    step = inv_sqrt_hermitian(np.einsum("iiab->ab", blocks) / blocks.shape[0])
+    and C.  M is Hermitian by construction (eigh reads its lower triangle).
+    Its eigenvalues are clamped below at the floor 1e-14 x the largest, but
+    only to absorb roundoff: where the clamp moves one by more than 1e-8 of
+    the floor, or the largest is not positive, the marginal is singular and
+    NotStrictlyPositiveError names ``side``, the side being balanced."""
+    vals, vecs = np.linalg.eigh(np.einsum("iiab->ab", blocks) / blocks.shape[0])
+    floor = 1e-14 * float(vals[-1])
+    if not floor > 0 or floor - float(vals[0]) > 1e-8 * floor:
+        raise NotStrictlyPositiveError(
+            f"{side} marginal is singular: matrix is numerically singular "
+            f"(min eigenvalue {vals[0]:.3e})")
+    if vals[0] < floor:
+        vals = np.maximum(vals, floor)
+    step = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
     blocks = _congruence_swapped(blocks, step)
     # exact block symmetry: roundoff of ill-conditioned steps breaks it
     return (blocks + blocks.transpose(1, 0, 3, 2).conj()) / 2, step
-
-
-def _plain_iteration(blocks: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The output half-step, then the input half-step: T = rI exactly."""
-    steps = []
-    for name in ("output", "input"):
-        try:
-            blocks, step = _half_step(blocks)
-        except RuntimeError as exc:
-            raise NotStrictlyPositiveError(f"{name} marginal is singular: {exc}") from exc
-        steps.append(step)
-    return blocks, steps
 
 
 @lru_cache(maxsize=None)
@@ -481,8 +484,8 @@ def _newton_iteration(blocks: np.ndarray):
             # exp(-x/2), positive definite (eigh reads the lower triangle)
             vals, vecs = np.linalg.eigh(x)
             out = (vecs * np.exp(-vals / 2)) @ vecs.conj().T
-            blocks, step = _half_step(_congruence_swapped(blocks, out))
-        except (np.linalg.LinAlgError, RuntimeError):
+            blocks, step = _half_step(_congruence_swapped(blocks, out), "input")
+        except (np.linalg.LinAlgError, NotStrictlyPositiveError):
             return None
         residual = _residual(blocks)
     return (blocks, [out, step], residual) if np.isfinite(residual) else None
@@ -538,8 +541,9 @@ def sinkhorn_normalize(h: BlockMap, tol: float = 1e-10, max_iter: int = 500,
         if trial is not None and trial[2] < residual:
             blocks, steps, residual = trial
         else:
-            blocks, steps = _plain_iteration(blocks)
-            residual = _residual(blocks)
+            blocks, out = _half_step(blocks, "output")
+            blocks, inp = _half_step(blocks, "input")
+            steps, residual = [out, inp], _residual(blocks)
         totals = [step @ total for step, total in zip(steps, totals)]
         iterations += 1
     return ScalingResult(scaled=BlockMap(blocks), c1=totals[0], c2=totals[1].conj(),

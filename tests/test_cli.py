@@ -92,14 +92,31 @@ class TestGen:
     def test_nan_eps_is_precondition_error(self, capsys):
         assert_rejected_without_nan(*run(capsys, "gen", "kraus", "--eps", "nan"))
 
-    def test_negative_eps_is_precondition_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize("eps", ["-5", "inf"])
+    def test_negative_eps_is_precondition_error(self, capsys, tmp_path, eps):
+        # inf would reach inf * 0 off the diagonal of the trace map, and the
+        # float-range error that follows does not name eps
         path = tmp_path / "k.json"
-        code, _, err = run(capsys, "gen", "kraus", "--eps", "-5",
+        code, _, err = run(capsys, "gen", "kraus", "--eps", eps,
                            "--output", str(path))
         assert code == 2
         assert "eps" in err
         assert not path.exists()
 
+    def test_negative_rank_names_r(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        code, out, err = run(capsys, "gen", "trace", "--rank", "-1", "--output", str(path))
+        assert (code, out) == (2, "")
+        assert "r must be an integer >= 1, got -1" in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("rank", ["2", "4"])
+    def test_choi_rejects_another_rank(self, capsys, tmp_path, rank):
+        path = tmp_path / "choi.json"
+        code, out, err = run(capsys, "gen", "choi", "--rank", rank, "--output", str(path))
+        assert (code, out) == (2, "")
+        assert "--rank" in err and "rank 3" in err
+        assert not path.exists()
 
     @pytest.mark.parametrize("kind", ["kraus", "curvature"])
     def test_negative_seed_is_precondition_error(self, capsys, tmp_path, kind):

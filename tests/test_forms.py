@@ -816,6 +816,9 @@ class TestGriffithsGenerator:
                 random_griffiths_curvature(3, 3, terms, eps=0.3, seed=1)
         with pytest.raises(ValueError, match="eps must be positive"):
             random_griffiths_curvature(3, 3, 2, eps=float("nan"), seed=0)
+        # inf * 0 off the diagonal would make the tensor NaN
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            random_griffiths_curvature(3, 3, 2, eps=float("inf"), seed=0)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, False])
     def test_rejects_invalid_seed(self, seed):

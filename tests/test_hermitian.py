@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from schurpos.hermitian import (det, ensure_hermitian, herm_eigvals,
-                                inv_sqrt_hermitian)
+from schurpos.hermitian import as_matrix, det, ensure_hermitian, herm_eigvals
+from schurpos.posmap import NotStrictlyPositiveError, _half_step
 
 
 def random_complex(rng, n):
@@ -17,6 +17,12 @@ def random_complex(rng, n):
 def random_hermitian(rng, n):
     a = random_complex(rng, n)
     return (a + a.conj().T) / 2
+
+
+def half_step_inverse(m):
+    """C from ``posmap._half_step`` on the r = 1 block map B_00 = m, whose
+    output marginal is m itself: the inverse square root of m."""
+    return _half_step(np.asarray(m, dtype=complex)[None, None], "output")[1]
 
 
 def leibniz_det(a):
@@ -116,31 +122,34 @@ class TestEigvals:
 
 
 class TestInvSqrt:
+    """The inverse square root inside the Sinkhorn half-step and its
+    singular-marginal rule."""
+
     def test_reconstructs_inverse(self):
         rng = np.random.default_rng(41)
         a = random_hermitian(rng, 4)
         spd = a @ a.conj().T + 0.5 * np.eye(4)
-        s = inv_sqrt_hermitian(spd)
+        s = half_step_inverse(spd)
         assert np.max(np.abs(s @ spd @ s - np.eye(4))) < 1e-11
 
     def test_rejects_singular(self):
-        with pytest.raises(RuntimeError):
-            inv_sqrt_hermitian(np.diag([1.0, 0.0]))
+        with pytest.raises(NotStrictlyPositiveError, match="output marginal is singular"):
+            half_step_inverse(np.diag([1.0, 0.0]))
 
     @pytest.mark.parametrize("c", [1e-16, 1e-30])
     def test_floor_is_relative(self, c):
         rng = np.random.default_rng(43)
         a = random_hermitian(rng, 3)
         spd = c * (a @ a.conj().T + 0.5 * np.eye(3))
-        s = inv_sqrt_hermitian(spd)
+        s = half_step_inverse(spd)
         assert np.max(np.abs(s @ spd @ s - np.eye(3))) < 1e-11
-        with pytest.raises(RuntimeError):
-            inv_sqrt_hermitian(np.diag([c, 0.0]))
+        with pytest.raises(NotStrictlyPositiveError, match="output marginal is singular"):
+            half_step_inverse(np.diag([c, 0.0]))
 
     @pytest.mark.parametrize("m", [np.zeros((2, 2)), -np.eye(2)])
     def test_rejects_non_positive_spectrum(self, m):
-        with pytest.raises(RuntimeError):
-            inv_sqrt_hermitian(m)
+        with pytest.raises(NotStrictlyPositiveError, match="output marginal is singular"):
+            half_step_inverse(m)
 
 
 def test_ensure_hermitian_rejects_large_defect():
@@ -154,7 +163,7 @@ def test_hermitian_check_is_relative(c):
     rng = np.random.default_rng(43)
     a = random_hermitian(rng, 3)
     spd = c * (a @ a.conj().T + 0.5 * np.eye(3))
-    s = inv_sqrt_hermitian(spd)
+    s = half_step_inverse(spd)
     assert np.max(np.abs(s @ spd @ s - np.eye(3))) < 1e-11
     wobble = spd.copy()
     wobble[0, 1] *= 1 + 1e-13
@@ -189,5 +198,9 @@ def test_ensure_hermitian_is_bitwise_the_symmetrization(n):
     (np.array([[0.0, 1.0], [0.5, 0.0]]), "not Hermitian: defect 5.000e-01"),
 ])
 def test_ensure_hermitian_rejections_keep_their_messages(bad, match):
+    # as_matrix shares the shape and finiteness checks, not the symmetry one
     with pytest.raises(ValueError, match=match):
         ensure_hermitian(bad)
+    if "Hermitian" not in match:
+        with pytest.raises(ValueError, match=match):
+            as_matrix(bad)

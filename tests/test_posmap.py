@@ -9,7 +9,7 @@ from schurpos.discriminants import sample_unit_sphere
 from schurpos.forms import CurvatureTensor, random_griffiths_curvature
 from schurpos.phi import phi_direct
 from schurpos.posmap import (BlockMap, NotStrictlyPositiveError, _grid_minimum,
-                             _newton_point, _newton_system, _plain_iteration, choi_fixture,
+                             _half_step, _newton_point, _newton_system, choi_fixture,
                              from_kraus, identity_map, normalization_residual,
                              positivity_certificate, random_kraus_map, scale,
                              sinkhorn_normalize, trace_map)
@@ -537,9 +537,9 @@ class TestSinkhorn:
 
     @pytest.mark.parametrize("max_iter", [float("nan"), float("inf"), 2.5, True, "3", -1])
     def test_max_iter_not_a_count_rejected_before_the_loop(self, monkeypatch, max_iter):
-        def no_iteration(blocks):
+        def no_iteration(*args):
             raise AssertionError("the loop ran")
-        monkeypatch.setattr(posmap, "_plain_iteration", no_iteration)
+        monkeypatch.setattr(posmap, "_half_step", no_iteration)
         monkeypatch.setattr(posmap, "_newton_iteration", no_iteration)
         with pytest.raises(ValueError, match="max_iter"):
             sinkhorn_normalize(random_kraus_map(3, 3, 0.2, 1), max_iter=max_iter)
@@ -554,7 +554,8 @@ class TestSinkhorn:
     def test_reduced_newton_step_solves_the_dense_system(self, r):
         # after one plain pair, where every Newton step starts; at r = 1 the
         # reduced system is 0 x 0 and x = 0
-        blocks, _ = _plain_iteration(random_kraus_map(r, 3, 0.2, seed=r).blocks)
+        blocks, _ = _half_step(random_kraus_map(r, 3, 0.2, seed=r).blocks, "output")
+        blocks, _ = _half_step(blocks, "input")
         jac, rhs = _newton_system(blocks)
         assert jac.shape == (r * r - 1, r * r - 1)
         x = np.concatenate([[0], np.linalg.solve(jac, rhs)])
@@ -569,6 +570,20 @@ class TestSinkhorn:
         slack = 2 * np.linalg.norm(trace_matrix(blocks) - r * np.eye(r)) * (1 + np.linalg.norm(y))
         gap = np.linalg.norm(want_jac @ xy - want_rhs)
         assert gap <= 1e-12 * np.linalg.norm(want_jac) * np.linalg.norm(xy) + slack
+
+    @pytest.mark.parametrize("side", ["output", "input"])
+    def test_singular_marginal_names_its_side(self, side):
+        # r = w = 2: B_00 = B_11 = diag(1, 0) has a singular output marginal;
+        # B_00 = I alone balances on the output side and leaves the input
+        # marginal T = diag(4, 0)
+        blocks = np.zeros((2, 2, 2, 2), dtype=complex)
+        if side == "output":
+            blocks[0, 0] = blocks[1, 1] = np.diag([1.0, 0.0])
+        else:
+            blocks[0, 0] = np.eye(2)
+        with pytest.raises(NotStrictlyPositiveError, match=f"^{side} marginal is singular: "
+                           r"matrix is numerically singular \(min eigenvalue "):
+            sinkhorn_normalize(BlockMap(blocks), check_positive=False)
 
     def test_infinite_tol_rejected(self):
         # residual < inf would hold vacuously and report convergence
@@ -586,6 +601,23 @@ def test_transpose_map_blocks():
 def test_block_map_rejects_empty_sizes(shape):
     with pytest.raises(ValueError, match=r"r, w >= 1"):
         BlockMap(np.zeros(shape))
+
+
+@pytest.mark.parametrize("r", [0, -1, 2.5, True])
+def test_fixed_maps_reject_invalid_size(r):
+    for make in (trace_map, identity_map):
+        with pytest.raises(ValueError, match="r must be an integer >= 1"):
+            make(r)
+    with pytest.raises(ValueError, match="w must be an integer >= 1"):
+        trace_map(2, r)
+
+
+@pytest.mark.parametrize("eps", [-1.0, float("nan"), float("inf")])
+def test_from_kraus_rejects_eps_outside_the_finite_half_line(eps):
+    with pytest.raises(ValueError, match="eps must be nonnegative and finite"):
+        from_kraus([np.eye(2)], eps)
+    with pytest.raises(ValueError, match="eps must be nonnegative and finite"):
+        random_kraus_map(2, 1, eps, seed=0)
 
 
 def test_random_kraus_map_rejects_zero_rank():
