@@ -33,23 +33,29 @@ def _load_block_map(path: str):
     return ser.block_map_from_json(ser.load(path))
 
 
+#: Per ``gen`` kind: what it makes, its generator, and the options that
+#: generator reads, in argument order, with their defaults.  Any other option
+#: given is a precondition violation.
+GEN_KINDS = {
+    "kraus": ("a random Kraus map, w = r", random_kraus_map,
+              {"rank": 3, "terms": 3, "eps": 0.1, "seed": 0}),
+    "choi": ("the rank 3 Choi fixture", choi_fixture, {}),
+    "trace": ("the trace map, w = r", trace_map, {"rank": 3}),
+    "curvature": ("a random Griffiths tensor", forms.random_griffiths_curvature,
+                  {"rank": 3, "dim": 3, "terms": 3, "eps": 0.1, "seed": 0}),
+}
+GEN_OPTIONS = {"rank": int, "dim": int, "terms": int, "eps": float, "seed": int}
+
+
 def cmd_gen(args) -> int:
-    if args.kind == "trace":
-        obj = ser.block_map_to_json(trace_map(args.rank))
-    elif args.kind == "choi":
-        if args.rank != 3:
-            raise ValueError(f"--rank: the Choi fixture has rank 3, got {args.rank}")
-        obj = ser.block_map_to_json(choi_fixture())
-    elif args.kind == "kraus":
-        obj = ser.block_map_to_json(
-            random_kraus_map(args.rank, args.terms, args.eps, args.seed))
-    elif args.kind == "curvature":
-        tensor = forms.random_griffiths_curvature(
-            args.rank, args.dim, args.terms, args.eps, args.seed)
-        obj = ser.curvature_to_json(tensor)
-    else:
-        raise ValueError(f"unknown fixture kind {args.kind!r}")
-    _emit(obj, args.output)
+    what, make, defaults = GEN_KINDS[args.kind]
+    given = {name: value for name, value in vars(args).items() if name in GEN_OPTIONS}
+    foreign = [f"--{name}" for name in given if name not in defaults]
+    if foreign:
+        raise ValueError(f"gen {args.kind} ({what}) does not read {', '.join(foreign)}")
+    made = make(*{**defaults, **given}.values())
+    _emit(ser.curvature_to_json(made) if isinstance(made, forms.CurvatureTensor)
+          else ser.block_map_to_json(made), args.output)
     return EXIT_OK
 
 
@@ -132,12 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a fixture (block map or curvature)")
-    gen.add_argument("kind", choices=["kraus", "choi", "trace", "curvature"])
-    gen.add_argument("--rank", type=int, default=3)
-    gen.add_argument("--dim", type=int, default=3)
-    gen.add_argument("--terms", type=int, default=3)
-    gen.add_argument("--eps", type=float, default=0.1)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("kind", choices=list(GEN_KINDS))
+    for name, convert in GEN_OPTIONS.items():
+        read_by = [f"{kind} {d[name]}" for kind, (_, _, d) in GEN_KINDS.items() if name in d]
+        gen.add_argument(f"--{name}", type=convert, default=argparse.SUPPRESS,
+                         help="default: " + ", ".join(read_by))
     gen.add_argument("--output")
     gen.set_defaults(func=cmd_gen)
 

@@ -265,13 +265,13 @@ def _available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _mc_block(words, samples: int, seed: int, b: int) -> list[list[float]]:
+def _mc_block(words: np.ndarray, samples: int, seed: int, b: int) -> np.ndarray:
     """[sum w, sum w^2] per word over block b of ``moment_mc``'s samples,
     seeded by seed + b, drawn and evaluated one tile of MC_TILE rows at a time."""
     rng = np.random.default_rng(seed + b)
     count = min(MC_BLOCK, samples - b * MC_BLOCK)
-    n, dim = len(words[0]), len(words[0][0])
-    sums = [[0.0, 0.0] for _ in words]
+    n, dim = words.shape[1:3]
+    sums = np.zeros((len(words), 2))
     for start in range(0, count, MC_TILE):
         v = rng.standard_normal((min(MC_TILE, count - start), dim))
         base = np.power(np.einsum("sj,sj->s", v, v), -n)
@@ -280,10 +280,9 @@ def _mc_block(words, samples: int, seed: int, b: int) -> list[list[float]]:
             w *= base
             for m in rest:
                 w *= np.einsum("sj,sj->s", v @ m, v)
-            word_sums[0] += float(w.sum())
             # einsum, not BLAS dot: a threaded BLAS dot sums in an order that
             # depends on its thread count
-            word_sums[1] += float(np.einsum("s,s->", w, w))
+            word_sums += w.sum(), np.einsum("s,s->", w, w)
     return sums
 
 
@@ -308,19 +307,16 @@ def moment_mc(mats, samples: int, seed: int) -> tuple[complex | np.ndarray, floa
     require_int(seed, "seed", 0)
     n, r = ms.shape[-3:-1]
     u = np.reshape([ensure_hermitian(m) for m in ms.reshape(-1, r, r)], (-1, n, r, r))
-    words = [list(word) for word in np.block([[u.real, -u.imag], [u.imag, u.real]])]
+    words = np.block([[u.real, -u.imag], [u.imag, u.real]])
     n_blocks = -(-samples // MC_BLOCK)
     # imported here: concurrent.futures loads logging, about 0.5 MB of
     # resident memory that callers without Monte Carlo need not pay
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(min(_available_cores(), n_blocks)) as pool:
         blocks = list(pool.map(partial(_mc_block, words, samples, seed), range(n_blocks)))
-    estimates = []
-    for word_blocks in zip(*blocks):  # one word's block sums, added in block order
-        sum_w, sum_w2 = map(sum, zip(*word_blocks))
-        mean = complex(sum_w) / samples
-        var = max(sum_w2 - samples * abs(mean) ** 2, 0.0) / (samples - 1) if samples > 1 else 0.0
-        estimates.append((mean, math.sqrt(var / samples)))
-    if ms.ndim == 3:
-        return estimates[0]
-    return tuple(np.reshape(column, ms.shape[:-3]) for column in zip(*estimates))
+    total = sum(blocks)  # the block sums, added in block order
+    mean = total[:, 0] / samples
+    var = np.maximum(total[:, 1] - samples * mean ** 2, 0.0) / max(samples - 1, 1)
+    stderr = np.sqrt(var / samples).reshape(ms.shape[:-3])
+    mean = mean.astype(complex).reshape(ms.shape[:-3])
+    return (complex(mean), float(stderr)) if ms.ndim == 3 else (mean, stderr)

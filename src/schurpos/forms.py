@@ -58,13 +58,13 @@ from __future__ import annotations
 import math
 import numbers
 from functools import cache, partial, reduce
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
 from .discriminants import (leibniz_table, permutation_table, principal_sum, require_int,
                             sample_unit_sphere, stack_det)
-from .posmap import BlockMap, trace_map
+from .posmap import BlockMap, from_kraus
 
 TWO_PI = 2.0 * math.pi
 
@@ -220,12 +220,10 @@ def random_griffiths_curvature(rank: int, dim: int, terms: int, eps: float,
     require_int(terms, "terms", 0)
     require_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
-    entries = np.zeros((rank, rank, dim, dim), dtype=complex)
-    for _ in range(terms):
-        t = rng.standard_normal((rank, dim)) + 1j * rng.standard_normal((rank, dim))
-        entries += np.einsum("ia,jb->ijab", t, t.conj())
-    entries += eps * trace_map(rank, dim).blocks
-    return CurvatureTensor(rank=rank, dim=dim, entries=entries)
+    # the Kraus sum of C_s = (T^s)^T, with a zero operator when terms = 0
+    cs = [(rng.standard_normal((rank, dim)) + 1j * rng.standard_normal((rank, dim))).T
+          for _ in range(terms)] or [np.zeros((dim, rank))]
+    return CurvatureTensor(rank=rank, dim=dim, entries=from_kraus(cs, eps).blocks)
 
 
 def chern_forms(tensor: CurvatureTensor) -> list[Form]:
@@ -318,25 +316,14 @@ def standard_omega(n: int) -> Form:
 
 
 def twist_chern(cs: list[Form], eps: float, omega: Form) -> list[Form]:
-    """Chern forms after twisting a rank-3 input by a line bundle of curvature
-    -eps * omega:
-
-        c_1 - 3 eps w,
-        c_2 - 2 eps w ^ c_1 + 3 eps^2 w^2,
-        c_3 - eps w ^ c_2 + eps^2 w^2 ^ c_1 - eps^3 w^3.
-    """
-    if len(cs) != 4:
-        raise ValueError("twist_chern expects rank-3 input (c_0..c_3)")
-    n = cs[0].n
-    if omega.n != n:
-        raise ValueError("omega lives on a different ambient space")
-    w2 = wedge(omega, omega)
-    w3 = wedge(w2, omega)
-    c1 = cs[1] + (-3.0 * eps) * omega
-    c2 = cs[2] + (-2.0 * eps) * wedge(omega, cs[1]) + (3.0 * eps * eps) * w2
-    c3 = (cs[3] + (-eps) * wedge(omega, cs[2]) + (eps * eps) * wedge(w2, cs[1])
-          + (-(eps ** 3)) * w3)
-    return [Form.one(n), c1, c2, c3]
+    """Chern forms c_0 .. c_r of E (x) L, L a line bundle of curvature -eps *
+    omega on the forms' C^n: c_k' = sum_j C(r - j, k - j) c_j ^ (-eps omega)^(k - j)
+    (Fulton, Intersection Theory, 3.2)."""
+    r = len(cs) - 1
+    powers = list(accumulate([omega] * r, wedge))  # omega^1 .. omega^r
+    return [sum(((math.comb(r - j, k - j) * (-eps) ** (k - j))
+                 * (wedge(powers[k - j - 1], cs[j]) if j else powers[k - 1])
+                 for j in range(k - 1, -1, -1)), cs[k]) for k in range(r + 1)]
 
 
 # ---------------------------------------------------------------------------

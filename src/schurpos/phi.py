@@ -131,21 +131,17 @@ def c_matrix(h: BlockMap, xi) -> np.ndarray:
     return np.einsum("...a,ijab,...b->...ij", v.conj(), h.blocks, v)
 
 
-def integral_det_c(h: BlockMap) -> complex:
-    """Exact int det C(xi) dmu: the Leibniz monomials of det C, each an exact moment."""
-    return principal_sum(h.blocks, h.r, lambda x: power_moment(x, h.r))
-
-
-def integral_sigma2_c(h: BlockMap) -> complex:
-    """Exact int sigma_2(C(xi)) dmu: the 2x2 principal minors of C, as exact moments."""
-    return principal_sum(h.blocks, 2, lambda x: power_moment(x, 2))
+def integral_sigma(h: BlockMap, k: int) -> complex:
+    """Exact int sigma_k(C(xi)) dmu: the k x k principal minors of C (det C at
+    k = r), their Leibniz monomials each an exact moment."""
+    return principal_sum(h.blocks, k, lambda x: power_moment(x, k))
 
 
 def phi_integral_r2(h: BlockMap) -> PhiReport:
     """Exact spherical form for r = 2: Phi = int (4 - 3 det C(xi)) dmu >= 1."""
     _require_rank(h, ROUTES["integral"][1][:1], "phi_integral_r2")
     _require_normalized(h, "phi_integral_r2")
-    return _report(4.0 - 3.0 * integral_det_c(h), "integral_r2")
+    return _report(4.0 - 3.0 * integral_sigma(h, h.r), "integral_r2")
 
 
 def phi_integral_r3(h: BlockMap) -> PhiReport:
@@ -157,8 +153,8 @@ def phi_integral_r3(h: BlockMap) -> PhiReport:
     """
     _require_rank(h, ROUTES["integral"][1][1:], "phi_integral_r3")
     _require_normalized(h, "phi_integral_r3")
-    idet = integral_det_c(h)
-    value = 10.0 * idet + 27.0 - 12.0 * integral_sigma2_c(h)
+    idet = integral_sigma(h, h.r)
+    value = 10.0 * idet + 27.0 - 12.0 * integral_sigma(h, 2)
     return _report(value, "integral_r3", lower_bound=float(idet.real))
 
 
@@ -184,7 +180,7 @@ def phi_r4_decomposition(h: BlockMap) -> R4Decomposition:
     """
     _require_rank(h, ROUTES["r4"][1], "phi_r4_decomposition")
     _require_normalized(h, "phi_r4_decomposition")
-    integral = 35.0 * integral_det_c(h) + 128.0 - (80.0 / 3.0) * integral_sigma2_c(h)
+    integral = 35.0 * integral_sigma(h, h.r) + 128.0 - (80.0 / 3.0) * integral_sigma(h, 2)
     q_part = -principal_sum(h.blocks, 4, four_cycle_diagonal) / 12.0
     return R4Decomposition(integral_part=float(integral.real),
                            q_part=float(q_part.real),

@@ -4,8 +4,8 @@ One convention everywhere: a complex scalar is a two-element array
 [re, im]; matrices are row-major nested arrays of those.  Multi-indices in
 form files are 1-based (the library uses 0-based tuples internally).  The
 loaders read the command inputs, block maps and curvature tensors; they take
-sizes only as JSON integers and values only as JSON numbers: never a bool or
-a string.
+sizes only as integers >= 1, checked by ``require_int``, and values only as
+JSON numbers: never a bool or a string.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from itertools import combinations, product
 
 import numpy as np
 
+from .discriminants import require_int
 from .forms import CurvatureTensor, Form
 from .phi import PhiReport
 from .posmap import BlockMap
@@ -47,20 +48,14 @@ def _from_pairs(v, shape: tuple) -> np.ndarray:
     return a.astype(float).view(complex)[..., 0]
 
 
-def _declared_size(obj: dict, key: str) -> int:
-    """A declared array size, which must be a JSON integer >= 1."""
-    v = obj[key]
-    if type(v) is not int or v < 1:
-        raise ValueError(f"{key!r} must be an integer >= 1, got {v!r}")
-    return v
-
-
 def block_map_to_json(h: BlockMap) -> dict:
     return {"r": h.r, "w": h.w, "blocks": matrix_to_json(h.blocks)}
 
 
 def block_map_from_json(obj: dict) -> BlockMap:
-    r, w = _declared_size(obj, "r"), _declared_size(obj, "w")
+    r, w = obj["r"], obj["w"]
+    require_int(r, "'r'", 1)
+    require_int(w, "'w'", 1)
     return BlockMap(_from_pairs(obj["blocks"], (r, r, w, w))).require_symmetry()
 
 
@@ -69,7 +64,9 @@ def curvature_to_json(t: CurvatureTensor) -> dict:
 
 
 def curvature_from_json(obj: dict) -> CurvatureTensor:
-    r, n = _declared_size(obj, "rank"), _declared_size(obj, "dim")
+    r, n = obj["rank"], obj["dim"]
+    require_int(r, "'rank'", 1)
+    require_int(n, "'dim'", 1)
     return CurvatureTensor(rank=r, dim=n, entries=_from_pairs(obj["R"], (r, r, n, n)))
 
 

@@ -118,6 +118,28 @@ class TestGen:
         assert "--rank" in err and "rank 3" in err
         assert not path.exists()
 
+    @pytest.mark.parametrize("args, foreign", [
+        (["trace", "--rank", "2", "--dim", "5", "--eps", "7"], ["--dim", "--eps"]),
+        (["kraus", "--dim", "5"], ["--dim"]),
+        (["choi", "--seed", "1"], ["--seed"]),
+    ], ids=["trace", "kraus", "choi"])
+    def test_option_the_kind_does_not_read_is_precondition_error(self, capsys, tmp_path,
+                                                                 args, foreign):
+        path = tmp_path / "h.json"
+        code, out, err = run(capsys, "gen", *args, "--output", str(path))
+        assert (code, out) == (2, "")
+        assert f"gen {args[0]}" in err and all(name in err for name in foreign)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("kind, defaults", [
+        ("kraus", ["--rank", "3", "--terms", "3", "--eps", "0.1", "--seed", "0"]),
+        ("trace", ["--rank", "3"]),
+        ("curvature", ["--rank", "3", "--dim", "3", "--terms", "3", "--eps", "0.1",
+                       "--seed", "0"]),
+    ])
+    def test_defaults_per_kind(self, capsys, kind, defaults):
+        assert run(capsys, "gen", kind) == run(capsys, "gen", kind, *defaults)
+
     @pytest.mark.parametrize("kind", ["kraus", "curvature"])
     def test_negative_seed_is_precondition_error(self, capsys, tmp_path, kind):
         path = tmp_path / "h.json"

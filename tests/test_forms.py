@@ -477,16 +477,18 @@ class TestTwist:
         assert max_coeff_diff(got, want) < 1e-15
 
     def test_matches_curvature_shift(self):
-        # criterion 11's oracle: R -> R - eps (2pi/i) omega Id, at every dim
-        # up to 3 (at dim < 3 the products beyond top degree vanish)
+        # criterion 11's oracle: R -> R - eps (2pi/i) omega Id, at ranks 1-5
+        # and dims 1-4 (at dim < rank the products beyond top degree vanish)
         eps = 0.17
-        for dim in (1, 2, 3):
-            t = random_griffiths_curvature(3, dim, 2, 0.2, seed=20)
-            shifted = t.entries - eps * np.einsum("ij,ab->ijab", np.eye(3), np.eye(dim))
-            oracle = chern_forms(CurvatureTensor(rank=3, dim=dim, entries=shifted))
-            got = twist_chern(chern_forms(t), eps, standard_omega(dim))
-            for k in range(4):
-                assert max_coeff_diff(got[k], oracle[k]) < 1e-10
+        for rank in range(1, 6):
+            for dim in range(1, 5):
+                t = random_griffiths_curvature(rank, dim, 2, 0.2, seed=20)
+                shifted = t.entries - eps * np.einsum("ij,ab->ijab", np.eye(rank), np.eye(dim))
+                oracle = chern_forms(CurvatureTensor(rank=rank, dim=dim, entries=shifted))
+                got = twist_chern(chern_forms(t), eps, standard_omega(dim))
+                assert len(got) == rank + 1
+                for k in range(rank + 1):
+                    assert max_coeff_diff(got[k], oracle[k]) < 1e-10
 
 
 class TestWeakPositivity:

@@ -15,7 +15,7 @@ from schurpos.discriminants import (leibniz_table, moment_exact, power_moment,
                                     principal_sum, sample_unit_sphere, stack_det)
 from schurpos.hermitian import det
 from schurpos.phi import (ROUTES, PhiReport, c_matrix, four_cycle_diagonal,
-                          integral_det_c, integral_sigma2_c, phi_direct, phi_dual,
+                          integral_sigma, phi_direct, phi_dual,
                           phi_integral_r2, phi_integral_r3, phi_r4_decomposition,
                           phi_reports, rank2_norm_identity, route_spread, schur_delta)
 from schurpos.posmap import (BlockMap, choi_fixture, identity_map,
@@ -474,10 +474,10 @@ class TestStackedRoutesMatchLoops:
                     a[0] = 0
 
     def test_integral_det_c(self, h):
-        assert_close(integral_det_c(h), loop_integral_det_c(h))
+        assert_close(integral_sigma(h, h.r), loop_integral_det_c(h))
 
     def test_integral_sigma2_c(self, h):
-        assert_close(integral_sigma2_c(h), loop_integral_sigma2_c(h))
+        assert_close(integral_sigma(h, 2), loop_integral_sigma2_c(h))
 
     @pytest.mark.parametrize("name", ["raw_r4", "normalized_r4"])
     def test_q_sum(self, name):
