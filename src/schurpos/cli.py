@@ -29,10 +29,6 @@ def _emit(obj: dict, path: str | None) -> None:
         print(text)
 
 
-def _load_block_map(path: str):
-    return ser.block_map_from_json(ser.load(path))
-
-
 #: Per ``gen`` kind: what it makes, its generator, and the options that
 #: generator reads, in argument order, with their defaults.  Any other option
 #: given is a precondition violation.
@@ -60,7 +56,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_scale(args) -> int:
-    h = _load_block_map(args.input)
+    h = ser.block_map_from_json(ser.load(args.input))
     result = sinkhorn_normalize(h, tol=args.tol, max_iter=args.max_iter)
     report = {
         "scaled": ser.block_map_to_json(result.scaled),
@@ -75,7 +71,7 @@ def cmd_scale(args) -> int:
 
 
 def cmd_phi(args) -> int:
-    h = _load_block_map(args.input)
+    h = ser.block_map_from_json(ser.load(args.input))
     reports = phi.phi_reports(h, args.method)
     obj = {"reports": [ser.phi_report_to_json(r) for r in reports]}
     if args.method == "all":
@@ -192,7 +188,8 @@ def main(argv=None) -> int:
         print(f"positivity precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (ValueError, OSError, KeyError) as exc:
-        print(f"precondition violation: {exc}", file=sys.stderr)
+        what = f"input JSON has no key {exc}" if isinstance(exc, KeyError) else exc
+        print(f"precondition violation: {what}", file=sys.stderr)
         return EXIT_PRECONDITION
 
 

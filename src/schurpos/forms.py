@@ -56,7 +56,6 @@ Everything is pointwise linear algebra: no d, no global structure.
 from __future__ import annotations
 
 import math
-import numbers
 from functools import cache, partial, reduce
 from itertools import accumulate, combinations
 
@@ -252,14 +251,12 @@ def chern_forms(tensor: CurvatureTensor) -> list[Form]:
 
 
 def validate_partition(parts, rank: int, dim: int) -> tuple[int, ...]:
-    """Pad/validate a partition for Schur forms of a rank-``rank`` input; a
-    part that is not an integer (or is a bool) is rejected, never truncated."""
+    """Pad/validate a partition for Schur forms of a rank-``rank`` input.
+    Each part must pass ``require_int`` at minimum 0, so a part that is not an
+    integer (or is a bool) is rejected, never truncated."""
     lam = list(parts)
-    if any(not isinstance(x, numbers.Integral) or isinstance(x, bool) for x in lam):
-        raise ValueError(f"partition parts must be integers, got {lam!r}")
-    lam = [int(x) for x in lam]
-    if any(x < 0 for x in lam):
-        raise ValueError("partition parts must be nonnegative")
+    for x in lam:
+        require_int(x, "partition part", 0)
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         raise ValueError("partition parts must be weakly decreasing")
     if len(lam) > rank and any(x > 0 for x in lam[rank:]):

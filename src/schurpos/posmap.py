@@ -148,9 +148,10 @@ def from_kraus(cs, eps: float = 0.0) -> BlockMap:
     if not 0 <= eps < np.inf:
         raise ValueError("eps must be nonnegative and finite")
     mats = [np.array(c, dtype=complex) for c in cs]
-    w, r = mats[0].shape
-    if any(c.shape != (w, r) for c in mats):
-        raise ValueError("all Kraus operators must share the same shape")
+    shapes = [c.shape for c in mats]
+    if len(shapes[0]) != 2 or len(set(shapes)) > 1:
+        raise ValueError(f"Kraus operators must be w x r matrices of one shape, got {shapes}")
+    w, r = shapes[0]
     # B_ij[a, b] = sum_k C_k[a, i] conj(C_k[b, j])
     stack = np.stack(mats)
     blocks = np.einsum("kai,kbj->ijab", stack, stack.conj())
@@ -189,11 +190,6 @@ def _outputs(h: BlockMap, xis: np.ndarray) -> np.ndarray:
     # one matmul: the same contraction as an einsum costs ~20x more at 256 rows
     mats = (outer @ h.blocks.reshape(r * r, w * w)).reshape(-1, w, w)
     return (mats + np.conj(np.transpose(mats, (0, 2, 1)))) / 2.0
-
-
-def _min_output_eigs(h: BlockMap, xis: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of H(xi xi*) for each row of xis."""
-    return np.linalg.eigvalsh(_outputs(h, xis))[:, 0]
 
 
 def _closed_form_min_eig(mats: np.ndarray) -> np.ndarray:
@@ -362,7 +358,7 @@ def positivity_certificate(h: BlockMap, grid: int, seed: int) -> tuple[float, np
     h.require_symmetry()
     best_val, best_xi = _grid_minimum(h, grid, seed)
     refined = _seesaw(h.blocks, best_xi)
-    val = float(_min_output_eigs(h, refined[None])[0])
+    val = float(np.linalg.eigvalsh(_outputs(h, refined[None]))[0, 0])
     return (val, refined) if val < best_val else (best_val, best_xi)
 
 
@@ -410,18 +406,14 @@ def _half_step(blocks: np.ndarray, side: str) -> tuple[np.ndarray, np.ndarray]:
     M = sum_i B_ii, makes sum_i B_ii = rI.  Returns the blocks with the sides
     swapped (SIDE_SWAP), so that the next half-step balances the other side,
     and C.  M is Hermitian by construction (eigh reads its lower triangle).
-    Its eigenvalues are clamped below at the floor 1e-14 x the largest, but
-    only to absorb roundoff: where the clamp moves one by more than 1e-8 of
-    the floor, or the largest is not positive, the marginal is singular and
+    Where its smallest eigenvalue is below the floor 1e-14 x the largest, or
+    the largest is not positive, the marginal is singular and
     NotStrictlyPositiveError names ``side``, the side being balanced."""
     vals, vecs = np.linalg.eigh(np.einsum("iiab->ab", blocks) / blocks.shape[0])
-    floor = 1e-14 * float(vals[-1])
-    if not floor > 0 or floor - float(vals[0]) > 1e-8 * floor:
+    if not vals[0] >= 1e-14 * vals[-1] > 0:
         raise NotStrictlyPositiveError(
             f"{side} marginal is singular: matrix is numerically singular "
             f"(min eigenvalue {vals[0]:.3e})")
-    if vals[0] < floor:
-        vals = np.maximum(vals, floor)
     step = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
     blocks = _congruence_swapped(blocks, step)
     # exact block symmetry: roundoff of ill-conditioned steps breaks it
@@ -505,9 +497,10 @@ def sinkhorn_normalize(h: BlockMap, tol: float = 1e-10, max_iter: int = 500,
     residual; otherwise the plain pair runs in its place.  Either way an
     iteration ends with T = rI to roundoff.  C1 and C2 accumulate every
     applied step, C2 as the conjugate of the input-side steps, as ``scale``
-    expects.  A singular marginal in a plain half-step aborts: the map is
-    not strictly positive.  With ``check_positive`` a 256-sample positivity
-    certificate must first exceed 1e-12 lambda_max(H(I)) (scale-invariant:
+    expects.  A singular marginal in a plain half-step, one whose smallest
+    eigenvalue is below 1e-14 x its largest, aborts: the map is not strictly
+    positive.  With ``check_positive`` a 256-sample positivity certificate
+    must first exceed 1e-12 lambda_max(H(I)) (scale-invariant:
     H(xi xi*) <= H(I)).  A block-asymmetric map raises ValueError.
 
     ``max_iter`` must be an integer >= 0 (0 returns the input unscaled).

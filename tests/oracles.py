@@ -27,7 +27,7 @@ import numpy as np
 from schurpos.discriminants import _check_stack, mixed_discriminant, subset_table
 from schurpos.forms import CurvatureTensor, Form, max_coeff_diff
 from schurpos.hermitian import as_matrix
-from schurpos.posmap import BlockMap, _grid_minimum, _min_output_eigs
+from schurpos.posmap import BlockMap, _grid_minimum, _outputs
 
 
 def mixed_discriminant_polarized(mats) -> complex:
@@ -150,7 +150,7 @@ def plain_certificate(h: BlockMap, grid: int, seed: int) -> tuple[float, np.ndar
     ``positivity_certificate``: whichever of the two reads lower."""
     best_val, best_xi = _grid_minimum(h, grid, seed)
     refined = plain_seesaw(h.blocks, best_xi)
-    val = float(_min_output_eigs(h, refined[None])[0])
+    val = float(np.linalg.eigvalsh(_outputs(h, refined[None]))[0, 0])
     return (val, refined) if val < best_val else (best_val, best_xi)
 
 

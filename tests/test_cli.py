@@ -397,6 +397,13 @@ class TestPhi:
         assert code == 2
         assert "JSON object" in err
 
+    def test_missing_key_is_precondition_error(self, capsys, tmp_path):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({"w": 2, "blocks": []}))
+        code, out, err = run(capsys, "phi", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert "input JSON has no key 'r'" in err
+
 
 class TestSchur:
     def test_partition_210_matches_expansion(self, capsys, tmp_path):
@@ -514,6 +521,13 @@ class TestSchur:
         code, _, err = run(capsys, "schur", "--input", str(path), "--partition", "1,0,0")
         assert code == 2
         assert "shape" in err
+
+    def test_missing_key_is_precondition_error(self, capsys, tmp_path):
+        path = tmp_path / "curv.json"
+        path.write_text(json.dumps({"rank": 3, "dim": 3}))
+        code, out, err = run(capsys, "schur", "--input", str(path), "--partition", "1,0,0")
+        assert (code, out) == (2, "")
+        assert "input JSON has no key 'R'" in err
 
 
 class TestVerify:

@@ -211,6 +211,8 @@ class TestMixedDiscriminant:
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             mixed_discriminant([np.eye(2), np.eye(2), np.eye(2)])
+        with pytest.raises(ValueError, match="rank 9 exceeds supported maximum 8"):
+            mixed_discriminant([np.eye(9)] * 9)
 
     @pytest.mark.parametrize("bad", [[], [np.eye(2), np.eye(3)],
                                      np.ones((2, 2, 3)), [np.eye(2), np.full((2, 2), np.inf)]])

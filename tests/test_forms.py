@@ -384,9 +384,11 @@ class TestSchurForm:
             schur_form(cs, (2, 2, 0))  # weight exceeds dimension
         with pytest.raises(ValueError):
             schur_form(cs, (-1,))
+        with pytest.raises(ValueError, match="more than 3 nonzero parts"):
+            schur_form(cs, (1, 1, 1, 1))
         # a part that is not an integer is rejected, never truncated
         for parts in ((1.5, 0, 0), (2.9,), (1.0,), (True,), (1, False), ("2",)):
-            with pytest.raises(ValueError, match="partition parts must be integers"):
+            with pytest.raises(ValueError, match="partition part must be an integer"):
                 schur_form(cs, parts)
 
 
@@ -868,6 +870,8 @@ def test_mismatched_bidegrees_are_rejected():
             op(u, v)
     with pytest.raises(ValueError, match="differ in"):
         u + Form.zero(4, 1, 1)
+    with pytest.raises(ValueError, match="ambient dimensions differ"):
+        wedge(u, Form.zero(4, 1, 1))
 
 
 def test_validate_partition_padding():

@@ -151,6 +151,17 @@ class TestInvSqrt:
         with pytest.raises(NotStrictlyPositiveError, match="output marginal is singular"):
             half_step_inverse(m)
 
+    @pytest.mark.parametrize("side", ["output", "input"])
+    @pytest.mark.parametrize("c", [1e-30, 1.0, 1e30])
+    def test_one_floor(self, c, side):
+        # the marginal is singular below 1e-14 x its largest eigenvalue, at every scale
+        m = c * np.diag([1.0, 0.5, 2e-14])
+        s = _half_step(m.astype(complex)[None, None], side)[1]
+        assert np.max(np.abs(s @ m @ s - np.eye(3))) < 1e-12
+        for low in (5e-15, 0.0, -1e-3):
+            with pytest.raises(NotStrictlyPositiveError, match=f"{side} marginal is singular"):
+                _half_step((c * np.diag([1.0, 0.5, low])).astype(complex)[None, None], side)
+
 
 def test_ensure_hermitian_rejects_large_defect():
     with pytest.raises(ValueError):

@@ -162,6 +162,10 @@ class TestCMatrix:
         with pytest.raises(ValueError):
             c_matrix(trace_map(3), np.array([1.0, 1.0, 0.0]))
 
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match=r"xi has shape \(2,\), map has r=3"):
+            c_matrix(trace_map(3), np.array([1.0, 0.0]))
+
     def test_stack_matches_per_vector(self):
         h = normalized_map(3, seed=107)
         xis = sample_unit_sphere(np.random.default_rng(109), (4, 5), 3)

@@ -147,6 +147,14 @@ class TestFromKraus:
         with pytest.raises(ValueError):
             from_kraus([])
 
+    @pytest.mark.parametrize("cs, shapes", [([np.ones(2)], "[(2,)]"),
+                                            ([np.eye(2), np.eye(3)], "[(2, 2), (3, 3)]")],
+                             ids=["one-dimensional", "ragged"])
+    def test_operators_must_be_matrices_of_one_shape(self, cs, shapes):
+        with pytest.raises(ValueError, match="w x r matrices of one shape") as info:
+            from_kraus(cs)
+        assert str(info.value).endswith(f"got {shapes}")
+
 
 class TestCertificate:
     def test_trace_map(self):
@@ -419,6 +427,13 @@ class TestScale:
         with pytest.raises(ValueError):
             scale(h, np.zeros((2, 2)), np.eye(2))
 
+    def test_rejects_wrong_dimension(self):
+        h = trace_map(2, 3)
+        with pytest.raises(ValueError, match="c1 dim 2 != output dim 3"):
+            scale(h, np.eye(2), np.eye(2))
+        with pytest.raises(ValueError, match="c2 dim 3 != input dim 2"):
+            scale(h, np.eye(3), np.eye(3))
+
 
 class TestSinkhorn:
     def test_trace_map_is_fixed_point(self):
@@ -523,6 +538,8 @@ class TestSinkhorn:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             sinkhorn_normalize(trace_map(3, 4))
+        with pytest.raises(ValueError, match="square maps"):
+            normalization_residual(trace_map(3, 4))
 
     @pytest.mark.parametrize("check_positive", [True, False])
     def test_rejects_block_asymmetric_map(self, check_positive):
