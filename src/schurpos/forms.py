@@ -8,11 +8,11 @@ shape (C(n, p), C(n, q)), representing
 
 where rows I and columns J run over the strictly increasing multi-indices
 (0-based) in ``itertools.combinations(range(n), .)`` order, and
-dz^I = dz^{i_1} ^ ... ^ dz^{i_p}.  Every Koszul sign comes from the memoized
-merge tensor ``merge_tensor(n, a, b)``, so a wedge is two matmuls, done by
-one kernel on coefficient arrays with leading batch axes.  The algebra is
-total: C(n, p) = 0 for p > n, so a product beyond top degree is a form with
-an empty coefficient array, never an error.
+dz^I = dz^{i_1} ^ ... ^ dz^{i_p}; axes before these two make a stack of
+forms.  Koszul signs come from the memoized ``merge_tensor(n, a, b)``, so
+``wedge``, the one exterior product of forms and of stacks, is two matmuls.
+The algebra is total: C(n, p) = 0 for p > n, so a product beyond top degree
+is a form with an empty coefficient array, never an error.
 
 Conventions fixed here and relied on everywhere:
 
@@ -38,7 +38,7 @@ over the k x k sub-block maps R[S, S][:, :, I, J].  The principal-minor route
 ``c3_principal_minors`` and ``twist_chern`` run on the form algebra
 (``wedge``) instead, so they check ``chern_forms`` without sharing its
 arithmetic; the principal minors share only its index table
-``leibniz_table`` and fold its terms with one batched wedge per factor.  A
+``leibniz_table`` and fold its terms with one stacked wedge per factor.  A
 Schur form is an integer polynomial in the Chern forms: the Jacobi-Trudi
 determinant is expanded into Chern monomials with integer coefficients,
 cancelled monomials are dropped before any wedge, and each remaining one is
@@ -48,7 +48,7 @@ Weak positivity of a (p,p)-form u tests u ^ i^{q^2} beta ^ betabar, q = n - p,
 against decomposable (q,0)-forms beta: a Hermitian form in the Pluecker
 vector of beta.  For q <= 1 and q >= n - 1 every (q,0)-form is decomposable,
 so the minimum is an eigenvalue; only 2 <= q <= n - 2 is sampled, with
-Pluecker vectors from a batched ``wedge`` of the sampled covectors.
+Pluecker vectors from a stacked ``wedge`` of the sampled covectors.
 
 Everything is pointwise linear algebra: no d, no global structure.
 """
@@ -56,7 +56,7 @@ Everything is pointwise linear algebra: no d, no global structure.
 from __future__ import annotations
 
 import math
-from functools import cache, partial, reduce
+from functools import cache, reduce
 from itertools import accumulate, combinations
 
 import numpy as np
@@ -94,8 +94,8 @@ def merge_tensor(n: int, a: int, b: int) -> np.ndarray:
 
 
 class Form:
-    """Complex (p, q)-form on C^n: coeffs[I, J] multiplies dz^I ^ dzbar^J, with
-    rows and columns in ``combinations(range(n), p)`` and ``(.., q)`` order."""
+    """Complex (p, q)-form on C^n, or a stack of them along leading axes:
+    coeffs[..., I, J] multiplies dz^I ^ dzbar^J in ``combinations`` order."""
 
     __slots__ = ("n", "p", "q", "coeffs")
 
@@ -103,7 +103,7 @@ class Form:
         self.n, self.p, self.q = n, p, q
         self.coeffs = np.array(coeffs, dtype=complex)
         shape = (math.comb(n, p), math.comb(n, q))
-        if self.coeffs.shape != shape:
+        if self.coeffs.shape[-2:] != shape:
             raise ValueError(f"({p},{q})-form on C^{n} needs coefficients of shape "
                              f"{shape}, got {self.coeffs.shape}")
         if not np.isfinite(self.coeffs).all():
@@ -134,38 +134,27 @@ class Form:
     def max_abs(self) -> float:
         return float(np.abs(self.coeffs).max(initial=0.0))
 
-    def __repr__(self) -> str:
-        return f"Form(n={self.n}, bidegree=({self.p},{self.q}))"
-
 
 def max_coeff_diff(u: Form, v: Form) -> float:
     """Largest coefficient discrepancy between two forms of one bidegree."""
     return (u - v).max_abs()
 
 
-def _wedge_stack(n: int, u: tuple, v: tuple) -> tuple:
-    """Exterior product on C^n of stacked coefficient arrays: u = (p, q, a) with
-    a of shape (..., C(n, p), C(n, q)), v = (s, t, b) likewise, leading batch
-    axes broadcast.  Returns (p + s, q + t, coeffs), the kernel of ``wedge``."""
-    (p, q, a), (s, t, b) = u, v
-    ei, ej = (e.reshape(e.shape[0] * e.shape[1], e.shape[2])
-              for e in (merge_tensor(n, p, s), merge_tensor(n, q, t)))
-    kron = a[..., :, None, :, None] * b[..., None, :, None, :]
-    kron = kron.reshape(kron.shape[:-4] + (len(ei), len(ej)))
-    return p + s, q + t, (-1) ** (q * s) * (ei.T @ kron @ ej)
-
-
 def wedge(u: Form, v: Form) -> Form:
-    """Exterior product.  Koszul sign: moving dzbar^{J1} past dz^{I2} gives
-    (-1)^{q_u p_v}; the merges I1 + I2 and J1 + J2 contribute the signs of
-    ``merge_tensor``, contracted against kron(u.coeffs, v.coeffs), whose rows
-    run over (I1, I2) and columns over (J1, J2), in ``_wedge_stack``.
+    """Exterior product of forms or of stacks, whose leading axes broadcast.
+    Koszul sign: moving dzbar^{J1} past dz^{I2} gives (-1)^{q_u p_v}; the
+    merges I1 + I2 and J1 + J2 give the signs of ``merge_tensor``, contracted
+    against kron(u.coeffs, v.coeffs): rows (I1, I2), columns (J1, J2).
 
     A product beyond top degree is a form with an empty coefficient array.
     """
     if u.n != v.n:
         raise ValueError("ambient dimensions differ")
-    return Form(u.n, *_wedge_stack(u.n, (u.p, u.q, u.coeffs), (v.p, v.q, v.coeffs)))
+    ei, ej = (e.reshape(e.shape[0] * e.shape[1], e.shape[2])
+              for e in (merge_tensor(u.n, u.p, v.p), merge_tensor(u.n, u.q, v.q)))
+    kron = u.coeffs[..., :, None, :, None] * v.coeffs[..., None, :, None, :]
+    kron = kron.reshape(kron.shape[:-4] + (len(ei), len(ej)))
+    return Form(u.n, u.p + v.p, u.q + v.q, (-1) ** (u.q * v.p) * (ei.T @ kron @ ej))
 
 
 def _volume_phase(n: int) -> complex:
@@ -295,16 +284,16 @@ def schur_form(cs: list[Form], parts) -> Form:
 def c3_principal_minors(tensor: CurvatureTensor) -> Form:
     """c_3 as (i/2pi)^3 times the sum of 3x3 principal minors of the curvature
     matrix: the Leibniz terms of every fiber 3-subset from ``leibniz_table``,
-    the index table of ``principal_sum``, folded by one batched
-    ``_wedge_stack`` per factor after the first."""
+    the index table of ``principal_sum``, folded by one stacked ``wedge`` per
+    factor after the first."""
     if tensor.rank < 3:
         raise ValueError("c3 needs rank >= 3")
     n = tensor.dim
     rows, cols, signs = leibniz_table(tensor.rank, 3)
     blocks = tensor.entries[rows, cols]
-    p, q, coeffs = reduce(partial(_wedge_stack, n), [(1, 1, blocks[:, m]) for m in range(3)])
+    terms = reduce(wedge, [Form(n, 1, 1, blocks[:, m]) for m in range(3)])
     weights = (1j / TWO_PI) ** 3 * signs
-    return Form(n, p, q, np.einsum("t,t...->...", weights, coeffs))
+    return Form(n, 3, 3, np.einsum("t,t...->...", weights, terms.coeffs))
 
 
 def standard_omega(n: int) -> Form:
@@ -327,7 +316,7 @@ def twist_chern(cs: list[Form], eps: float, omega: Form) -> list[Form]:
 # Weak positivity
 # ---------------------------------------------------------------------------
 
-def _pairing_matrix(u: Form, q: int) -> tuple[list[tuple], np.ndarray]:
+def _pairing_matrix(u: Form, q: int) -> np.ndarray:
     """M[K, L] = tau(u ^ i^{q^2} dz^K ^ dzbar^L) over all q-multi-indices.
 
     For decomposable beta with Pluecker coordinates b, the tested volume
@@ -335,17 +324,16 @@ def _pairing_matrix(u: Form, q: int) -> tuple[list[tuple], np.ndarray]:
     p-subset I meets one q-subset, its complement, with the sign
     e[I, K] = merge_tensor(n, p, q)[I, K, 0], so M = phase e^T u e.
     """
-    ks = list(combinations(range(u.n), q))
     e = merge_tensor(u.n, u.p, q)[:, :, 0]
     phase = (1j) ** (q * q) * (-1) ** (u.q * q) * _volume_phase(u.n)
-    return ks, phase * (e.T @ u.coeffs @ e)
+    return phase * (e.T @ u.coeffs @ e)
 
 
 def _plucker(g: np.ndarray) -> np.ndarray:
     """Pluecker coordinates det(g[..., :, K]) (..., C(n, q)) of covector stacks
-    g (..., q, n): one batched ``_wedge_stack`` fold of the rows as (1,0)-forms."""
-    factors = [(1, 0, g[..., m, :, None]) for m in range(g.shape[-2])]
-    return reduce(partial(_wedge_stack, g.shape[-1]), factors)[2][..., 0]
+    g (..., q, n): one stacked ``wedge`` fold of the rows as (1,0)-forms."""
+    factors = [Form(g.shape[-1], 1, 0, g[..., m, :, None]) for m in range(g.shape[-2])]
+    return reduce(wedge, factors).coeffs[..., 0]
 
 
 def weak_positivity_is_exact(u: Form) -> bool:
@@ -377,7 +365,7 @@ def weak_positivity_min(u: Form, samples: int = WEAK_POSITIVITY_SAMPLES,
     The coefficient is b^T M conj(b) for the pairing matrix M.  When every
     beta is decomposable (``weak_positivity_is_exact``) the minimum is the
     least eigenvalue of the Hermitian part of M, returned less the roundoff
-    margin len(ks) 1e-14 max|lambda|, with b = conj(its eigenvector).  For
+    margin C(n, q) 1e-14 max|lambda|, with b = conj(its eigenvector).  For
     2 <= q <= n - 2 it is the least Rayleigh quotient b^T M conj(b) / |b|^2
     over ``samples`` seeded Gaussian unit covectors, in blocks of
     WEAK_POSITIVITY_BLOCK seeded by seed + block index.  ``samples`` is
@@ -397,10 +385,10 @@ def weak_positivity_min(u: Form, samples: int = WEAK_POSITIVITY_SAMPLES,
     require_int(seed, "seed", 0)
     if q == 0:
         return float(volume_coefficient(u).real), []
-    ks, m = _pairing_matrix(u, q)
+    m = _pairing_matrix(u, q)
     if exact:
         lam, vecs = np.linalg.eigh((m + m.conj().T) / 2)
-        margin = len(ks) * 1e-14 * float(np.max(np.abs(lam)))
+        margin = len(m) * 1e-14 * float(np.max(np.abs(lam)))
         return float(lam[0]) - margin, list(_covectors(vecs[:, 0].conj(), n, q))
     require_int(samples, "samples", 1)
     best, witness = np.inf, None

@@ -143,11 +143,11 @@ def from_kraus(cs, eps: float = 0.0) -> BlockMap:
     gives the completely positive map).  With eps > 0 the map is strictly
     positive: H(xi xi*) >= eps |xi|^2 I.
     """
-    if not cs:
+    mats = [np.array(c, dtype=complex) for c in cs]
+    if not mats:
         raise ValueError("need at least one Kraus operator")
     if not 0 <= eps < np.inf:
         raise ValueError("eps must be nonnegative and finite")
-    mats = [np.array(c, dtype=complex) for c in cs]
     shapes = [c.shape for c in mats]
     if len(shapes[0]) != 2 or len(set(shapes)) > 1:
         raise ValueError(f"Kraus operators must be w x r matrices of one shape, got {shapes}")

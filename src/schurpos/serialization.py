@@ -26,11 +26,6 @@ def complex_to_json(z) -> list[float]:
     return [z.real, z.imag]
 
 
-def _all_numbers(values) -> bool:
-    """Whether every value is a JSON number: int or float, not bool or str."""
-    return set(map(type, values)) <= {int, float}
-
-
 def matrix_to_json(m) -> list:
     """A complex array of any shape as nested lists of [re, im] pairs."""
     a = np.asarray(m, dtype=complex)
@@ -43,7 +38,7 @@ def _from_pairs(v, shape: tuple) -> np.ndarray:
     if a.shape != (*shape, 2):
         raise ValueError(f"expected [re, im] pairs of shape {tuple(shape)}, "
                          f"got an array of shape {a.shape}")
-    if not _all_numbers(a.flat):
+    if not set(map(type, a.flat)) <= {int, float}:  # JSON numbers, not bool or str
         raise ValueError("array entries must be JSON numbers")
     return a.astype(float).view(complex)[..., 0]
 

@@ -10,7 +10,8 @@ from oracles import written_coeffs
 
 from schurpos import phi, serialization as ser, verify
 from schurpos.cli import EXIT_VERIFY_FAILED, main
-from schurpos.forms import chern_forms, wedge
+from schurpos.forms import chern_forms, random_griffiths_curvature, wedge
+from schurpos.posmap import ScalingResult, trace_map
 
 
 def run(capsys, *argv):
@@ -583,6 +584,19 @@ class TestVerify:
         monkeypatch.setattr(verify, "moment_mc", record)
         verify.criterion_6_moment_identities(verify.DEFAULT_SEED, limit=limit)
         assert counts == {want}
+
+    def test_unconverged_scaling_is_an_error(self, monkeypatch):
+        def unconverged(h, **kwargs):
+            return ScalingResult(h, np.eye(h.r), np.eye(h.w), 1000, 0.5, False)
+
+        monkeypatch.setattr(verify, "sinkhorn_normalize", unconverged)
+        with pytest.raises(RuntimeError, match=r"scaling failed to converge \(residual 5\.000e-01\)"):
+            verify._normalized(trace_map(3))
+
+    def test_explicit_schur_expansion_names_a_missing_partition(self):
+        cs = chern_forms(random_griffiths_curvature(3, 3, 3, 0.2, 0))
+        with pytest.raises(ValueError, match=r"no explicit expansion for \(2, 0, 0\)"):
+            verify._explicit_weight3_schur(cs, (2, 0, 0))
 
     def test_negative_seed_is_precondition_error(self, capsys):
         code, out, err = run(capsys, "verify", "--seed", "-5")

@@ -11,7 +11,7 @@ from oracles import conjugate, is_real_pp, loop_phi_direct, restrict_fiber
 
 from schurpos.discriminants import sample_unit_sphere
 from schurpos.forms import (CurvatureTensor, Form, _pairing_matrix, _plucker,
-                            _wedge_stack, c3_principal_minors,
+                            c3_principal_minors,
                             chern_forms, max_coeff_diff, merge_tensor,
                             random_griffiths_curvature, schur_form,
                             standard_omega, twist_chern,
@@ -153,23 +153,23 @@ def random_coeffs(rng, *shape):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_wedge_stack_matches_wedge(n):
+def test_wedge_of_stacks_matches_wedge_per_form(n):
     # every pair of bidegrees, so also the empty products beyond top degree;
-    # the second operand is a stack and, broadcast, a single array
+    # the second operand is a stack and, broadcast, a single form
     rng = np.random.default_rng(90 + n)
     degrees = list(itertools.product(range(n + 1), repeat=2))
     for (p, q), (s, t) in itertools.product(degrees, repeat=2):
         a = random_coeffs(rng, 4, math.comb(n, p), math.comb(n, q))
         b = random_coeffs(rng, 4, math.comb(n, s), math.comb(n, t))
         for other in (b, b[0]):
-            got_p, got_q, got = _wedge_stack(n, (p, q, a), (s, t, other))
+            got = wedge(Form(n, p, q, a), Form(n, s, t, other))
             want = np.stack([wedge(Form(n, p, q, x), Form(n, s, t, y)).coeffs
                              for x, y in zip(a, np.broadcast_to(other, b.shape))])
-            assert (got_p, got_q) == (p + s, q + t)
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want), initial=0.0) <= 1e-15 * np.abs(want).max(initial=0.0)
+            assert (got.n, got.p, got.q) == (n, p + s, q + t)
+            assert got.coeffs.shape == want.shape
+            assert np.array_equal(got.coeffs, want)
             if p + s > n or q + t > n:
-                assert got.size == 0
+                assert got.coeffs.size == 0
 
 
 class TestChernForms:
@@ -616,15 +616,15 @@ def covector_wedge(n, covectors):
 
 
 def pairing_spectrum(u, q):
-    """(ks, M, ascending eigenvalues of the Hermitian part of M)."""
-    ks, m = _pairing_matrix(u, q)
-    return ks, m, np.linalg.eigvalsh((m + m.conj().T) / 2)
+    """(M, ascending eigenvalues of the Hermitian part of M)."""
+    m = _pairing_matrix(u, q)
+    return m, np.linalg.eigvalsh((m + m.conj().T) / 2)
 
 
-def rayleigh(m, ks, g):
+def rayleigh(m, g):
     """b^T M conj(b) / |b|^2 for the Pluecker vectors b of covector stacks g (s, q, n)."""
     b = _plucker(g)
-    assert b.shape == (len(g), len(ks))
+    assert b.shape == (len(g), len(m))
     return (np.einsum("sk,kl,sl->s", b, m, b.conj()).real
             / np.einsum("sk,sk->s", b, b.conj()).real)
 
@@ -649,8 +649,8 @@ class TestExactWeakPositivity:
                   chern_forms(random_griffiths_curvature(n - q, n, 2, 0.3, 7 * n + q))[n - q]):
             assert weak_positivity_is_exact(u)
             val, witness = weak_positivity_min(u, samples=1, seed=0)
-            ks, _, lam = pairing_spectrum(u, q)
-            margin = len(ks) * 1e-14 * np.max(np.abs(lam))
+            m, lam = pairing_spectrum(u, q)
+            margin = len(m) * 1e-14 * np.max(np.abs(lam))
             assert len(witness) == q
             b = _plucker(np.array(witness))
             assert abs(np.linalg.norm(b) - 1.0) < 1e-14
@@ -665,9 +665,9 @@ class TestExactWeakPositivity:
         rng = np.random.default_rng(200 + 10 * n + q)
         u = random_real_pp(rng, n, n - q)
         val, _ = weak_positivity_min(u, samples=1, seed=0)
-        ks, m = _pairing_matrix(u, q)
+        m = _pairing_matrix(u, q)
         g = sample_unit_sphere(rng, (2000, q), n) * rng.uniform(0.1, 3.0, (2000, q, 1))
-        assert val <= rayleigh(m, ks, g).min()
+        assert val <= rayleigh(m, g).min()
 
     @pytest.mark.parametrize("rank,dim,k", [(3, 3, 1), (3, 3, 2), (3, 4, 3), (4, 4, 3),
                                             (3, 5, 1), (4, 5, 4)])
@@ -735,7 +735,7 @@ class TestSampledRayleigh:
                   chern_forms(random_griffiths_curvature(3, n, 3, 0.2, 60 + n + q))[n - q]):
             assert not weak_positivity_is_exact(u)
             val, _ = weak_positivity_min(u, samples=3000, seed=4)
-            _, _, lam = pairing_spectrum(u, q)
+            _, lam = pairing_spectrum(u, q)
             assert val >= lam[0] - 1e-14 * np.max(np.abs(lam))
 
     @pytest.mark.parametrize("n,q", [(4, 2), (5, 2), (5, 3)])
@@ -743,12 +743,12 @@ class TestSampledRayleigh:
         rng = np.random.default_rng(400 + 10 * n + q)
         u = random_real_pp(rng, n, n - q)
         val, witness = weak_positivity_min(u, samples=2000, seed=5)
-        ks, m = _pairing_matrix(u, q)
+        m = _pairing_matrix(u, q)
         g = np.array(witness)
         scaled = g.copy()
         scaled[0] *= 3.7 - 1.2j
         scaled[-1] *= 0.05
-        got = rayleigh(m, ks, np.stack([g, scaled]))
+        got = rayleigh(m, np.stack([g, scaled]))
         assert np.max(np.abs(got - val)) <= 1e-13 * max(abs(val), 1.0)
 
 
@@ -856,8 +856,10 @@ def test_form_rejects_non_finite(bad):
         Form(2, 1, 1, [[1.0, 0.0], [0.0, bad]])
 
 
+# the last two: stacks, whose last two axes must have the form's shape
 @pytest.mark.parametrize("n,p,q,shape", [(3, 1, 1, (3, 2)), (3, 2, 1, (3, 1)),
-                                         (3, 0, 0, (0, 0)), (2, 3, 0, (1, 1))])
+                                         (3, 0, 0, (0, 0)), (2, 3, 0, (1, 1)),
+                                         (3, 1, 2, (4, 3, 2)), (3, 1, 1, (3, 3, 1))])
 def test_form_rejects_wrong_shape(n, p, q, shape):
     with pytest.raises(ValueError, match="needs coefficients of shape"):
         Form(n, p, q, np.zeros(shape))

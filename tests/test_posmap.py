@@ -147,9 +147,20 @@ class TestFromKraus:
         with pytest.raises(ValueError):
             from_kraus([])
 
+    def test_empty_stack_rejected(self):
+        with pytest.raises(ValueError, match="need at least one Kraus operator"):
+            from_kraus(np.zeros((0, 2, 2)))
+
+    def test_stack_equals_list_of_operators(self):
+        rng = np.random.default_rng(11)
+        cs = rng.standard_normal((2, 3, 2)) + 1j * rng.standard_normal((2, 3, 2))
+        assert np.array_equal(from_kraus(cs, 0.1).blocks, from_kraus(list(cs), 0.1).blocks)
+
+    # a single matrix is read as the stack of its rows, which are 1-D
     @pytest.mark.parametrize("cs, shapes", [([np.ones(2)], "[(2,)]"),
-                                            ([np.eye(2), np.eye(3)], "[(2, 2), (3, 3)]")],
-                             ids=["one-dimensional", "ragged"])
+                                            ([np.eye(2), np.eye(3)], "[(2, 2), (3, 3)]"),
+                                            (np.eye(2), "[(2,), (2,)]")],
+                             ids=["one-dimensional", "ragged", "one-matrix"])
     def test_operators_must_be_matrices_of_one_shape(self, cs, shapes):
         with pytest.raises(ValueError, match="w x r matrices of one shape") as info:
             from_kraus(cs)
