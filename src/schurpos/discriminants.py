@@ -33,6 +33,9 @@ principal k x k sub-map of a block array.  There every P that leaves out
 two positions or more cancels: the permutations that agree on P pair off,
 by swapping two left-out positions, with opposite signs and the same sum.
 So a term with blocks A_j and T = sum_j A_j needs f at T and T - A_j only.
+At k = 1 even that is more than needed: f is linear, each term is one
+diagonal block and its T - A layer is the zero matrix, so the sum is f of
+the diagonal sum sum_i B_ii, with no difference that could cancel.
 
 ``stack_det`` takes the determinants of a stack of k x k matrices as the
 Leibniz sum over ``permutation_table`` in array operations for k <= 4, where
@@ -147,7 +150,12 @@ def principal_sum(blocks: np.ndarray, k: int, form) -> complex | np.ndarray:
     Block (i, j) enters divided by a_i b_j > 0, the largest modulus in row i
     (over all leading indices) and then in column j of the row-scaled blocks;
     a term over S carries prod_{i in S} a_i b_i, the same for every permutation
-    of S, so the lower layers still cancel and no block swamps the others in T."""
+    of S, so the lower layers still cancel and no block swamps the others in T.
+
+    At k = 1 the degree-1 ``form`` is linear and no layer is subtracted, so
+    the sum is form(sum_i B_ii) in one call, without scales."""
+    if k == 1:
+        return form(np.trace(blocks, axis1=-4, axis2=-3))
     rows, cols, signs = leibniz_table(blocks.shape[-3], k)
     norms = abs(blocks).max((*range(blocks.ndim - 4), -2, -1), initial=sys.float_info.min)
     a = norms.max(1, keepdims=True)

@@ -14,6 +14,13 @@ forms.  Koszul signs come from the memoized ``merge_tensor(n, a, b)``, so
 The algebra is total: C(n, p) = 0 for p > n, so a product beyond top degree
 is a form with an empty coefficient array, never an error.
 
+Finiteness is checked once per result that the module returns: by the
+``Form`` constructor, by ``wedge``, ``+`` and ``*``, and by ``chern_forms``,
+``schur_form``, ``c3_principal_minors`` and ``twist_chern`` on what they
+return.  A product of finite forms can overflow, so no result goes unchecked;
+the intermediates of their folds are built by ``Form._trusted``, with no copy
+and no scan.
+
 Conventions fixed here and relied on everywhere:
 
 * the canonical positive volume is i^n dz^1 ^ dzbar^1 ^ ... ^ dz^n ^ dzbar^n,
@@ -106,28 +113,46 @@ class Form:
         if self.coeffs.shape[-2:] != shape:
             raise ValueError(f"({p},{q})-form on C^{n} needs coefficients of shape "
                              f"{shape}, got {self.coeffs.shape}")
-        if not np.isfinite(self.coeffs).all():
-            raise ValueError("form has non-finite coefficients")
+        self.require_finite()
+
+    @classmethod
+    def _trusted(cls, n: int, p: int, q: int, coeffs: np.ndarray) -> "Form":
+        """A form on a complex array of the right shape that nothing modifies
+        later: no copy and no check, for the intermediates of a fold and for
+        results that the caller checks with ``require_finite``."""
+        u = object.__new__(cls)
+        u.n, u.p, u.q, u.coeffs = n, p, q, coeffs
+        return u
 
     @classmethod
     def one(cls, n: int) -> "Form":
-        return cls(n, 0, 0, [[1.0]])
+        return cls._trusted(n, 0, 0, np.ones((1, 1), dtype=complex))
 
     @classmethod
     def zero(cls, n: int, p: int, q: int) -> "Form":
-        return cls(n, p, q, np.zeros((math.comb(n, p), math.comb(n, q))))
+        return cls._trusted(n, p, q, np.zeros((math.comb(n, p), math.comb(n, q)), dtype=complex))
+
+    def require_finite(self) -> "Form":
+        """This form, unless a coefficient is NaN or infinite."""
+        if not np.isfinite(self.coeffs).all():
+            raise ValueError("form has non-finite coefficients")
+        return self
+
+    def require_single(self) -> "Form":
+        """This form, unless its coefficients carry stack axes."""
+        if self.coeffs.ndim != 2:
+            raise ValueError(f"expected one form, got a stack: coefficients of shape "
+                             f"{self.coeffs.shape}")
+        return self
 
     def __add__(self, other: "Form") -> "Form":
-        if (self.n, self.p, self.q) != (other.n, other.p, other.q):
-            raise ValueError(f"forms differ in (n, p, q): {(self.n, self.p, self.q)} "
-                             f"!= {(other.n, other.p, other.q)}")
-        return Form(self.n, self.p, self.q, self.coeffs + other.coeffs)
+        return _plus(self, other).require_finite()
 
     def __sub__(self, other: "Form") -> "Form":
-        return self + (-1.0) * other
+        return _plus(self, _times(other, -1.0)).require_finite()
 
     def __mul__(self, scalar) -> "Form":
-        return Form(self.n, self.p, self.q, complex(scalar) * self.coeffs)
+        return _times(self, scalar).require_finite()
 
     __rmul__ = __mul__
 
@@ -135,9 +160,38 @@ class Form:
         return float(np.abs(self.coeffs).max(initial=0.0))
 
 
+def _require_same_space(u: Form, v: Form) -> None:
+    if (u.n, u.p, u.q) != (v.n, v.p, v.q):
+        raise ValueError(f"forms differ in (n, p, q): {(u.n, u.p, u.q)} != {(v.n, v.p, v.q)}")
+
+
+def _plus(u: Form, v: Form) -> Form:
+    """u + v for one bidegree, unchecked for finiteness."""
+    _require_same_space(u, v)
+    return Form._trusted(u.n, u.p, u.q, u.coeffs + v.coeffs)
+
+
+def _times(u: Form, scalar) -> Form:
+    """scalar * u, unchecked for finiteness."""
+    return Form._trusted(u.n, u.p, u.q, complex(scalar) * u.coeffs)
+
+
 def max_coeff_diff(u: Form, v: Form) -> float:
     """Largest coefficient discrepancy between two forms of one bidegree."""
-    return (u - v).max_abs()
+    _require_same_space(u, v)
+    return float(np.abs(u.coeffs - v.coeffs).max(initial=0.0))
+
+
+def _wedge(u: Form, v: Form) -> Form:
+    """``wedge`` unchecked for finiteness, for the intermediates of a fold."""
+    if u.n != v.n:
+        raise ValueError("ambient dimensions differ")
+    ei, ej = (e.reshape(e.shape[0] * e.shape[1], e.shape[2])
+              for e in (merge_tensor(u.n, u.p, v.p), merge_tensor(u.n, u.q, v.q)))
+    kron = u.coeffs[..., :, None, :, None] * v.coeffs[..., None, :, None, :]
+    kron = kron.reshape(kron.shape[:-4] + (len(ei), len(ej)))
+    return Form._trusted(u.n, u.p + v.p, u.q + v.q,
+                         (-1) ** (u.q * v.p) * (ei.T @ kron @ ej))
 
 
 def wedge(u: Form, v: Form) -> Form:
@@ -148,13 +202,7 @@ def wedge(u: Form, v: Form) -> Form:
 
     A product beyond top degree is a form with an empty coefficient array.
     """
-    if u.n != v.n:
-        raise ValueError("ambient dimensions differ")
-    ei, ej = (e.reshape(e.shape[0] * e.shape[1], e.shape[2])
-              for e in (merge_tensor(u.n, u.p, v.p), merge_tensor(u.n, u.q, v.q)))
-    kron = u.coeffs[..., :, None, :, None] * v.coeffs[..., None, :, None, :]
-    kron = kron.reshape(kron.shape[:-4] + (len(ei), len(ej)))
-    return Form(u.n, u.p + v.p, u.q + v.q, (-1) ** (u.q * v.p) * (ei.T @ kron @ ej))
+    return _wedge(u, v).require_finite()
 
 
 def _volume_phase(n: int) -> complex:
@@ -165,6 +213,7 @@ def _volume_phase(n: int) -> complex:
 def volume_coefficient(u: Form) -> complex:
     """tau with (top part of u) = tau * i^n dz^1 ^ dzbar^1 ^ ... ^ dz^n ^ dzbar^n;
     0 unless u has bidegree (n, n)."""
+    u.require_single()
     if (u.p, u.q) != (u.n, u.n):
         return 0j
     return complex(u.coeffs[0, 0]) * _volume_phase(u.n)
@@ -214,6 +263,16 @@ def random_griffiths_curvature(rank: int, dim: int, terms: int, eps: float,
     return CurvatureTensor(rank=rank, dim=dim, entries=from_kraus(cs, eps).blocks)
 
 
+@cache
+def _minor_index(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row and column index arrays that gather, from a (..., n, n)
+    array, its k x k minors [I, J] over k-subsets in ``combinations`` order."""
+    ij = np.array(list(combinations(range(n), k)), dtype=np.intp)
+    rows, cols = ij[:, None, :, None], ij[None, :, None, :]
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def chern_forms(tensor: CurvatureTensor) -> list[Form]:
     """Chern forms c_0 .. c_r of det(Id + (i/2pi) Theta).
 
@@ -230,12 +289,11 @@ def chern_forms(tensor: CurvatureTensor) -> list[Form]:
         if k > n:
             cs.append(Form.zero(n, k, k))
             continue
-        ij = np.array(list(combinations(range(n), k)))
         # blocks[I, J, i, j] = R[i, j][I, J], the k x k minor of block (i, j)
-        blocks = tensor.entries[..., ij[:, None, :, None], ij[None, :, None, :]]
-        blocks = blocks.transpose(2, 3, 0, 1, 4, 5)
+        blocks = tensor.entries[(..., *_minor_index(n, k))].transpose(2, 3, 0, 1, 4, 5)
         scale = (1j / TWO_PI) ** k * (-1) ** (k * (k - 1) // 2) * math.factorial(k)
-        cs.append(Form(n, k, k, scale * principal_sum(blocks, k, stack_det)))
+        c = Form._trusted(n, k, k, scale * principal_sum(blocks, k, stack_det))
+        cs.append(c.require_finite())
     return cs
 
 
@@ -258,17 +316,11 @@ def validate_partition(parts, rank: int, dim: int) -> tuple[int, ...]:
     return tuple(lam)
 
 
-def schur_form(cs: list[Form], parts) -> Form:
-    """P_lambda = det(c_{lambda_i - i + j}) as an integer Chern polynomial.
-
-    ``cs`` is the full list c_0 .. c_r.  The Leibniz term of sigma is
-    sgn(sigma) c_{k_1} ^ ... ^ c_{k_r} with k_i = lambda_i - i + sigma(i): zero
-    when some k_i lies outside 0..r, and otherwise, since even forms commute,
-    the monomial named by its sorted nonzero indices.  Signs are summed per
-    monomial as integers, so cancelled monomials never reach ``wedge``.
-    """
-    rank = len(cs) - 1
-    lam = validate_partition(parts, rank, cs[0].n)
+@cache
+def _schur_monomials(lam: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The Chern monomials (sorted nonzero indices) of det(c_{lambda_i - i + j})
+    at rank len(lam), with their nonzero integer coefficients."""
+    rank = len(lam)
     perms, signs = permutation_table(rank)
     monomials: dict[tuple, int] = {}
     for perm, sign in zip(perms.tolist(), signs.tolist()):
@@ -276,9 +328,23 @@ def schur_form(cs: list[Form], parts) -> Form:
         if all(0 <= k <= rank for k in ks):
             key = tuple(sorted(k for k in ks if k))
             monomials[key] = monomials.get(key, 0) + sign
-    terms = (coeff * reduce(wedge, [cs[k] for k in key] or [cs[0]])
-             for key, coeff in monomials.items() if coeff)
-    return reduce(Form.__add__, terms)
+    return tuple((key, coeff) for key, coeff in monomials.items() if coeff)
+
+
+def schur_form(cs: list[Form], parts) -> Form:
+    """P_lambda = det(c_{lambda_i - i + j}) as an integer Chern polynomial.
+
+    ``cs`` is the full list c_0 .. c_r.  The Leibniz term of sigma is
+    sgn(sigma) c_{k_1} ^ ... ^ c_{k_r} with k_i = lambda_i - i + sigma(i): zero
+    when some k_i lies outside 0..r, and otherwise, since even forms commute,
+    the monomial named by its sorted nonzero indices.  Signs are summed per
+    monomial as integers, once per partition, so cancelled monomials never
+    reach ``wedge``.
+    """
+    lam = validate_partition(parts, len(cs) - 1, cs[0].n)
+    terms = (_times(reduce(_wedge, [cs[k] for k in key] or [cs[0]]), coeff)
+             for key, coeff in _schur_monomials(lam))
+    return reduce(_plus, terms).require_finite()
 
 
 def c3_principal_minors(tensor: CurvatureTensor) -> Form:
@@ -291,9 +357,10 @@ def c3_principal_minors(tensor: CurvatureTensor) -> Form:
     n = tensor.dim
     rows, cols, signs = leibniz_table(tensor.rank, 3)
     blocks = tensor.entries[rows, cols]
-    terms = reduce(wedge, [Form(n, 1, 1, blocks[:, m]) for m in range(3)])
+    terms = reduce(_wedge, [Form._trusted(n, 1, 1, blocks[:, m]) for m in range(3)])
     weights = (1j / TWO_PI) ** 3 * signs
-    return Form(n, 3, 3, np.einsum("t,t...->...", weights, terms.coeffs))
+    c3 = Form._trusted(n, 3, 3, np.einsum("t,t...->...", weights, terms.coeffs))
+    return c3.require_finite()
 
 
 def standard_omega(n: int) -> Form:
@@ -306,10 +373,14 @@ def twist_chern(cs: list[Form], eps: float, omega: Form) -> list[Form]:
     omega on the forms' C^n: c_k' = sum_j C(r - j, k - j) c_j ^ (-eps omega)^(k - j)
     (Fulton, Intersection Theory, 3.2)."""
     r = len(cs) - 1
-    powers = list(accumulate([omega] * r, wedge))  # omega^1 .. omega^r
-    return [sum(((math.comb(r - j, k - j) * (-eps) ** (k - j))
-                 * (wedge(powers[k - j - 1], cs[j]) if j else powers[k - 1])
-                 for j in range(k - 1, -1, -1)), cs[k]) for k in range(r + 1)]
+    powers = list(accumulate([omega] * r, _wedge))  # omega^1 .. omega^r
+    twisted = []
+    for k in range(r + 1):
+        terms = (_times(_wedge(powers[k - j - 1], cs[j]) if j else powers[k - 1],
+                        math.comb(r - j, k - j) * (-eps) ** (k - j))
+                 for j in range(k - 1, -1, -1))
+        twisted.append(reduce(_plus, terms, cs[k]).require_finite())
+    return twisted
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +403,9 @@ def _pairing_matrix(u: Form, q: int) -> np.ndarray:
 def _plucker(g: np.ndarray) -> np.ndarray:
     """Pluecker coordinates det(g[..., :, K]) (..., C(n, q)) of covector stacks
     g (..., q, n): one stacked ``wedge`` fold of the rows as (1,0)-forms."""
-    factors = [Form(g.shape[-1], 1, 0, g[..., m, :, None]) for m in range(g.shape[-2])]
-    return reduce(wedge, factors).coeffs[..., 0]
+    factors = [Form._trusted(g.shape[-1], 1, 0, g[..., m, :, None])
+               for m in range(g.shape[-2])]
+    return reduce(_wedge, factors).coeffs[..., 0]
 
 
 def weak_positivity_is_exact(u: Form) -> bool:
@@ -378,6 +450,7 @@ def weak_positivity_min(u: Form, samples: int = WEAK_POSITIVITY_SAMPLES,
     inconclusive.  A sampled value is evidence only; a clearly negative one
     disproves weak positivity through its witness.
     """
+    u.require_single()
     n, q = u.n, u.n - u.p
     exact = weak_positivity_is_exact(u)
     if q < 0:

@@ -66,6 +66,7 @@ def curvature_from_json(obj: dict) -> CurvatureTensor:
 
 
 def form_to_json(u: Form) -> dict:
+    u.require_single()
     if u.p != u.q:
         raise ValueError(f"only (p, p) forms serialize; got bidegree ({u.p},{u.q})")
     ks = list(combinations(range(u.n), u.p))

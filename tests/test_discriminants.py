@@ -13,8 +13,9 @@ from oracles import (mixed_discriminant_polarized, trace_expansion_r2,
 
 from schurpos import discriminants
 from schurpos.discriminants import (mixed_discriminant, moment_exact, moment_mc,
-                                    permutation_table, rising_factorial,
-                                    sample_unit_sphere, stack_det, subset_table)
+                                    permutation_table, power_moment, principal_sum,
+                                    rising_factorial, sample_unit_sphere, stack_det,
+                                    subset_table)
 from schurpos.hermitian import det
 
 
@@ -158,6 +159,25 @@ class TestStackDet:
         if k > 1:
             x[:, 1] = x[:, 0]
             assert (stack_det(x.astype(float)) == 0.0).all()
+
+
+class TestPrincipalSumDegreeOne:
+    """At k = 1 the sum is the linear form of the diagonal block sum."""
+
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 3)], ids=["one", "stack", "grid"])
+    @pytest.mark.parametrize("form,w", [(stack_det, 1), (lambda x: power_moment(x, 1), 3)],
+                             ids=["stack_det", "power_moment"])
+    def test_is_form_of_diagonal_sum(self, form, w, lead):
+        rng = np.random.default_rng(61 + w)
+        r = 4
+        # rows of very different scales: no cancellation for scales to guard
+        blocks = (np.logspace(-150, 150, r)[:, None, None, None]
+                  * (rng.standard_normal((*lead, r, r, w, w))
+                     + 1j * rng.standard_normal((*lead, r, r, w, w))))
+        got = principal_sum(blocks, 1, form)
+        want = form(sum(blocks[..., i, i, :, :] for i in range(r)))
+        assert np.shape(got) == lead
+        assert (abs(got - want) <= 1e-15 * abs(want)).all()
 
 
 class TestMixedDiscriminant:

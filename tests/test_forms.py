@@ -199,6 +199,13 @@ class TestChernForms:
                 tr[a, b] = (1j / TWO_PI) * v
         assert max_coeff_diff(cs[1], Form(3, 1, 1, tr)) < 1e-14
 
+    @pytest.mark.parametrize("rank,dim", [(3, 3), (4, 3), (5, 3), (3, 4)])
+    def test_c1_is_one_diagonal_sum(self, rank, dim):
+        t = random_griffiths_curvature(rank, dim, rank, 0.2, seed=8)
+        want = (1j / TWO_PI) * sum(t.entries[i, i] for i in range(rank))
+        got = chern_forms(t)[1].coeffs
+        assert (abs(got - want) <= 1e-15 * abs(want)).all()
+
     def test_c2_newton_identity(self):
         # c2 = (c1^2 - (i/2pi)^2 tr(R ^ R)) / 2
         t = random_griffiths_curvature(3, 3, 2, 0.3, seed=6)
@@ -863,6 +870,40 @@ def test_form_rejects_non_finite(bad):
 def test_form_rejects_wrong_shape(n, p, q, shape):
     with pytest.raises(ValueError, match="needs coefficients of shape"):
         Form(n, p, q, np.zeros(shape))
+
+
+def overflow_cases():
+    """Finite forms or tensors whose public result leaves the float range."""
+    big = 1e200 * standard_omega(3)
+    t = random_griffiths_curvature(3, 3, 2, 0.2, seed=9)
+    cs = chern_forms(t)
+    huge_c1 = [cs[0], 1e110 * cs[1], cs[2], cs[3]]
+    return {
+        "wedge": lambda: wedge(big, big),
+        "add": lambda: Form(1, 0, 0, [[1e308]]) + Form(1, 0, 0, [[1e308]]),
+        "mul": lambda: big * 1e200,
+        "schur_form": lambda: schur_form(huge_c1, (1, 1, 1)),
+        "c3_principal_minors": lambda: c3_principal_minors(
+            CurvatureTensor(rank=3, dim=3, entries=1e110 * t.entries)),
+        "twist_chern": lambda: twist_chern(cs, 1.0, 1e110 * standard_omega(3)),
+    }
+
+
+@pytest.mark.parametrize("case", list(overflow_cases()))
+def test_every_public_result_rejects_overflow(case):
+    # a product of finite forms overflows; the result is checked once
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="non-finite"):
+        overflow_cases()[case]()
+
+
+def test_single_form_functions_reject_stacks():
+    stack = Form(3, 2, 2, np.ones((2, 3, 3)))
+    tops = Form(2, 2, 2, np.ones((2, 1, 1)))
+    for call in (lambda: volume_coefficient(stack), lambda: volume_coefficient(tops),
+                 lambda: weak_positivity_min(stack)):
+        with pytest.raises(ValueError, match=r"coefficients of shape \(2, 3, 3\)|\(2, 1, 1\)"):
+            call()
 
 
 def test_mismatched_bidegrees_are_rejected():

@@ -69,6 +69,11 @@ def test_form_save_refuses_non_pure_bidegree(degs):
         ser.form_to_json(Form.zero(2, *degs))
 
 
+def test_form_save_refuses_a_stack():
+    with pytest.raises(ValueError, match=r"coefficients of shape \(2, 3, 3\)"):
+        ser.form_to_json(Form(3, 2, 2, np.ones((2, 3, 3))))
+
+
 def test_form_roundtrip_every_degree():
     t = random_griffiths_curvature(3, 3, 2, 0.1, seed=5)
     for c in [*chern_forms(t), Form.zero(3, 2, 2)]:
