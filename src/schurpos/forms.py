@@ -369,18 +369,14 @@ def standard_omega(n: int) -> Form:
 
 
 def twist_chern(cs: list[Form], eps: float, omega: Form) -> list[Form]:
-    """Chern forms c_0 .. c_r of E (x) L, L a line bundle of curvature -eps *
-    omega on the forms' C^n: c_k' = sum_j C(r - j, k - j) c_j ^ (-eps omega)^(k - j)
-    (Fulton, Intersection Theory, 3.2)."""
+    """Chern forms c_0 .. c_r of E (x) L, L a line bundle of curvature
+    t = -eps * omega on the forms' C^n: c_k' = sum_j C(r - j, k - j) t^(k - j) ^ c_j
+    (Fulton, Intersection Theory, 3.2), on the powers t^0 .. t^r of one form
+    with integer weights.  A twist beyond the float range raises ValueError."""
     r = len(cs) - 1
-    powers = list(accumulate([omega] * r, _wedge))  # omega^1 .. omega^r
-    twisted = []
-    for k in range(r + 1):
-        terms = (_times(_wedge(powers[k - j - 1], cs[j]) if j else powers[k - 1],
-                        math.comb(r - j, k - j) * (-eps) ** (k - j))
-                 for j in range(k - 1, -1, -1))
-        twisted.append(reduce(_plus, terms, cs[k]).require_finite())
-    return twisted
+    powers = list(accumulate([_times(omega, -eps)] * r, _wedge, initial=Form.one(omega.n)))
+    return [reduce(_plus, (_times(_wedge(powers[k - j], cs[j]), math.comb(r - j, k - j))
+                           for j in range(k, -1, -1))).require_finite() for k in range(r + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -71,11 +71,14 @@ def _report(z: complex, method: str, **extra) -> PhiReport:
 
 
 def _require_rank(h: BlockMap, ranks: range, what: str) -> None:
+    """A square map of a rank in ``ranks``, worded 1..N as "supports rank <= N"
+    and any other set as its ranks ("needs rank 2 or 3")."""
     if h.r != h.w:
         raise ValueError(f"{what} needs a square map (r = w), got r={h.r}, w={h.w}")
     if h.r not in ranks:
-        raise ValueError(f"{what} needs rank {ranks[0]}, got {h.r}" if len(ranks) == 1
-                         else f"{what} supports rank <= {ranks[-1]}, got {h.r}")
+        raise ValueError(f"{what} supports rank <= {ranks[-1]}, got {h.r}"
+                         if ranks[0] == 1 < len(ranks)
+                         else f"{what} needs rank {' or '.join(map(str, ranks))}, got {h.r}")
 
 
 def _require_normalized(h: BlockMap, what: str) -> None:
@@ -118,11 +121,12 @@ def phi_dual(h: BlockMap) -> PhiReport:
 def c_matrix(h: BlockMap, xi) -> np.ndarray:
     """C(xi) = (xi* B_ij xi): Hermitian, positive definite for positive maps.
 
-    xi is one unit vector (r,) or a stack of them (..., r), giving (..., r, r).
+    xi is one unit vector of C^w (w,) or a stack of them (..., w), giving
+    (..., r, r).
     """
     v = np.asarray(xi, dtype=complex)
-    if v.ndim == 0 or v.shape[-1] != h.r:
-        raise ValueError(f"xi has shape {v.shape}, map has r={h.r}; note w={h.w}")
+    if v.ndim == 0 or v.shape[-1] != h.w:
+        raise ValueError(f"xi has shape {v.shape}, map has r={h.r}: xi needs length w={h.w}")
     mod = abs(v)
     off = abs(np.sqrt(np.vecdot(mod, mod)) - 1.0)
     # counted rather than .all(): the one-vector call stays as cheap as a norm
@@ -189,8 +193,7 @@ def phi_r4_decomposition(h: BlockMap) -> R4Decomposition:
 
 def phi_integral(h: BlockMap) -> PhiReport:
     """The exact spherical form at its rank: phi_integral_r2 or phi_integral_r3."""
-    if h.r not in ROUTES["integral"][1]:
-        raise ValueError(f"method 'integral' needs rank 2 or 3, map has rank {h.r}")
+    _require_rank(h, ROUTES["integral"][1], "phi_integral")
     return (phi_integral_r2 if h.r == 2 else phi_integral_r3)(h)
 
 
@@ -245,19 +248,26 @@ def schur_delta(l1, l2, l3):
     """(sum)^3 + 9 l1 l2 l3 - 4 (sum)(sum of pair products); >= 0 on the
     nonnegative octant, vanishing iff all equal or two equal and one zero.
 
-    Accepts finite scalars or numpy arrays elementwise.  Three floats skip
-    the broadcast and give the array path's value bit for bit: the cube is
-    the ufunc's either way, whose SIMD loop may differ from libm's pow.
+    Accepts finite scalars or numpy arrays elementwise, and raises ValueError
+    when a value leaves the float range.  Three floats skip the broadcast and
+    give the array path's value bit for bit: the cube is the ufunc's either
+    way, whose SIMD loop may differ from libm's pow.
     """
     if type(l1) in _FLOATS and type(l2) in _FLOATS and type(l3) in _FLOATS:
         if not (0.0 <= l1 < math.inf and 0.0 <= l2 < math.inf and 0.0 <= l3 < math.inf):
             raise ValueError("schur_delta needs finite nonnegative arguments")
-        return float(_delta(float(l1), float(l2), float(l3)))
-    a = np.array(np.broadcast_arrays(l1, l2, l3), dtype=float)
-    if not (np.isfinite(a) & (a >= 0)).all():
-        raise ValueError("schur_delta needs finite nonnegative arguments")
-    out = _delta(*a)
-    return float(out) if out.ndim == 0 else out
+        out = float(_delta(float(l1), float(l2), float(l3)))
+        if math.isfinite(out):
+            return out
+    else:
+        a = np.array(np.broadcast_arrays(l1, l2, l3), dtype=float)
+        if not (np.isfinite(a) & (a >= 0)).all():
+            raise ValueError("schur_delta needs finite nonnegative arguments")
+        out = _delta(*a)
+        if np.isfinite(out).all():
+            return float(out) if out.ndim == 0 else out
+    raise ValueError("schur_delta is beyond the float range: rescale the arguments "
+                     "(Delta is homogeneous of degree 3)")
 
 
 def rank2_norm_identity(h: BlockMap) -> tuple[float, float, float]:

@@ -499,6 +499,15 @@ class TestTwist:
                 for k in range(rank + 1):
                     assert max_coeff_diff(got[k], oracle[k]) < 1e-10
 
+    @pytest.mark.parametrize("eps", [1e110, 1e200, math.inf, math.nan])
+    def test_twist_beyond_the_float_range_is_a_value_error(self, eps):
+        # t = -eps omega is finite at 1e110 and 1e200, and t^3 or t^2 is not;
+        # the weights are integers, so only the result's check can refuse it
+        cs = chern_forms(random_griffiths_curvature(3, 3, 2, 0.2, seed=21))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="non-finite"):
+            twist_chern(cs, eps, standard_omega(3))
+
 
 class TestWeakPositivity:
     def test_strongly_positive_form(self):

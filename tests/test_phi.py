@@ -18,7 +18,7 @@ from schurpos.phi import (ROUTES, PhiReport, c_matrix, four_cycle_diagonal,
                           integral_sigma, phi_direct, phi_dual,
                           phi_integral_r2, phi_integral_r3, phi_r4_decomposition,
                           phi_reports, rank2_norm_identity, route_spread, schur_delta)
-from schurpos.posmap import (BlockMap, choi_fixture, identity_map,
+from schurpos.posmap import (BlockMap, choi_fixture, from_kraus, identity_map,
                              random_kraus_map, scale, sinkhorn_normalize,
                              trace_map)
 
@@ -129,8 +129,10 @@ class TestRoutes:
         assert route_spread(reports[:1]) == 0.0
 
     def test_integral_outside_its_ranks(self):
-        with pytest.raises(ValueError, match="needs rank 2 or 3"):
-            phi_reports(trace_map(4), "integral")
+        # worded from ROUTES like every other route's rank guard
+        for rank in (1, 4):
+            with pytest.raises(ValueError, match=f"phi_integral needs rank 2 or 3, got {rank}"):
+                phi_reports(trace_map(rank), "integral")
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method"):
@@ -165,6 +167,15 @@ class TestCMatrix:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError, match=r"xi has shape \(2,\), map has r=3"):
             c_matrix(trace_map(3), np.array([1.0, 0.0]))
+
+    def test_xi_lives_on_the_output_side(self):
+        # r = 3 inputs, w = 2 outputs: C(xi) contracts the w axis
+        h = from_kraus([np.ones((2, 3))], 0.5)
+        c = c_matrix(h, np.array([1.0, 0.0]))
+        np.testing.assert_array_equal(c, np.ones((3, 3)) + 0.5 * np.eye(3))
+        with pytest.raises(ValueError, match=r"xi has shape \(3,\), map has r=3: xi needs "
+                                             r"length w=2"):
+            c_matrix(h, np.array([1.0, 0.0, 0.0]))
 
     def test_stack_matches_per_vector(self):
         h = normalized_map(3, seed=107)
@@ -258,6 +269,15 @@ class TestSchurDelta:
             for args in ((bad, 1.0, 1.0), (1.0, np.array([0.5, bad]), 1.0)):
                 with pytest.raises(ValueError, match="finite nonnegative"):
                     schur_delta(*args)
+
+    @pytest.mark.parametrize("args", [(1e200, 1e200, 0.0), (1e110, 1.0, 1.0),
+                                      (np.array([1.0, 1e200]), np.array([1.0, 1e200]),
+                                       np.array([0.0, 0.0]))])
+    def test_rejects_a_value_beyond_the_float_range(self, args):
+        # the float path and the array path alike, where Delta is NaN or inf
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="float range"):
+            schur_delta(*args)
 
     def test_scalar_calls_match_one_array_call(self):
         lam = np.random.default_rng(133).uniform(0.0, 3.0, size=(3, 50))
